@@ -8,6 +8,7 @@ are strictly inside the PDE domain; zero-value points sit on its boundary
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -49,14 +50,16 @@ class Domain:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Ordered collocation points with the interior-first partition."""
+    """Ordered collocation points with the interior-first partition.
+
+    q (half the minimal pairwise distance) is stored; the fill distance h
+    and the ratio rho = h/q are report-only and computed on first access.
+    """
 
     points: np.ndarray
     n_interior: int
     domain: Domain
-    h: float
     q: float
-    rho: float
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -81,6 +84,16 @@ class PointSet:
         """Nominal node spacing 2q; the knob eps-factor modes scale from."""
         return 2.0 * self.q
 
+    @cached_property
+    def h(self):
+        """Fill distance, sampled on a grid 10x finer than q."""
+        return _fill_distance(cKDTree(self.points), self.q, self.domain)
+
+    @property
+    def rho(self):
+        """Mesh ratio h/q."""
+        return self.h / self.q
+
     def save_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -91,8 +104,8 @@ class PointSet:
 
 
 def _finish(points, n_interior, domain):
-    h, q, rho = mesh_stats_points(points, domain)
-    return PointSet(points, n_interior, domain, h, q, rho)
+    _, q = _separation(points)
+    return PointSet(points, n_interior, domain, q)
 
 
 def uniform_interval(n):
@@ -189,15 +202,17 @@ def disk_grid(h):
 def mesh_stats(ps, domain=None):
     """(h, q, rho): fill distance, half the minimal pairwise distance, ratio.
 
-    The supremum behind h is approximated on a sample grid 10x finer than q;
-    h only feeds reports and eps-factor modes, never the solver itself.
+    The supremum behind h is approximated on a sample grid 10x finer than q.
+    h and rho are report-only: no solver reads them, and a PointSet computes
+    them on first access. eps-factor modes scale ps.spacing = 2q instead.
     """
-    dom = ps.domain if domain is None else domain
-    return mesh_stats_points(ps.points, dom)
+    tree, q = _separation(ps.points)
+    h = _fill_distance(tree, q, ps.domain if domain is None else domain)
+    return h, q, h / q
 
 
-def mesh_stats_points(points, domain):
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+def _separation(pts):
+    """k-d tree of the points and q; rejects repeated points."""
     if pts.shape[0] < 2:
         raise ValueError("mesh statistics need at least 2 points")
     tree = cKDTree(pts)
@@ -205,8 +220,10 @@ def mesh_stats_points(points, domain):
     nearest = dist[:, 1]
     if np.min(nearest) <= 0.0:
         raise ValueError("points must be distinct")
-    q = 0.5 * float(np.min(nearest))
+    return tree, 0.5 * float(np.min(nearest))
 
+
+def _fill_distance(tree, q, domain):
     step = q / 10.0
     if domain.kind == "interval":
         m = int(np.ceil(2.0 / step))
@@ -224,5 +241,4 @@ def mesh_stats_points(points, domain):
             xx, yy = np.meshgrid(axis, axis, indexing="ij")
             samples = np.column_stack([xx.ravel(), yy.ravel()])
             samples = samples[np.sum(samples * samples, axis=1) <= 1.0]
-    h = float(np.max(tree.query(samples, k=1)[0]))
-    return h, q, h / q
+    return float(np.max(tree.query(samples, k=1)[0]))

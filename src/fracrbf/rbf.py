@@ -9,6 +9,7 @@ from the interior of the domain.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from fracrbf.specialfun import FracParams, coeff_eta, coeff_mu
 
@@ -70,8 +71,7 @@ def _points(basis, x):
 def _sq_dist(basis, x, j=None):
     pts = _points(basis, x)
     centers = basis.centers if j is None else basis.centers[j:j + 1]
-    diff = pts[:, None, :] - centers[None, :, :]
-    return np.sum(diff * diff, axis=2), pts
+    return cdist(pts, centers, "sqeuclidean"), pts
 
 
 def _maybe_scalar(arr, x):
@@ -141,10 +141,9 @@ def classical_lap_phi(basis, j, x):
 def grad_phi(basis, j, x):
     """Gradient of phi_j: 2 beta (x-x_j) (eps^2+|x-x_j|^2)^(beta-1)."""
     b = basis.beta
-    pts = _points(basis, x)
+    r2, pts = _sq_dist(basis, x, j)
     diff = pts - basis.centers[j]
-    w = basis.eps ** 2 + np.sum(diff * diff, axis=1)
-    out = 2.0 * b * diff * w[:, None] ** (b - 1.0)
+    out = 2.0 * b * diff * (basis.eps ** 2 + r2) ** (b - 1.0)
     if np.ndim(x) <= 1 and out.shape[0] == 1:
         return out[0]
     return out
@@ -191,8 +190,7 @@ def classical_lap_block(basis, x):
 def grad_blocks(basis, x):
     """Component matrices of grad phi_j(x_i); one (npoints, ncenters) per axis."""
     b = basis.beta
-    pts = _points(basis, x)
-    diff = pts[:, None, :] - basis.centers[None, :, :]
-    w = basis.eps ** 2 + np.sum(diff * diff, axis=2)
-    common = 2.0 * b * w ** (b - 1.0)
-    return [common * diff[:, :, k] for k in range(basis.params.d)]
+    r2, pts = _sq_dist(basis, x)
+    common = 2.0 * b * (basis.eps ** 2 + r2) ** (b - 1.0)
+    return [common * (pts[:, k, None] - basis.centers[None, :, k])
+            for k in range(basis.params.d)]

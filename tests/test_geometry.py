@@ -60,6 +60,7 @@ def test_polar_layout_mesh_stats():
     assert ps.q == pytest.approx(1.0 / 6.0, rel=1e-12)
     assert ps.h == pytest.approx(0.7007932013876212, rel=1e-9)
     assert ps.rho == pytest.approx(ps.h / ps.q, rel=1e-12)
+    assert mesh_stats(ps) == (ps.h, ps.q, ps.rho)
 
 
 def test_disk_grid_counts():
@@ -67,6 +68,8 @@ def test_disk_grid_counts():
     totals, interiors = [], []
     for h in (0.5, 0.25, 0.125, 0.0625, 0.03125):
         ps = disk_grid(h)
+        # the report-only fill distance is not computed at construction
+        assert "h" not in ps.__dict__
         totals.append(ps.n_total)
         interiors.append(ps.n_interior)
     assert totals == [13, 53, 209, 825, 3269]
@@ -98,16 +101,16 @@ def test_clipped_grid_embedded():
 
 def test_point_set_partition_and_guards():
     pts = np.array([[0.0], [0.5], [-1.0], [1.0]])
-    ps = PointSet(pts, 2, Domain("interval"), 0.5, 0.25, 2.0)
+    ps = PointSet(pts, 2, Domain("interval"), 0.25)
     assert ps.interior.shape == (2, 1)
     assert ps.boundary.shape == (2, 1)
     with pytest.raises(ValueError):
-        PointSet(pts, 5, Domain("interval"), 0.5, 0.25, 2.0)
+        PointSet(pts, 5, Domain("interval"), 0.25)
 
 
 def test_mesh_stats_rejects_duplicates():
     pts = np.array([[0.1], [0.1], [0.5]])
-    ps = PointSet(pts, 3, Domain("interval"), 0.0, 0.0, 0.0)
+    ps = PointSet(pts, 3, Domain("interval"), 0.0)
     with pytest.raises(ValueError):
         mesh_stats(ps)
 

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from fracrbf import steady
+from fracrbf.geometry import (Domain, clipped_grid, disk_grid, polar_layout,
+                              uniform_interval)
 from fracrbf.oracles import gmq_profile, gmq_shifted_profile, hypersingular_oracle
 from fracrbf.rbf import (GmqBasis, classical_lap_block, classical_lap_phi,
                          frac_lap_block, frac_lap_phi, frac_lap_phi_alt,
-                         grad_blocks, grad_phi, phi, phi_block, psi, psi_block)
+                         grad_blocks, grad_phi, phi, phi_block, psi, psi_block,
+                         _sq_dist)
 from fracrbf.specialfun import FracParams, coeff_mu
 
 
@@ -144,3 +148,20 @@ def test_grad_matches_finite_differences():
         g = grad_phi(b, j, x)
         assert gx[0, j] == pytest.approx(g[0], rel=1e-14)
         assert gy[0, j] == pytest.approx(g[1], rel=1e-14)
+
+
+@pytest.mark.parametrize("points, centers", [
+    (uniform_interval(34).points, None),
+    (polar_layout(11, 11).points, None),
+    (disk_grid(1.0 / 8.0).points, None),
+    (clipped_grid(1.0 / 16.0, Domain("embedded", np.sqrt(2.0) / 2.0)).points, None),
+    (steady.test_points_disk(), disk_grid(1.0 / 8.0).points),
+], ids=["interval", "polar", "lattice", "embedded", "rectangular"])
+def test_sq_dist_matches_broadcast_bitwise(points, centers):
+    # the blocks' r^2 must equal the explicit difference-square-sum exactly,
+    # so swapping how it is computed leaves every solver result unchanged
+    centers = points if centers is None else centers
+    basis = GmqBasis(centers, FracParams(points.shape[1], 0.8), 1.0)
+    r2, _ = _sq_dist(basis, points)
+    diff = points[:, None, :] - centers[None, :, :]
+    assert np.array_equal(r2, np.sum(diff * diff, axis=2))
