@@ -7,6 +7,7 @@ then explicit flags. Exit codes: 0 success, 1 usage or config problem,
 """
 
 import argparse
+import functools
 import inspect
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from fracrbf.dynamics import (EvolutionConfig, anisotropy_ratio,
-                              crank_nicolson_mixed, run_qg)
+                              crank_nicolson_mixed, run_qg, write_snapshots)
 from fracrbf.exterior import GmqProfile, exterior_data_correction
 from fracrbf.geometry import disk_grid, polar_layout, uniform_interval
 from fracrbf.harness import PRESETS, RunReport, RunRow, rms_error
@@ -49,8 +50,6 @@ def _build_parser():
                        help="shape parameter as a multiple of the node spacing")
         p.add_argument("--case", choices=("smooth", "compact"))
         p.add_argument("--p", type=float, help="compact-profile power")
-        p.add_argument("--scale", type=float,
-                       help="support-shrink factor for the compact profile (1D)")
         p.add_argument("--L", type=int, help="ring count of the polar layout")
         p.add_argument("--J", type=int, help="angles per ring minus one")
         p.add_argument("--n", type=int, help="interior point count (1D)")
@@ -68,12 +67,12 @@ def _build_parser():
     p = sub.add_parser("forward", help="interpolate an exact profile and sweep "
                                        "the forward-operator residual")
     common(p)
-    p.set_defaults(func=_cmd_forward)
+    p.set_defaults(func=functools.partial(_cmd_sweep, row=_forward_row))
 
     p = sub.add_parser("solve", help="steady solve sweep: solution error and "
                                      "condition number per N")
     common(p)
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=functools.partial(_cmd_sweep, row=_solve_row))
 
     p = sub.add_parser("evolve", help="mixed local/nonlocal diffusion run")
     common(p, time_flags=True)
@@ -128,21 +127,18 @@ def _pick(value, default):
 
 
 def _eps_for(args, ps, default_abs):
-    if args.eps is not None and args.eps_factor is not None:
-        raise ValueError("--eps and --eps-factor are mutually exclusive")
     if args.eps_factor is not None:
         return args.eps_factor * ps.spacing
     return _pick(args.eps, default_abs)
 
 
-def _point_set(args, dim, default_n=16, default_lj=8):
-    if dim == 1:
-        return uniform_interval(_pick(args.n, default_n) + 2)
+def _disk_set(args):
+    """Lattice disk grid when --grid-h is given, else the polar layout
+    (--L rings, default 8; --J defaults to L)."""
     if args.grid_h is not None:
         return disk_grid(args.grid_h)
-    lvl_l = _pick(args.L, default_lj)
-    lvl_j = _pick(args.J, lvl_l)
-    return polar_layout(lvl_l, lvl_j)
+    lvl_l = _pick(args.L, 8)
+    return polar_layout(lvl_l, _pick(args.J, lvl_l))
 
 
 def _print_report(rep):
@@ -180,90 +176,63 @@ def _case_funcs(args, dim, alpha):
             lambda pts: case2(dim, alpha, p, pts)[1], None)
 
 
-def _test_grid(dim, n):
-    """Error-measurement points: the staggered companion grid in 1D, the
-    polar lattice on the disk in 2D."""
+def _sweep(args, dim):
+    """(point set, measurement points) per sweep entry. Measurement points
+    are the staggered companion grid in 1D and the polar lattice on the
+    disk in 2D."""
     if dim == 1:
-        return uniform_interval(n + 1).interior
-    return test_points_disk()
+        for n in [2, 4, 8, 16, 32] if args.n is None else [args.n]:
+            yield uniform_interval(n + 2), uniform_interval(n + 1).interior
+    elif args.grid_h is not None or args.L is not None or args.J is not None:
+        yield _disk_set(args), test_points_disk()
+    else:
+        for lvl in (3, 5, 7, 9):
+            yield polar_layout(lvl, lvl), test_points_disk()
 
 
-def _sweep_sets(args, dim):
-    if dim == 1:
-        if args.n is not None:
-            return [args.n]
-        return [2, 4, 8, 16, 32]
-    if args.grid_h is not None:
-        return [args.grid_h]
-    if args.L is not None or args.J is not None:
-        return [(_pick(args.L, 8), _pick(args.J, _pick(args.L, 8)))]
-    return [(3, 3), (5, 5), (7, 7), (9, 9)]
+def _forward_row(ps, basis, tp, case, kq, mq):
+    """Interpolate u at all N points; Ehat is the clipped-operator residual."""
+    u_fn, f_fn, g = case
+    lam = interpolate(ps, basis, u_fn(ps.points))
+    target = f_fn(tp)
+    if g is not None:
+        # nonzero exterior data: the clipped operator approximates f
+        # plus the tail of g, exactly as in the collocation rows
+        target = target + exterior_data_correction(g, ps, basis.params,
+                                                   K=kq, M=mq, points=tp)
+    ehat = rms_error(target, forward_frac_lap_clipped(lam, basis, tp, K=kq, M=mq))
+    return RunRow(n=ps.n_total, ehat=ehat)
 
 
-def _build_set(dim, spec, grid_mode):
-    if dim == 1:
-        return uniform_interval(spec + 2)
-    if grid_mode:
-        return disk_grid(spec)
-    return polar_layout(*spec)
+def _solve_row(ps, basis, tp, case, kq, mq):
+    """Collocation solve; E is the solution error at the measurement points."""
+    u_fn, f_fn, g = case
+    sm = assemble(ps, basis, K=kq, M=mq)
+    lam, _ = solve_poisson(ps, basis, f_fn, g=g, K=kq, M=mq, system=sm)
+    e = rms_error(u_fn(tp), evaluate_interpolant(lam, basis, tp))
+    return RunRow(n=ps.n_total, e=e, cond=condition_estimate(sm))
 
 
-def _cmd_forward(args):
+def _cmd_sweep(args, row):
+    """forward/solve: one report row per point set of the sweep."""
     dim = _pick(args.dim, 1)
     alpha = _pick(args.alpha, 1.2)
     kq = _pick(args.quad_K, 48)
     mq = _pick(args.quad_M, 96)
-    if args.scale is not None:
-        raise ValueError("forward does not support --scale; see preset table4")
-    u_fn, f_fn, g = _case_funcs(args, dim, alpha)
-    rep = RunReport(label="forward", meta=dict(
+    case = _case_funcs(args, dim, alpha)
+    rep = RunReport(label=args.command, meta=dict(
         d=dim, alpha=alpha, case=_pick(args.case, "compact"), K=kq, M=mq))
-    grid_mode = dim == 2 and args.grid_h is not None
-    for spec in _sweep_sets(args, dim):
-        ps = _build_set(dim, spec, grid_mode)
+    for ps, tp in _sweep(args, dim):
         eps = _eps_for(args, ps, 1.5 if dim == 1 else 1.0)
         basis = GmqBasis(ps.points, FracParams(dim, alpha), eps)
-        lam = interpolate(ps, basis, u_fn(ps.points))
-        tp = _test_grid(dim, spec if dim == 1 else 0)
-        target = f_fn(tp)
-        if g is not None:
-            # nonzero exterior data: the clipped operator approximates f
-            # plus the tail of g, exactly as in the collocation rows
-            target = target + exterior_data_correction(g, ps, basis.params,
-                                                       K=kq, M=mq, points=tp)
-        ehat = rms_error(target, forward_frac_lap_clipped(lam, basis, tp, K=kq, M=mq))
-        rep.add(RunRow(n=ps.n_total, ehat=ehat), dim=dim)
-        rep.meta["eps"] = eps
-    return _finish(rep, args)
-
-
-def _cmd_solve(args):
-    dim = _pick(args.dim, 1)
-    alpha = _pick(args.alpha, 1.2)
-    kq = _pick(args.quad_K, 48)
-    mq = _pick(args.quad_M, 96)
-    if args.scale is not None:
-        raise ValueError("solve does not support --scale; see preset table4")
-    u_fn, f_fn, g = _case_funcs(args, dim, alpha)
-    rep = RunReport(label="solve", meta=dict(
-        d=dim, alpha=alpha, case=_pick(args.case, "compact"), K=kq, M=mq))
-    grid_mode = dim == 2 and args.grid_h is not None
-    for spec in _sweep_sets(args, dim):
-        ps = _build_set(dim, spec, grid_mode)
-        eps = _eps_for(args, ps, 1.5 if dim == 1 else 1.0)
-        basis = GmqBasis(ps.points, FracParams(dim, alpha), eps)
-        sm = assemble(ps, basis, K=kq, M=mq)
-        lam, _ = solve_poisson(ps, basis, f_fn, g=g, K=kq, M=mq, system=sm)
-        tp = _test_grid(dim, spec if dim == 1 else 0)
-        e = rms_error(u_fn(tp), evaluate_interpolant(lam, basis, tp))
-        rep.add(RunRow(n=ps.n_total, e=e, cond=condition_estimate(sm)), dim=dim)
+        rep.add(row(ps, basis, tp, case, kq, mq), dim=dim)
         rep.meta["eps"] = eps
     return _finish(rep, args)
 
 
 def _cmd_evolve(args):
     alpha = _pick(args.alpha, 1.0)
-    ps = _point_set(args, 2)
+    ps = _disk_set(args)
     eps = _eps_for(args, ps, 1.0)
     basis = GmqBasis(ps.points, FracParams(2, alpha), eps)
     t_end = _pick(args.t_end, 0.5)
@@ -276,7 +245,6 @@ def _cmd_evolve(args):
     for t, f in zip(times, fields):
         print(f"t={t:8.4f} peak={np.max(np.abs(f)):.6e}")
     if args.out is not None:
-        from fracrbf.dynamics import write_snapshots
         write_snapshots(args.out, ps, times, fields, prefix="mixed")
         print(f"wrote {args.out}")
     return 0
@@ -383,21 +351,19 @@ def _cmd_preset(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _merge_config(args)
         if getattr(args, "eps", None) is not None and getattr(args, "eps_factor", None) is not None:
             raise ValueError("--eps and --eps-factor are mutually exclusive")
+        return args.func(args)
+    # LinAlgError subclasses ValueError, so numerical failures are caught first
+    except (VerifyError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return args.func(args)
-    except (ValueError, VerifyError, FloatingPointError,
-            np.linalg.LinAlgError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ __all__ = [
     "qg_operators",
     "qg_rhs",
     "run_qg",
+    "write_field",
     "write_snapshots",
     "anisotropy_ratio",
 ]
@@ -212,11 +213,21 @@ def run_qg(ps, basis, cfg, theta0, out_dir=None, advect=True, K=10, M=64):
     return times, fields
 
 
+def write_field(path, points, values):
+    """One x1,x2,value CSV row per point; floats are written via repr for
+    bit-stable reruns."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "value"])
+        for row, v in zip(points, values):
+            writer.writerow([repr(float(row[0])), repr(float(row[1])), repr(float(v))])
+
+
 def write_snapshots(out_dir, ps, times, fields, prefix="field"):
     """One x1,x2,value CSV per snapshot time plus a manifest listing them.
 
     Boundary nodes are appended with their zero value so every file is a
-    complete field; floats are written via repr for bit-stable reruns.
+    complete field.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -225,11 +236,7 @@ def write_snapshots(out_dir, ps, times, fields, prefix="field"):
     for t, u in zip(times, fields):
         name = f"{prefix}_t{t:.6f}.csv"
         full = np.concatenate([np.asarray(u, dtype=float), np.zeros(pad)])
-        with open(out / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x1", "x2", "value"])
-            for row, v in zip(ps.points, full):
-                writer.writerow([repr(float(row[0])), repr(float(row[1])), repr(float(v))])
+        write_field(out / name, ps.points, full)
         names.append(name)
     with open(out / f"{prefix}_manifest.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

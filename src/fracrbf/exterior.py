@@ -17,10 +17,7 @@ from fracrbf.specialfun import coeff_c
 __all__ = [
     "GmqProfile",
     "TailFactors",
-    "tail_entry_1d",
-    "tail_entry_2d",
     "tail_factors_at",
-    "build_tail_factors",
     "exterior_data_correction",
 ]
 
@@ -114,29 +111,6 @@ def _factors_2d(points, centers, eps, beta, alpha, K, M):
     return b, c.T, w
 
 
-def tail_entry_1d(x_i, x_j, eps, p, K=10):
-    """Single tail-matrix entry on the interval, both exterior rays."""
-    if abs(x_i) >= 1.0:
-        raise ValueError("tail entries need |x_i| < 1")
-    pts = np.array([[float(x_i)]])
-    ctr = np.array([[float(x_j)]])
-    beta = (p.alpha - 1.0) / 2.0
-    b_r, c_r, b_l, c_l, w = _factors_1d(pts, ctr, eps, beta, p.alpha, K)
-    val = np.sum(w * (b_r[0] * c_r[:, 0] + b_l[0] * c_l[:, 0]))
-    return coeff_c(p) * float(val)
-
-
-def tail_entry_2d(x_i, x_j, eps, p, K=10, M=64):
-    """Single tail-matrix entry on the disk."""
-    pts = np.atleast_2d(np.asarray(x_i, dtype=float))
-    _check_inside(pts)
-    ctr = np.atleast_2d(np.asarray(x_j, dtype=float))
-    beta = (p.alpha - 2.0) / 2.0
-    b, c, w = _factors_2d(pts, ctr, eps, beta, p.alpha, K, M)
-    val = np.sum(w * b[0] * c[:, 0])
-    return coeff_c(p) * float(val)
-
-
 def tail_factors_at(points, basis, K=10, M=64):
     """Tail factors rowed by arbitrary points strictly inside the unit
     domain; columns cover all N centers."""
@@ -145,18 +119,11 @@ def tail_factors_at(points, basis, K=10, M=64):
     _check_inside(points)
     centers = basis.centers
     beta = basis.beta
-    if 2.0 * beta >= p.alpha:
-        raise ValueError("profile must decay: need 2*exponent < alpha")
     if p.d == 1:
         b_r, c_r, b_l, c_l, w = _factors_1d(points, centers, basis.eps, beta, p.alpha, K)
         return TailFactors(1, b_r, c_r, w, coeff_c(p), b_alt=b_l, c_alt=c_l)
     b, c, w = _factors_2d(points, centers, basis.eps, beta, p.alpha, K, M)
     return TailFactors(2, b, c, w, coeff_c(p))
-
-
-def build_tail_factors(ps, basis, K=10, M=64):
-    """Tail factors for every (equation point, center) pair of a point set."""
-    return tail_factors_at(ps.interior, basis, K=K, M=M)
 
 
 def exterior_data_correction(g, ps, p, K=10, M=64, points=None):

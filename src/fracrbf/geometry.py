@@ -6,7 +6,6 @@ are strictly inside the PDE domain; zero-value points sit on its boundary
 (interval / disk) or fill the disk-minus-domain collar (embedded mode).
 """
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,7 +16,6 @@ __all__ = [
     "Domain",
     "PointSet",
     "uniform_interval",
-    "centered_interval",
     "polar_layout",
     "clipped_grid",
     "disk_grid",
@@ -94,14 +92,6 @@ class PointSet:
         """Mesh ratio h/q."""
         return self.h / self.q
 
-    def save_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{k + 1}" for k in range(self.points.shape[1])] + ["flag"])
-            for i, row in enumerate(self.points):
-                flag = "interior" if i < self.n_interior else "boundary"
-                writer.writerow([repr(float(v)) for v in row] + [flag])
-
 
 def _finish(points, n_interior, domain):
     _, q = _separation(points)
@@ -116,19 +106,6 @@ def uniform_interval(n):
     grid = np.linspace(-1.0, 1.0, n)
     pts = np.concatenate([grid[1:-1], [-1.0, 1.0]])[:, None]
     return _finish(pts, n - 2, Domain("interval"))
-
-
-def centered_interval(n):
-    """n cell-centered points x_i = -1 + (2i-1)/n, all interior.
-
-    Spacing exactly 2/n, no node touches the endpoints; handy when an
-    evaluation grid must avoid the boundary.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    i = np.arange(1, n + 1, dtype=float)
-    pts = (-1.0 + (2.0 * i - 1.0) / n)[:, None]
-    return _finish(pts, n, Domain("interval"))
 
 
 def polar_layout(L, J):

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from fracrbf.dynamics import (EvolutionConfig, anisotropy_ratio,
-                              crank_nicolson_mixed, run_qg, write_snapshots)
+from fracrbf.dynamics import (EvolutionConfig, anisotropy_ratio, crank_nicolson_mixed,
+                              run_qg, write_field, write_snapshots)
 from fracrbf.geometry import Domain, clipped_grid, disk_grid, polar_layout, uniform_interval
 from fracrbf.linsys import assemble, condition_estimate
 from fracrbf.oracles import case1, case2, case2_scaled
@@ -132,54 +132,54 @@ def _git_rev():
         return "unknown"
 
 
-def _report(label, **meta):
-    return RunReport(label=label, meta=meta)
-
-
 # 1D convergence tables --------------------------------------------------------
 
 
-def _interval_row(n, alpha, p, eps, K):
-    """Solve on n interior + 2 endpoint nodes, then measure E and Ehat on
-    the staggered companion grid (spacing 2/n, offset 2/n from the ends):
-    uniform, endpoint-free, and never closer to +-1 than the node set
-    resolves, which is where the clipped operator of the interpolant
-    carries an irreducible boundary-layer error."""
+def _interval_row(n, alpha, eps, K, f_nodes, exact, window=None):
+    """Solve on n interior + 2 endpoint nodes with right-hand side
+    f_nodes(x), then measure E and Ehat against exact(x) = (u, f) on the
+    staggered companion grid (spacing 2/n, offset 2/n from the ends),
+    restricted to |x| < window when one is given. The grid is uniform,
+    endpoint-free, and never closer to +-1 than the node set resolves,
+    which is where the clipped operator of the interpolant carries an
+    irreducible boundary-layer error."""
     ps = uniform_interval(n + 2)
-    prm = FracParams(1, alpha)
-    basis = GmqBasis(ps.points, prm, eps)
-    u_exact, f_exact = case2(1, alpha, p, ps.interior)
+    basis = GmqBasis(ps.points, FracParams(1, alpha), eps)
+    rhs = np.concatenate([f_nodes(ps.interior), np.zeros(2)])
 
     t0 = time.perf_counter()
     sm = assemble(ps, basis, K=K)
-    rhs = np.concatenate([f_exact, np.zeros(2)])
     lam = sm.solve(rhs)
     seconds = time.perf_counter() - t0
 
     tp = uniform_interval(n + 1).interior
-    u_tp, f_tp = case2(1, alpha, p, tp)
+    if window is not None:
+        tp = tp[np.abs(tp[:, 0]) < window - 1e-12]
+    u_tp, f_tp = exact(tp)
     e = rms_error(u_tp, evaluate_interpolant(lam, basis, tp))
     ehat = rms_error(f_tp, forward_frac_lap_clipped(lam, basis, tp, K=K))
     return RunRow(n=n, e=e, ehat=ehat, cond=condition_estimate(sm), seconds=seconds)
 
 
+def _compact_table(label, p, alpha, eps, K, ns):
+    """Convergence sweep for the compact profile u = (1-x^2)^p_+."""
+    rep = RunReport(label, meta=dict(d=1, alpha=alpha, eps=eps, eps_mode="absolute",
+                                     case=f"compact p={p:g}", K=K))
+    exact = lambda x: case2(1, alpha, p, x)
+    for n in ns:
+        rep.add(_interval_row(n, alpha, eps, K, lambda x: exact(x)[1], exact))
+    return rep
+
+
 def preset_table2(alpha=1.2, eps=1.5, K=48, ns=(2, 4, 8, 16)):
     """Forward-residual convergence for the compact-support hat profile
     u = (1-x^2)_+ on the interval."""
-    rep = _report("table2", d=1, alpha=alpha, eps=eps, eps_mode="absolute",
-                  case="compact p=1", K=K)
-    for n in ns:
-        rep.add(_interval_row(n, alpha, 1.0, eps, K))
-    return rep
+    return _compact_table("table2", 1.0, alpha, eps, K, ns)
 
 
 def preset_table3(alpha=1.2, eps=1.5, K=48, ns=(2, 4, 8, 16)):
     """Same sweep for the smoother compact profile u = (1-x^2)^2_+."""
-    rep = _report("table3", d=1, alpha=alpha, eps=eps, eps_mode="absolute",
-                  case="compact p=2", K=K)
-    for n in ns:
-        rep.add(_interval_row(n, alpha, 2.0, eps, K))
-    return rep
+    return _compact_table("table3", 2.0, alpha, eps, K, ns)
 
 
 def _scaled_rhs(alpha, xs, n_quad=200):
@@ -209,28 +209,14 @@ def _scaled_rhs(alpha, xs, n_quad=200):
 def preset_table4(alpha=1.2, K=48, ns=(256, 512, 1024, 2048)):
     """Interior-singularity regime: u = (1-|2x|^2)^alpha_+ with the shape
     parameter tied to the spacing (eps = 4/n); the kink inside the domain
-    caps the rate at about 1/2 regardless of alpha."""
-    rep = _report("table4", d=1, alpha=alpha, eps_mode="2h (h=2/N)",
-                  case="compact p=alpha, scale 2", K=K)
+    caps the rate at about 1/2 regardless of alpha. Errors are measured
+    inside the support |x| < 1/2, where the closed form holds."""
+    rep = RunReport("table4", meta=dict(d=1, alpha=alpha, eps_mode="2h (h=2/N)",
+                                        case="compact p=alpha, scale 2", K=K))
+    exact = lambda x: case2_scaled(1, alpha, alpha, 2.0, x)
     for n in ns:
-        eps = 4.0 / n
-        ps = uniform_interval(n + 2)
-        prm = FracParams(1, alpha)
-        basis = GmqBasis(ps.points, prm, eps)
-        f_nodes = _scaled_rhs(alpha, ps.interior)
-
-        t0 = time.perf_counter()
-        sm = assemble(ps, basis, K=K)
-        lam = sm.solve(np.concatenate([f_nodes, np.zeros(2)]))
-        seconds = time.perf_counter() - t0
-
-        tp = uniform_interval(n + 1).interior.reshape(-1)
-        tp = tp[np.abs(tp) < 0.5 - 1e-12]
-        u_tp, f_tp = case2_scaled(1, alpha, alpha, 2.0, tp)
-        e = rms_error(u_tp, evaluate_interpolant(lam, basis, tp))
-        ehat = rms_error(f_tp, forward_frac_lap_clipped(lam, basis, tp, K=K))
-        rep.add(RunRow(n=n, e=e, ehat=ehat, cond=condition_estimate(sm),
-                       seconds=seconds))
+        rep.add(_interval_row(n, alpha, 4.0 / n, K, lambda x: _scaled_rhs(alpha, x),
+                              exact, window=0.5))
     return rep
 
 
@@ -245,8 +231,8 @@ def preset_table5(alpha=1.0, eps=1.5, K=48, M=96, levels=(3, 5, 7, 9, 11)):
     conditioning; expect near-spectral decay of E."""
     from fracrbf.exterior import GmqProfile
 
-    rep = _report("table5", d=2, alpha=alpha, eps=eps, eps_mode="absolute",
-                  case="smooth", K=K, M=M)
+    rep = RunReport("table5", meta=dict(d=2, alpha=alpha, eps=eps, eps_mode="absolute",
+                                        case="smooth", K=K, M=M))
     g = GmqProfile(np.zeros(2), 1.0, -1.5)
     tp = test_points_disk()
     u_tp, _ = case1(2, alpha, tp)
@@ -269,8 +255,8 @@ def preset_table5(alpha=1.0, eps=1.5, K=48, M=96, levels=(3, 5, 7, 9, 11)):
 def preset_table6(alpha=1.2, K=32, M=64, hs=(0.5, 0.25, 0.125, 0.0625, 0.03125)):
     """Nonsmooth 2D problem u = (1-|x|^2)^(1+alpha/2)_+ on lattice grids
     with eps = 2h; algebraic convergence, rates reported per axis."""
-    rep = _report("table6", d=2, alpha=alpha, eps_mode="2h (h=grid step)",
-                  case="compact p=1+alpha/2", K=K, M=M)
+    rep = RunReport("table6", meta=dict(d=2, alpha=alpha, eps_mode="2h (h=grid step)",
+                                        case="compact p=1+alpha/2", K=K, M=M))
     p = 1.0 + alpha / 2.0
     tp = test_points_disk()
     u_tp, _ = case2(2, alpha, p, tp)
@@ -295,23 +281,16 @@ def preset_table6(alpha=1.2, K=32, M=64, hs=(0.5, 0.25, 0.125, 0.0625, 0.03125))
 # figure presets ---------------------------------------------------------------
 
 
-def _write_field(path, points, values):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x1", "x2", "value"])
-        for row, v in zip(points, values):
-            w.writerow([repr(float(row[0])), repr(float(row[1])), repr(float(v))])
-
-
-def preset_fig_disk(alphas=(0.4, 0.8, 1.2, 1.6), eps=0.8, K=48, M=96, out=None):
-    """Constant-source solve on the ring layout with N=111; emits solution
-    and pointwise-error fields per alpha. The exact solution is
-    (1-|x|^2)^(alpha/2) / (2^alpha * Gamma(1+alpha/2)^2)."""
-    ps = polar_layout(10, 10)
-    rep = _report("fig-disk", d=2, eps=eps, eps_mode="absolute", case="f=1",
-                  K=K, M=M, alphas=",".join(str(a) for a in alphas),
-                  row_order="one row per alpha, listed order")
+def _constant_source(label, ps, alphas, eps, K, M, out, exact=None, **meta):
+    """One f=1 solve per alpha on a fixed point set; writes the nodal
+    solution field per alpha and, when exact(alpha, x) is given, E and the
+    pointwise-error field."""
+    rep = RunReport(label, meta=dict(d=2, eps=eps, eps_mode="absolute", case="f=1",
+                                     K=K, M=M, alphas=",".join(str(a) for a in alphas),
+                                     row_order="one row per alpha, listed order", **meta))
     outp = Path(out) if out is not None else None
+    if outp is not None:
+        outp.mkdir(parents=True, exist_ok=True)
     for alpha in alphas:
         basis = GmqBasis(ps.points, FracParams(2, alpha), eps)
         t0 = time.perf_counter()
@@ -319,44 +298,38 @@ def preset_fig_disk(alphas=(0.4, 0.8, 1.2, 1.6), eps=0.8, K=48, M=96, out=None):
         lam, u_nodes = solve_poisson(ps, basis, lambda pts: np.ones(len(pts)),
                                      K=K, M=M, system=sm)
         seconds = time.perf_counter() - t0
-        scale = 2.0 ** alpha * gamma_fn(1.0 + alpha / 2.0) ** 2
-        r2 = np.sum(ps.interior ** 2, axis=1)
-        exact = (1.0 - r2) ** (alpha / 2.0) / scale
-        e = rms_error(exact, u_nodes)
-        rep.add(RunRow(n=ps.n_total, e=e, cond=condition_estimate(sm),
-                       seconds=seconds), dim=2)
+        row = RunRow(n=ps.n_total, cond=condition_estimate(sm), seconds=seconds)
+        fields = {"solution": u_nodes}
+        if exact is not None:
+            u = exact(alpha, ps.interior)
+            row.e = rms_error(u, u_nodes)
+            fields["error"] = np.abs(u_nodes - u)
+        rep.add(row, dim=2)
         if outp is not None:
-            outp.mkdir(parents=True, exist_ok=True)
-            _write_field(outp / f"solution_alpha{alpha}.csv", ps.interior, u_nodes)
-            _write_field(outp / f"error_alpha{alpha}.csv", ps.interior,
-                         np.abs(u_nodes - exact))
+            for name, values in fields.items():
+                write_field(outp / f"{name}_alpha{alpha}.csv", ps.interior, values)
     return rep
+
+
+def _disk_exact(alpha, pts):
+    """(1-|x|^2)^(alpha/2) / (2^alpha Gamma(1+alpha/2)^2), the f=1 solution."""
+    scale = 2.0 ** alpha * gamma_fn(1.0 + alpha / 2.0) ** 2
+    return (1.0 - np.sum(pts ** 2, axis=1)) ** (alpha / 2.0) / scale
+
+
+def preset_fig_disk(alphas=(0.4, 0.8, 1.2, 1.6), eps=0.8, K=48, M=96, out=None):
+    """Constant-source solve on the ring layout with N=111; emits solution
+    and pointwise-error fields per alpha."""
+    return _constant_source("fig-disk", polar_layout(10, 10), alphas, eps, K, M, out,
+                            exact=_disk_exact)
 
 
 def preset_fig_square(alphas=(0.4, 0.8, 1.2, 1.6), eps=0.05, grid_h=0.03125,
                       K=32, M=64, out=None):
     """Constant-source solve on the square embedded in the disk; only the
     solution profile is emitted (no closed form exists here)."""
-    dom = Domain("embedded", half_width=np.sqrt(2.0) / 2.0)
-    ps = clipped_grid(grid_h, dom)
-    rep = _report("fig-square", d=2, eps=eps, eps_mode="absolute", case="f=1",
-                  K=K, M=M, grid_h=grid_h,
-                  alphas=",".join(str(a) for a in alphas),
-                  row_order="one row per alpha, listed order")
-    outp = Path(out) if out is not None else None
-    for alpha in alphas:
-        basis = GmqBasis(ps.points, FracParams(2, alpha), eps)
-        t0 = time.perf_counter()
-        sm = assemble(ps, basis, K=K, M=M)
-        lam, u_nodes = solve_poisson(ps, basis, lambda pts: np.ones(len(pts)),
-                                     K=K, M=M, system=sm)
-        seconds = time.perf_counter() - t0
-        rep.add(RunRow(n=ps.n_total, cond=condition_estimate(sm),
-                       seconds=seconds), dim=2)
-        if outp is not None:
-            outp.mkdir(parents=True, exist_ok=True)
-            _write_field(outp / f"solution_alpha{alpha}.csv", ps.interior, u_nodes)
-    return rep
+    ps = clipped_grid(grid_h, Domain("embedded", half_width=np.sqrt(2.0) / 2.0))
+    return _constant_source("fig-square", ps, alphas, eps, K, M, out, grid_h=grid_h)
 
 
 def preset_fig_mixed(alpha=1.0, eps=1.0, dt=0.001, t_end=0.5, K=32, M=64, out=None):
@@ -364,9 +337,9 @@ def preset_fig_mixed(alpha=1.0, eps=1.0, dt=0.001, t_end=0.5, K=32, M=64, out=No
     chi in {0, 1/2, 1}; emits snapshot fields and a peak-decay summary."""
     ps = polar_layout(8, 8)
     basis = GmqBasis(ps.points, FracParams(2, alpha), eps)
-    rep = _report("fig-mixed", d=2, alpha=alpha, eps=eps, eps_mode="absolute",
-                  dt=dt, t_end=t_end, K=K, M=M,
-                  row_order="one row per chi in (0, 0.5, 1); E holds the final peak")
+    rep = RunReport("fig-mixed", meta=dict(
+        d=2, alpha=alpha, eps=eps, eps_mode="absolute", dt=dt, t_end=t_end, K=K, M=M,
+        row_order="one row per chi in (0, 0.5, 1); E holds the final peak"))
     u0 = lambda pts: np.exp(-16.0 * pts[:, 0] ** 2 - 4.0 * pts[:, 1] ** 2)
     snaps = tuple(np.round(np.linspace(0.0, t_end, 6)[1:-1], 12))
     outp = Path(out) if out is not None else None
@@ -391,8 +364,8 @@ def preset_fig_qg(alpha=1.0, eps=0.1, dt=0.01, t_end=2.0, kappa=0.001,
     scalar-field snapshots plus the anisotropy-decay summary."""
     ps = disk_grid(grid_h)
     basis = GmqBasis(ps.points, FracParams(2, alpha), eps)
-    rep = _report("fig-qg", d=2, alpha=alpha, eps=eps, eps_mode="absolute",
-                  dt=dt, t_end=t_end, kappa=kappa, grid_h=grid_h, K=K, M=M)
+    rep = RunReport("fig-qg", meta=dict(d=2, alpha=alpha, eps=eps, eps_mode="absolute", dt=dt,
+                                        t_end=t_end, kappa=kappa, grid_h=grid_h, K=K, M=M))
     theta0 = lambda pts: np.exp(-4.0 * pts[:, 0] ** 2 - 64.0 * pts[:, 1] ** 2)
     snaps = tuple(np.round(np.arange(1, 8) * t_end / 8.0, 12))
     cfg = EvolutionConfig(dt=dt, t_end=t_end, kappa=kappa, snapshot_times=snaps)

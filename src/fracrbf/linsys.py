@@ -13,18 +13,15 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import LinAlgWarning, get_lapack_funcs
 
-from fracrbf.exterior import build_tail_factors
-from fracrbf.rbf import phi_block, psi_block
-from fracrbf.specialfun import coeff_mu
+from fracrbf.exterior import tail_factors_at
+from fracrbf.rbf import frac_lap_block, phi_block
 
 __all__ = [
     "SystemMatrices",
     "assemble",
-    "lu_solve",
     "nodal_values",
     "condition_estimate",
     "nodal_operator",
-    "dump_matrix",
 ]
 
 
@@ -43,10 +40,7 @@ class SystemMatrices:
     """Assembled collocation matrices plus factorization handles."""
 
     ps: object
-    basis: object
     a_phi: np.ndarray
-    a_psi_top: np.ndarray
-    tail: object
     s: np.ndarray
     _s_lu: tuple = field(default=None, repr=False)
     _phi_lu: tuple = field(default=None, repr=False)
@@ -70,26 +64,15 @@ class SystemMatrices:
 
 
 def assemble(ps, basis, K=10, M=64):
-    """Build A_phi, the top psi block, the tail factors and the system S."""
-    n_int = ps.n_interior
-    p = basis.params
+    """Build A_phi and the system S: closed-form images plus exterior tails
+    on the equation rows, plain basis values on the zero-value rows."""
     a_phi = phi_block(basis, ps.points)
-    a_psi_top = psi_block(basis, ps.interior)
-    tail = build_tail_factors(ps, basis, K=K, M=M)
-    top = basis.eps ** p.alpha * coeff_mu(p) * a_psi_top + tail.assemble()
-    s = np.vstack([top, a_phi[n_int:, :]])
-    return SystemMatrices(ps, basis, a_phi, a_psi_top, tail, s)
-
-
-def lu_solve(system, rhs):
-    """Solve system @ x = rhs by LU with partial pivoting.
-
-    Accepts a SystemMatrices (factors cached) or a plain square matrix.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    if isinstance(system, SystemMatrices):
-        return system.solve(rhs)
-    return sla.lu_solve(_factor(np.asarray(system, dtype=float)), rhs)
+    # tails before the image block: the tail quadrature's temporaries set the
+    # peak memory, so no (n_interior, N) block should be alive beside them
+    tail = tail_factors_at(ps.interior, basis, K=K, M=M).assemble()
+    top = frac_lap_block(basis, ps.interior) + tail
+    s = np.vstack([top, a_phi[ps.n_interior:, :]])
+    return SystemMatrices(ps, a_phi, s)
 
 
 def nodal_values(sm, lam):
@@ -97,15 +80,11 @@ def nodal_values(sm, lam):
     return sm.a_phi[: sm.n_interior, :] @ np.asarray(lam, dtype=float)
 
 
-def condition_estimate(system):
+def condition_estimate(sm):
     """1-norm condition estimate of the interpolation matrix A_phi
     (Hager-Higham style through the LAPACK reciprocal-condition routine)."""
-    if isinstance(system, SystemMatrices):
-        mat = system.a_phi
-        lu, _ = system.phi_lu()
-    else:
-        mat = np.asarray(system, dtype=float)
-        lu, _ = _factor(mat)
+    mat = sm.a_phi
+    lu, _ = sm.phi_lu()
     anorm = float(np.max(np.abs(mat).sum(axis=0)))
     gecon = get_lapack_funcs(("gecon",), (mat,))[0]
     rcond, info = gecon(lu, anorm, norm="1")
@@ -130,12 +109,3 @@ def nodal_operator(sm, rows=None):
     coeff_map = sla.lu_solve(sm.phi_lu(), rhs)
     w = sm.s[:n_int, :] if rows is None else np.asarray(rows, dtype=float)
     return w @ coeff_map
-
-
-def dump_matrix(mat, path):
-    """Plain-text row-major dump with a dimension header, for debugging."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    with open(path, "w") as fh:
-        fh.write(f"{mat.shape[0]} {mat.shape[1]}\n")
-        for row in mat:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")

@@ -26,6 +26,30 @@ def test_missing_config_returns_one(tmp_path):
     assert cli.main(["forward", "--config", str(tmp_path / "nope.cfg")]) == 1
 
 
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--dt", "-1"],
+    ["forward", "--n", "0"],
+    ["qg", "--L", "3", "--t-end", "0.015", "--dt", "0.01"],
+    ["forward", "--scale", "2"],
+], ids=["negative-dt", "empty-sweep", "fractional-steps", "removed-scale-flag"])
+def test_configuration_errors_exit_one(argv, capsys):
+    assert _exit_code(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_scale_config_key_exits_one(tmp_path):
+    cfg = tmp_path / "scale.cfg"
+    cfg.write_text("scale = 2\n")
+    assert cli.main(["forward", "--config", str(cfg)]) == 1
+
+
 def test_eps_flags_mutually_exclusive():
     assert cli.main(["forward", "--dim", "1", "--eps", "1.0",
                      "--eps-factor", "2.0"]) == 1
@@ -83,6 +107,18 @@ def test_qg_blowup_returns_two(capsys):
                    "--t-end", "8.0", "--quad-K", "16", "--quad-M", "32"])
     assert rc == 2
     assert "blow-up" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [ArithmeticError("2F1 series did not converge"),
+                                 np.linalg.LinAlgError("singular matrix")],
+                         ids=["arithmetic", "linalg"])
+def test_numerical_failures_return_two(exc, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError, which means a configuration error
+    def fail(args):
+        raise exc
+    monkeypatch.setattr(cli, "_cmd_verify", fail)
+    assert cli.main(["verify"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_preset_writes_report(tmp_path, capsys):

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from fracrbf.exterior import (GmqProfile, build_tail_factors,
-                              exterior_data_correction, tail_entry_1d,
-                              tail_entry_2d, tail_factors_at)
+from fracrbf.exterior import GmqProfile, exterior_data_correction, tail_factors_at
 from fracrbf.geometry import polar_layout, uniform_interval
 from fracrbf.oracles import RadialPowerProfile, tail_oracle
 from fracrbf.rbf import GmqBasis
@@ -17,12 +15,18 @@ def _oracle_profile(d, eps, beta, center):
     return RadialPowerProfile(c, ((1.0, eps * eps, 1.0, beta),))
 
 
+def _entry(x_i, x_j, eps, p, K, M=64):
+    """One tail-matrix entry: one equation point, one center."""
+    basis = GmqBasis(np.atleast_1d(np.asarray(x_j, dtype=float)), p, eps)
+    return tail_factors_at(np.asarray(x_i, dtype=float), basis, K=K, M=M).assemble()[0, 0]
+
+
 def test_tail_entry_1d_against_adaptive_quadrature():
     p = FracParams(1, 1.2)
     eps = 0.9
     beta = (p.alpha - 1.0) / 2.0
     for x_i, x_j in ((0.0, 0.0), (0.4, -0.3), (-0.85, 0.6)):
-        got = tail_entry_1d(x_i, x_j, eps, p, K=24)
+        got = _entry(x_i, x_j, eps, p, K=24)
         ref = tail_oracle(_oracle_profile(1, eps, beta, [x_j]), 1, p.alpha,
                           np.array([x_i]))
         assert got == pytest.approx(ref, rel=1e-9)
@@ -35,31 +39,28 @@ def test_tail_entry_2d_against_adaptive_quadrature():
     for x_i, x_j in (((0.0, 0.0), (0.0, 0.0)),
                      ((0.3, -0.2), (-0.4, 0.1)),
                      ((0.7, 0.5), (0.2, 0.6))):
-        got = tail_entry_2d(x_i, x_j, eps, p, K=24, M=128)
+        got = _entry(x_i, x_j, eps, p, K=24, M=128)
         ref = tail_oracle(_oracle_profile(2, eps, beta, x_j), 2, p.alpha,
                           np.array(x_i))
         assert got == pytest.approx(ref, rel=1e-8)
 
 
 def test_tail_entries_need_interior_points():
-    p = FracParams(1, 1.2)
     with pytest.raises(ValueError):
-        tail_entry_1d(1.0, 0.0, 1.0, p)
+        _entry(1.0, 0.0, 1.0, FracParams(1, 1.2), K=10)
     with pytest.raises(ValueError):
-        tail_entry_2d((1.0, 0.0), (0.0, 0.0), 1.0, FracParams(2, 1.0))
+        _entry((1.0, 0.0), (0.0, 0.0), 1.0, FracParams(2, 1.0), K=10)
 
 
 def test_factored_matrix_matches_entries():
     ps = uniform_interval(8)
     p = FracParams(1, 0.8)
     basis = GmqBasis(ps.points, p, 1.3)
-    tf = build_tail_factors(ps, basis, K=16)
-    mat = tf.assemble()
+    mat = tail_factors_at(ps.interior, basis, K=16).assemble()
     assert mat.shape == (ps.n_interior, ps.n_total)
     for i in (0, 3):
         for j in (0, 5, 7):
-            ref = tail_entry_1d(float(ps.interior[i, 0]),
-                                float(ps.points[j, 0]), 1.3, p, K=16)
+            ref = _entry(ps.interior[i], ps.points[j], 1.3, p, K=16)
             assert mat[i, j] == pytest.approx(ref, rel=1e-13)
 
 
@@ -67,11 +68,11 @@ def test_factored_matrix_matches_entries_2d():
     ps = polar_layout(3, 5)
     p = FracParams(2, 1.2)
     basis = GmqBasis(ps.points, p, 0.9)
-    mat = build_tail_factors(ps, basis, K=12, M=48).assemble()
+    mat = tail_factors_at(ps.interior, basis, K=12, M=48).assemble()
     assert mat.shape == (ps.n_interior, ps.n_total)
     for i in (0, 4):
         for j in (0, 9):
-            ref = tail_entry_2d(ps.interior[i], ps.points[j], 0.9, p, K=12, M=48)
+            ref = _entry(ps.interior[i], ps.points[j], 0.9, p, K=12, M=48)
             assert mat[i, j] == pytest.approx(ref, rel=1e-13)
 
 
@@ -82,19 +83,10 @@ def test_tail_factors_at_arbitrary_points():
     mat = tail_factors_at(pts, basis, K=16).assemble()
     for i, x in enumerate(pts[:, 0]):
         for j in (1, 6):
-            ref = tail_entry_1d(float(x), float(ps.points[j, 0]), 1.3,
-                                basis.params, K=16)
+            ref = _entry(x, ps.points[j], 1.3, basis.params, K=16)
             assert mat[i, j] == pytest.approx(ref, rel=1e-13)
     with pytest.raises(ValueError):
         tail_factors_at(np.array([[1.2]]), basis)
-
-
-def test_tail_factors_reject_growing_profiles():
-    ps = uniform_interval(6)
-    # exponent 2 grows at infinity, the tail integral diverges
-    basis = GmqBasis(ps.points, FracParams(1, 1.2), 1.0, exponent=2.0)
-    with pytest.raises(ValueError):
-        build_tail_factors(ps, basis)
 
 
 def test_exterior_correction_against_adaptive_quadrature():

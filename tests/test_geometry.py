@@ -1,14 +1,11 @@
 """Domains, point layouts, and mesh statistics."""
 
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracrbf.geometry import (Domain, PointSet, centered_interval, clipped_grid,
-                              disk_grid, mesh_stats, polar_layout,
-                              uniform_interval)
+from fracrbf.geometry import (Domain, PointSet, clipped_grid, disk_grid, mesh_stats,
+                              polar_layout, uniform_interval)
 
 
 def test_domain_validation():
@@ -34,13 +31,6 @@ def test_uniform_interval_layout():
     assert ps.h == pytest.approx(0.2, abs=0.01)
     with pytest.raises(ValueError):
         uniform_interval(2)
-
-
-def test_centered_interval_layout():
-    ps = centered_interval(4)
-    assert ps.n_interior == ps.n_total == 4
-    assert np.allclose(ps.points.ravel(), [-0.75, -0.25, 0.25, 0.75])
-    assert ps.spacing == pytest.approx(0.5)
 
 
 @settings(max_examples=30, deadline=None)
@@ -113,18 +103,3 @@ def test_mesh_stats_rejects_duplicates():
     ps = PointSet(pts, 3, Domain("interval"), 0.0)
     with pytest.raises(ValueError):
         mesh_stats(ps)
-
-
-def test_save_csv_round_trip(tmp_path):
-    ps = polar_layout(2, 3)
-    path = tmp_path / "pts.csv"
-    ps.save_csv(path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x1", "x2", "flag"]
-    assert len(rows) == ps.n_total + 1
-    flags = [r[2] for r in rows[1:]]
-    assert flags.count("interior") == ps.n_interior
-    got = np.array([[float(r[0]), float(r[1])] for r in rows[1:]])
-    # repr round-trips every coordinate exactly
-    assert np.array_equal(got, ps.points)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracrbf.harness import (PRESETS, RunReport, RunRow, convergence_rate,
-                             preset_table2, preset_table5, rms_error)
+                             preset_fig_disk, preset_table2, preset_table3,
+                             preset_table4, preset_table5, rms_error)
 
 
 def test_rms_error_examples():
@@ -123,6 +124,31 @@ def test_preset_table2_frozen_rows():
         assert row.ehat == pytest.approx(ehat, rel=1e-9)
         assert row.cond == pytest.approx(cond, rel=1e-6)
     assert rep.meta["alpha"] == 1.2
+
+
+@pytest.mark.parametrize("run, expect", [
+    (lambda: preset_table3(ns=(2, 4)), [
+        (2, 0.053536097458165344, 0.14857813045297033, 2947.4735597553567),
+        (4, 0.031375053978161996, 0.07130833041672315, 290390.6321256796),
+    ]),
+    (lambda: preset_table4(ns=(256, 512)), [
+        (256, 0.010750549991066245, 0.004822963259652001, 926006.8450932724),
+        (512, 0.005414671425848651, 0.0034154284129039054, 2092181.1597294572),
+    ]),
+    (lambda: preset_fig_disk(alphas=(0.4, 1.2)), [
+        (111, 0.03337223199354429, None, 4775364449295.637),
+        (111, 0.034032266432048146, None, 10659492404674.416),
+    ]),
+], ids=["table3", "table4", "fig-disk"])
+def test_preset_small_frozen_rows(run, expect):
+    # rel 1e-6 sits above the few-ulp spread of these values but catches
+    # any change in the algebra of the preset bodies
+    rep = run()
+    assert [r.n for r in rep.rows] == [n for n, _, _, _ in expect]
+    for row, (_, e, ehat, cond) in zip(rep.rows, expect):
+        assert row.e == pytest.approx(e, rel=1e-6)
+        assert row.ehat == (None if ehat is None else pytest.approx(ehat, rel=1e-6))
+        assert row.cond == pytest.approx(cond, rel=1e-6)
 
 
 def test_preset_table2_deterministic_rows():

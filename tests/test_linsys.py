@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from fracrbf.exterior import build_tail_factors
+from fracrbf.exterior import tail_factors_at
 from fracrbf.geometry import polar_layout, uniform_interval
-from fracrbf.linsys import (assemble, condition_estimate, dump_matrix,
-                            lu_solve, nodal_operator, nodal_values)
+from fracrbf.linsys import (_factor, assemble, condition_estimate, nodal_operator,
+                            nodal_values)
 from fracrbf.rbf import GmqBasis, classical_lap_block, frac_lap_block, phi_block
 from fracrbf.specialfun import FracParams
 
@@ -22,10 +23,9 @@ def test_assemble_block_structure():
     n, n_int = ps.n_total, ps.n_interior
     assert sm.s.shape == (n, n)
     assert sm.a_phi.shape == (n, n)
-    assert sm.a_psi_top.shape == (n_int, n)
     # equation rows = closed-form image + tails, boundary rows = plain phi
     top_ref = (frac_lap_block(basis, ps.interior)
-               + build_tail_factors(ps, basis, K=32).assemble())
+               + tail_factors_at(ps.interior, basis, K=32).assemble())
     assert np.allclose(sm.s[:n_int], top_ref, atol=1e-15)
     assert np.array_equal(sm.s[n_int:], sm.a_phi[n_int:])
     assert np.allclose(sm.a_phi, phi_block(basis, ps.points), atol=1e-15)
@@ -55,10 +55,10 @@ def test_lu_solve_plain_matrix_and_singularity():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((6, 6))
     x = rng.standard_normal(6)
-    got = lu_solve(a, a @ x)
+    got = sla.lu_solve(_factor(a), a @ x)
     assert np.allclose(got, x, rtol=1e-10)
     with pytest.raises(np.linalg.LinAlgError):
-        lu_solve(np.zeros((3, 3)), np.ones(3))
+        _factor(np.zeros((3, 3)))
 
 
 def test_nodal_values_reads_top_block():
@@ -73,7 +73,6 @@ def test_condition_estimate_tracks_true_condition():
     est = condition_estimate(sm)
     true = np.linalg.cond(sm.a_phi, 1)
     assert est == pytest.approx(true, rel=0.5)
-    assert condition_estimate(np.eye(4)) == pytest.approx(1.0)
 
 
 def test_nodal_operator_reproduces_equation_rows():
@@ -99,13 +98,3 @@ def test_nodal_operator_custom_rows():
     samples = np.concatenate([v, np.zeros(2)])
     lam = np.linalg.solve(sm.a_phi, samples)
     assert np.allclose(a @ v, rows @ lam, rtol=1e-8, atol=1e-12)
-
-
-def test_dump_matrix_round_trip(tmp_path):
-    mat = np.array([[1.5, -2.25], [0.1, 3.0]])
-    path = tmp_path / "m.txt"
-    dump_matrix(mat, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "2 2"
-    got = np.array([[float(v) for v in ln.split()] for ln in lines[1:]])
-    assert np.array_equal(got, mat)

@@ -7,11 +7,9 @@ from fracrbf import steady
 from fracrbf.geometry import (Domain, clipped_grid, disk_grid, polar_layout,
                               uniform_interval)
 from fracrbf.oracles import gmq_profile, gmq_shifted_profile, hypersingular_oracle
-from fracrbf.rbf import (GmqBasis, classical_lap_block, classical_lap_phi,
-                         frac_lap_block, frac_lap_phi, frac_lap_phi_alt,
-                         grad_blocks, grad_phi, phi, phi_block, psi, psi_block,
-                         _sq_dist)
-from fracrbf.specialfun import FracParams, coeff_mu
+from fracrbf.rbf import (GmqBasis, classical_lap_block, frac_lap_block,
+                         grad_blocks, phi_block, psi_block, _sq_dist)
+from fracrbf.specialfun import FracParams, coeff_eta, coeff_mu
 
 
 def _basis_1d(alpha=1.2, eps=0.9):
@@ -30,49 +28,35 @@ def test_basis_validation():
     b = _basis_2d()
     assert b.n == 3
     assert b.beta == pytest.approx((0.8 - 2.0) / 2.0)
-    b_alt = GmqBasis(np.zeros((2, 2)), FracParams(2, 0.8), 1.0, exponent=-1.5)
-    assert b_alt.beta == -1.5
 
 
 def test_phi_psi_point_values():
     b = _basis_1d()
     # (eps^2 + r^2)^beta with beta = (1.2-1)/2 = 0.1 at r = 0.5
     ref = (0.81 + 0.25) ** 0.1
-    assert phi(b, 1, 0.5) == pytest.approx(ref, rel=1e-15)
+    assert phi_block(b, 0.5)[0, 1] == pytest.approx(ref, rel=1e-15)
     ref_psi = (0.81 + 0.25) ** (-(1.2 + 1.0) / 2.0)
-    assert psi(b, 1, 0.5) == pytest.approx(ref_psi, rel=1e-15)
+    assert psi_block(b, 0.5)[0, 1] == pytest.approx(ref_psi, rel=1e-15)
 
 
 def test_block_shapes_and_agreement():
+    # every block column is the block of the one-center basis on that center
     b = _basis_2d()
     pts = np.array([[0.1, 0.2], [-0.3, 0.5], [0.0, 0.0], [0.4, 0.4]])
-    pb = phi_block(b, pts)
-    assert pb.shape == (4, 3)
-    for j in range(b.n):
-        assert np.allclose(pb[:, j], phi(b, j, pts), atol=1e-15)
-    fb = frac_lap_block(b, pts)
-    for j in range(b.n):
-        assert np.allclose(fb[:, j], frac_lap_phi(b, j, pts), atol=1e-15)
-    cb = classical_lap_block(b, pts)
-    for j in range(b.n):
-        assert np.allclose(cb[:, j], classical_lap_phi(b, j, pts), atol=1e-15)
+    assert phi_block(b, pts).shape == (4, 3)
+    for block in (phi_block, psi_block, frac_lap_block, classical_lap_block):
+        full = block(b, pts)
+        for j in range(b.n):
+            one = GmqBasis(b.centers[j], b.params, b.eps)
+            assert np.allclose(full[:, j], block(one, pts)[:, 0], atol=1e-15)
 
 
 def test_frac_lap_is_scaled_companion():
     b = _basis_1d(alpha=0.6, eps=1.3)
     x = np.array([0.2, -0.8, 0.55])
     mu = coeff_mu(b.params)
-    for j in range(b.n):
-        ref = b.eps ** 0.6 * mu * psi(b, j, x)
-        assert np.allclose(frac_lap_phi(b, j, x), ref, atol=1e-15)
-
-
-def test_frac_lap_requires_default_exponent():
-    b = GmqBasis(np.zeros((1, 1)), FracParams(1, 1.2), 1.0, exponent=-0.9)
-    with pytest.raises(ValueError):
-        frac_lap_phi(b, 0, 0.3)
-    with pytest.raises(ValueError):
-        frac_lap_block(b, np.array([0.3]))
+    ref = b.eps ** 0.6 * mu * psi_block(b, x)
+    assert np.allclose(frac_lap_block(b, x), ref, atol=1e-15)
 
 
 def test_frac_lap_against_singular_integral():
@@ -86,29 +70,26 @@ def test_frac_lap_against_singular_integral():
         for r in (0.0, 0.45, 0.9):
             x = np.zeros(d)
             x[0] = r
-            got = frac_lap_phi(b, 0, x if d > 1 else r)
+            got = frac_lap_block(b, x if d > 1 else r)[0, 0]
             ref = hypersingular_oracle(prof, d, alpha, x)
             assert got == pytest.approx(ref, rel=1e-9)
 
 
 def test_alt_identity_against_singular_integral():
+    # the shifted exponent (alpha-2-d)/2 has a two-term image in the
+    # coefficients eta1, eta2
     for d, alpha in ((1, 1.2), (2, 1.0)):
         eps = 0.8
-        want = (alpha - 2.0 - d) / 2.0
-        b = GmqBasis(np.zeros(d), FracParams(d, alpha), eps, exponent=want)
+        eta1, eta2 = coeff_eta(FracParams(d, alpha))
         prof = gmq_shifted_profile(d, alpha, eps)
         for r in (0.0, 0.6):
             x = np.zeros(d)
             x[0] = r
-            got = frac_lap_phi_alt(b, 0, x if d > 1 else r)
+            w = eps ** 2 + r * r
+            got = (eta1 * eps ** (alpha - 2.0) * w ** (-(alpha + d) / 2.0)
+                   + eta2 * eps ** alpha * w ** (-(alpha + d) / 2.0 - 1.0))
             ref = hypersingular_oracle(prof, d, alpha, x)
             assert got == pytest.approx(ref, rel=1e-9)
-
-
-def test_alt_identity_requires_shifted_exponent():
-    b = _basis_1d()
-    with pytest.raises(ValueError):
-        frac_lap_phi_alt(b, 0, 0.2)
 
 
 def _fd_lap(fun, x, h=1e-5):
@@ -126,28 +107,24 @@ def test_classical_lap_matches_finite_differences():
     # stepper expects
     b = _basis_2d(alpha=1.6, eps=0.7)
     x = np.array([0.25, -0.15])
+    got = classical_lap_block(b, x)[0]
     for j in range(b.n):
-        fun = lambda y: phi(b, j, y)
+        fun = lambda y: phi_block(b, y)[0, j]
         ref = -_fd_lap(fun, x)
-        assert classical_lap_phi(b, j, x) == pytest.approx(ref, rel=1e-5)
+        assert got[j] == pytest.approx(ref, rel=1e-5)
 
 
 def test_grad_matches_finite_differences():
     b = _basis_2d(alpha=1.2, eps=0.9)
     x = np.array([0.33, 0.12])
     h = 1e-6
-    for j in range(b.n):
-        g = grad_phi(b, j, x)
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = h
-            ref = (phi(b, j, x + e) - phi(b, j, x - e)) / (2.0 * h)
-            assert g[k] == pytest.approx(ref, rel=1e-8, abs=1e-12)
-    gx, gy = grad_blocks(b, np.atleast_2d(x))
-    for j in range(b.n):
-        g = grad_phi(b, j, x)
-        assert gx[0, j] == pytest.approx(g[0], rel=1e-14)
-        assert gy[0, j] == pytest.approx(g[1], rel=1e-14)
+    grads = grad_blocks(b, x)
+    for k in range(2):
+        e = np.zeros(2)
+        e[k] = h
+        ref = (phi_block(b, x + e)[0] - phi_block(b, x - e)[0]) / (2.0 * h)
+        for j in range(b.n):
+            assert grads[k][0, j] == pytest.approx(ref[j], rel=1e-8, abs=1e-12)
 
 
 @pytest.mark.parametrize("points, centers", [

@@ -7,13 +7,11 @@ from fracrbf.exterior import GmqProfile
 from fracrbf.geometry import polar_layout, uniform_interval
 from fracrbf.linsys import assemble
 from fracrbf.oracles import case1, case2
-from fracrbf.rbf import GmqBasis, frac_lap_phi, phi_block
+from fracrbf.rbf import GmqBasis, frac_lap_block, phi_block
 from fracrbf.specialfun import FracParams
 from fracrbf.steady import (evaluate_interpolant, forward_frac_lap,
                             forward_frac_lap_clipped, interpolate,
-                            solve_poisson)
-from fracrbf.steady import test_points_disk as measurement_grid_disk
-from fracrbf.steady import test_points_interval as measurement_grid_interval
+                            solve_poisson, test_points_disk)
 
 
 def test_interpolate_reproduces_samples():
@@ -43,7 +41,8 @@ def test_forward_frac_lap_sums_center_images():
     basis = GmqBasis(ps.points, FracParams(1, 0.8), 1.1)
     lam = np.linspace(-1.0, 1.0, ps.n_total)
     tp = np.array([[0.05], [0.3], [-0.55]])
-    ref = sum(lam[j] * frac_lap_phi(basis, j, tp) for j in range(ps.n_total))
+    images = frac_lap_block(basis, tp)
+    ref = sum(lam[j] * images[:, j] for j in range(ps.n_total))
     assert np.allclose(forward_frac_lap(lam, basis, tp), ref, rtol=1e-13)
 
 
@@ -71,7 +70,7 @@ def test_solve_poisson_homogeneous_compact_case():
     err = np.linalg.norm(nodal - exact) / np.linalg.norm(exact)
     assert err <= 1e-4
     # interpolant evaluation off the nodes stays close too
-    tp = measurement_grid_interval(201)
+    tp = np.linspace(-0.99, 0.99, 201)[:, None]
     got = evaluate_interpolant(lam, basis, tp)
     ref = case2(1, alpha, 2.0, tp, f_required=False)[0]
     assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-3
@@ -120,11 +119,8 @@ def test_solve_poisson_rejects_nonfinite_rhs():
 
 
 def test_measurement_grids():
-    tp1 = measurement_grid_interval(101)
-    assert tp1.shape == (101, 1)
-    assert tp1[0, 0] == pytest.approx(-0.99) and tp1[-1, 0] == pytest.approx(0.99)
-    tp2 = measurement_grid_disk(n_radii=5, n_angles=8, r_max=0.9)
-    assert tp2.shape == (41, 2)
-    r = np.linalg.norm(tp2, axis=1)
+    tp = test_points_disk(n_radii=5, n_angles=8, r_max=0.9)
+    assert tp.shape == (41, 2)
+    r = np.linalg.norm(tp, axis=1)
     assert r[0] == 0.0
     assert np.max(r) == pytest.approx(0.9)
