@@ -18,12 +18,14 @@ import numpy as np
 
 from fracrbf.dynamics import (EvolutionConfig, anisotropy_ratio, crank_nicolson_mixed,
                               run_qg, write_field, write_snapshots)
+from fracrbf.exterior import GmqProfile
 from fracrbf.geometry import Domain, clipped_grid, disk_grid, polar_layout, uniform_interval
 from fracrbf.linsys import assemble, condition_estimate
-from fracrbf.oracles import case1, case2, case2_scaled
+from fracrbf.oracles import (case1, case2, case2_scaled, gmq_profile, gmq_shifted_profile,
+                             hypersingular_oracle)
 from fracrbf.quadrature import gauss_legendre_01
 from fracrbf.rbf import GmqBasis
-from fracrbf.specialfun import FracParams, coeff_c, gamma_fn
+from fracrbf.specialfun import FracParams, coeff_c, coeff_eta, coeff_mu, gamma_fn, gauss_2f1
 from fracrbf.steady import (evaluate_interpolant, forward_frac_lap_clipped,
                             solve_poisson, test_points_disk)
 
@@ -32,6 +34,7 @@ __all__ = [
     "convergence_rate",
     "RunRow",
     "RunReport",
+    "solve_row",
     "preset_table2",
     "preset_table3",
     "preset_table4",
@@ -41,7 +44,10 @@ __all__ = [
     "preset_fig_square",
     "preset_fig_mixed",
     "preset_fig_qg",
+    "mixed_run",
+    "vortex_run",
     "PRESETS",
+    "CHECKS",
 ]
 
 
@@ -132,6 +138,19 @@ def _git_rev():
         return "unknown"
 
 
+def solve_row(ps, basis, f, g=None, K=10, M=64):
+    """One steady solve of every steady preset and of `fracrbf solve`.
+
+    Returns (row, lam, u_nodes): the row carries N and cond(A_phi), and its
+    seconds cover assemble, right-hand side and solve. The system stays
+    local, so it is freed before the caller assembles the next one."""
+    t0 = time.perf_counter()
+    sm = assemble(ps, basis, K=K, M=M)
+    lam, u_nodes = solve_poisson(ps, basis, f, g=g, K=K, M=M, system=sm)
+    seconds = time.perf_counter() - t0
+    return RunRow(n=ps.n_total, cond=condition_estimate(sm), seconds=seconds), lam, u_nodes
+
+
 # 1D convergence tables --------------------------------------------------------
 
 
@@ -145,20 +164,16 @@ def _interval_row(n, alpha, eps, K, f_nodes, exact, window=None):
     irreducible boundary-layer error."""
     ps = uniform_interval(n + 2)
     basis = GmqBasis(ps.points, FracParams(1, alpha), eps)
-    rhs = np.concatenate([f_nodes(ps.interior), np.zeros(2)])
-
-    t0 = time.perf_counter()
-    sm = assemble(ps, basis, K=K)
-    lam = sm.solve(rhs)
-    seconds = time.perf_counter() - t0
+    row, lam, _ = solve_row(ps, basis, f_nodes, K=K)
+    row.n = n
 
     tp = uniform_interval(n + 1).interior
     if window is not None:
         tp = tp[np.abs(tp[:, 0]) < window - 1e-12]
     u_tp, f_tp = exact(tp)
-    e = rms_error(u_tp, evaluate_interpolant(lam, basis, tp))
-    ehat = rms_error(f_tp, forward_frac_lap_clipped(lam, basis, tp, K=K))
-    return RunRow(n=n, e=e, ehat=ehat, cond=condition_estimate(sm), seconds=seconds)
+    row.e = rms_error(u_tp, evaluate_interpolant(lam, basis, tp))
+    row.ehat = rms_error(f_tp, forward_frac_lap_clipped(lam, basis, tp, K=K))
+    return row
 
 
 def _compact_table(label, p, alpha, eps, K, ns):
@@ -223,33 +238,30 @@ def preset_table4(alpha=1.2, K=48, ns=(256, 512, 1024, 2048)):
 # 2D convergence tables --------------------------------------------------------
 
 
+def _disk_table(rep, alpha, layouts, exact, K, M, g=None):
+    """One solve per (point set, eps) of layouts with f from exact(x) =
+    (u, f); E against u on the disk measurement grid."""
+    tp = test_points_disk()
+    u_tp, _ = exact(tp)
+    for ps, eps in layouts:
+        basis = GmqBasis(ps.points, FracParams(2, alpha), eps)
+        row, lam, _ = solve_row(ps, basis, lambda x: exact(x)[1], g=g, K=K, M=M)
+        row.e = rms_error(u_tp, evaluate_interpolant(lam, basis, tp))
+        rep.add(row, dim=2)
+    return rep
+
+
 def preset_table5(alpha=1.0, eps=1.5, K=48, M=96, levels=(3, 5, 7, 9, 11)):
     """Globally smooth 2D problem u = (1+|x|^2)^(-3/2) on ring layouts.
 
     The solution is itself a basis-family profile, so the exterior datum is
     fed through the tail correction and accuracy is limited only by
     conditioning; expect near-spectral decay of E."""
-    from fracrbf.exterior import GmqProfile
-
     rep = RunReport("table5", meta=dict(d=2, alpha=alpha, eps=eps, eps_mode="absolute",
                                         case="smooth", K=K, M=M))
     g = GmqProfile(np.zeros(2), 1.0, -1.5)
-    tp = test_points_disk()
-    u_tp, _ = case1(2, alpha, tp)
-    for lvl in levels:
-        ps = polar_layout(lvl, lvl)
-        basis = GmqBasis(ps.points, FracParams(2, alpha), eps)
-
-        t0 = time.perf_counter()
-        sm = assemble(ps, basis, K=K, M=M)
-        f = lambda pts: case1(2, alpha, pts)[1]
-        lam, _ = solve_poisson(ps, basis, f, g=g, K=K, M=M, system=sm)
-        seconds = time.perf_counter() - t0
-
-        e = rms_error(u_tp, evaluate_interpolant(lam, basis, tp))
-        rep.add(RunRow(n=ps.n_total, e=e, cond=condition_estimate(sm),
-                       seconds=seconds), dim=2)
-    return rep
+    return _disk_table(rep, alpha, ((polar_layout(lvl, lvl), eps) for lvl in levels),
+                       lambda x: case1(2, alpha, x), K, M, g=g)
 
 
 def preset_table6(alpha=1.2, K=32, M=64, hs=(0.5, 0.25, 0.125, 0.0625, 0.03125)):
@@ -258,24 +270,8 @@ def preset_table6(alpha=1.2, K=32, M=64, hs=(0.5, 0.25, 0.125, 0.0625, 0.03125))
     rep = RunReport("table6", meta=dict(d=2, alpha=alpha, eps_mode="2h (h=grid step)",
                                         case="compact p=1+alpha/2", K=K, M=M))
     p = 1.0 + alpha / 2.0
-    tp = test_points_disk()
-    u_tp, _ = case2(2, alpha, p, tp)
-    for h in hs:
-        ps = disk_grid(h)
-        basis = GmqBasis(ps.points, FracParams(2, alpha), 2.0 * h)
-        _, f_nodes = case2(2, alpha, p, ps.interior)
-
-        t0 = time.perf_counter()
-        sm = assemble(ps, basis, K=K, M=M)
-        rhs = np.zeros(ps.n_total)
-        rhs[: ps.n_interior] = f_nodes
-        lam = sm.solve(rhs)
-        seconds = time.perf_counter() - t0
-
-        e = rms_error(u_tp, evaluate_interpolant(lam, basis, tp))
-        rep.add(RunRow(n=ps.n_total, e=e, cond=condition_estimate(sm),
-                       seconds=seconds), dim=2)
-    return rep
+    return _disk_table(rep, alpha, ((disk_grid(h), 2.0 * h) for h in hs),
+                       lambda x: case2(2, alpha, p, x), K, M)
 
 
 # figure presets ---------------------------------------------------------------
@@ -293,12 +289,7 @@ def _constant_source(label, ps, alphas, eps, K, M, out, exact=None, **meta):
         outp.mkdir(parents=True, exist_ok=True)
     for alpha in alphas:
         basis = GmqBasis(ps.points, FracParams(2, alpha), eps)
-        t0 = time.perf_counter()
-        sm = assemble(ps, basis, K=K, M=M)
-        lam, u_nodes = solve_poisson(ps, basis, lambda pts: np.ones(len(pts)),
-                                     K=K, M=M, system=sm)
-        seconds = time.perf_counter() - t0
-        row = RunRow(n=ps.n_total, cond=condition_estimate(sm), seconds=seconds)
+        row, _, u_nodes = solve_row(ps, basis, lambda pts: np.ones(len(pts)), K=K, M=M)
         fields = {"solution": u_nodes}
         if exact is not None:
             u = exact(alpha, ps.interior)
@@ -332,6 +323,22 @@ def preset_fig_square(alphas=(0.4, 0.8, 1.2, 1.6), eps=0.05, grid_h=0.03125,
     return _constant_source("fig-square", ps, alphas, eps, K, M, out, grid_h=grid_h)
 
 
+def mixed_run(dt, t_end, chi):
+    """(config, initial field) of the mixed-diffusion runs, fig-mixed and
+    `fracrbf evolve`: snapshots at four evenly spaced interior times."""
+    cfg = EvolutionConfig(dt=dt, t_end=t_end, chi=chi,
+                          snapshot_times=tuple(np.round(np.linspace(0.0, t_end, 6)[1:-1], 12)))
+    return cfg, lambda pts: np.exp(-16.0 * pts[:, 0] ** 2 - 4.0 * pts[:, 1] ** 2)
+
+
+def vortex_run(dt, t_end, kappa):
+    """(config, initial scalar) of the single-vortex runs, fig-qg and
+    `fracrbf qg`: snapshots at every eighth of t_end."""
+    cfg = EvolutionConfig(dt=dt, t_end=t_end, kappa=kappa,
+                          snapshot_times=tuple(np.round(np.arange(1, 8) * t_end / 8.0, 12)))
+    return cfg, lambda pts: np.exp(-4.0 * pts[:, 0] ** 2 - 64.0 * pts[:, 1] ** 2)
+
+
 def preset_fig_mixed(alpha=1.0, eps=1.0, dt=0.001, t_end=0.5, K=32, M=64, out=None):
     """Mixed local/nonlocal diffusion on the N=73 ring layout for
     chi in {0, 1/2, 1}; emits snapshot fields and a peak-decay summary."""
@@ -340,13 +347,11 @@ def preset_fig_mixed(alpha=1.0, eps=1.0, dt=0.001, t_end=0.5, K=32, M=64, out=No
     rep = RunReport("fig-mixed", meta=dict(
         d=2, alpha=alpha, eps=eps, eps_mode="absolute", dt=dt, t_end=t_end, K=K, M=M,
         row_order="one row per chi in (0, 0.5, 1); E holds the final peak"))
-    u0 = lambda pts: np.exp(-16.0 * pts[:, 0] ** 2 - 4.0 * pts[:, 1] ** 2)
-    snaps = tuple(np.round(np.linspace(0.0, t_end, 6)[1:-1], 12))
     outp = Path(out) if out is not None else None
     sm = assemble(ps, basis, K=K, M=M)
     peaks = {}
     for chi in (0.0, 0.5, 1.0):
-        cfg = EvolutionConfig(dt=dt, t_end=t_end, chi=chi, snapshot_times=snaps)
+        cfg, u0 = mixed_run(dt, t_end, chi)
         t0 = time.perf_counter()
         times, fields = crank_nicolson_mixed(ps, basis, cfg, u0, K=K, M=M, system=sm)
         seconds = time.perf_counter() - t0
@@ -366,9 +371,7 @@ def preset_fig_qg(alpha=1.0, eps=0.1, dt=0.01, t_end=2.0, kappa=0.001,
     basis = GmqBasis(ps.points, FracParams(2, alpha), eps)
     rep = RunReport("fig-qg", meta=dict(d=2, alpha=alpha, eps=eps, eps_mode="absolute", dt=dt,
                                         t_end=t_end, kappa=kappa, grid_h=grid_h, K=K, M=M))
-    theta0 = lambda pts: np.exp(-4.0 * pts[:, 0] ** 2 - 64.0 * pts[:, 1] ** 2)
-    snaps = tuple(np.round(np.arange(1, 8) * t_end / 8.0, 12))
-    cfg = EvolutionConfig(dt=dt, t_end=t_end, kappa=kappa, snapshot_times=snaps)
+    cfg, theta0 = vortex_run(dt, t_end, kappa)
     t0 = time.perf_counter()
     times, fields = run_qg(ps, basis, cfg, theta0,
                            out_dir=out, K=K, M=M)
@@ -387,6 +390,86 @@ def preset_fig_qg(alpha=1.0, eps=0.1, dt=0.01, t_end=2.0, kappa=0.001,
     return rep
 
 
+# verification checks: each returns its worst deviation ------------------------
+
+
+def _gauss_gap():
+    """Worst absolute error of the K-point Gauss rule on x^m, m < 2K."""
+    worst = 0.0
+    for k in (1, 2, 4, 8, 16, 32):
+        rule = gauss_legendre_01(k)
+        degs = np.arange(2 * k)
+        vals = rule.weights @ np.power.outer(rule.nodes, degs)
+        worst = max(worst, float(np.max(np.abs(vals - 1.0 / (degs + 1.0)))))
+    return worst
+
+
+def _hypergeometric_gap():
+    """Worst absolute error of gauss_2f1 against 2F1(1,1;2;z) = -log(1-z)/z
+    and 2F1(a,b;b;z) = (1-z)^-a. Every reference is >= 1, so the absolute
+    error also bounds the relative one."""
+    worst = 0.0
+    for z in np.linspace(0.05, 0.95, 19):
+        worst = max(worst, abs(gauss_2f1(1.0, 1.0, 2.0, z) + np.log1p(-z) / z))
+        for a in (0.3, 1.7, 2.5):
+            for b in (0.6, 0.8, 1.9):
+                worst = max(worst, abs(gauss_2f1(a, b, b, z) - (1.0 - z) ** (-a)))
+    return worst
+
+
+def _identity_gap(profile, coeffs):
+    """Worst relative gap between the hypersingular integral of
+    profile(d, alpha, eps=1) and its closed-form image c1 w^p + c2 w^(p-1),
+    w = 1+|x|^2, p = -(alpha+d)/2, (c1, c2) = coeffs(params), for every
+    admissible (d, alpha) at points along the first axis (offsets 0..0.9)
+    and the diagonal (offsets 0, 0.31, 0.57)."""
+    worst = 0.0
+    for d in (1, 2):
+        for alpha in (0.4, 0.8, 1.0, 1.2, 1.6):
+            if d == 1 and alpha == 1.0:
+                continue
+            c1, c2 = coeffs(FracParams(d, alpha))
+            power = -(alpha + d) / 2.0
+            prof = profile(d, alpha, 1.0)
+            for x in ([r * np.eye(d)[0] for r in np.linspace(0.0, 0.9, 10)]
+                      + [np.full(d, off) for off in (0.0, 0.31, 0.57)]):
+                w = 1.0 + x @ x
+                ref = c1 * w ** power + c2 * w ** (power - 1.0)
+                got = hypersingular_oracle(prof, d, alpha, x)
+                worst = max(worst, abs(got - ref) / abs(ref))
+    return worst
+
+
+def _closed_form_gap():
+    """The basis profile's image is mu w^p."""
+    return _identity_gap(gmq_profile, lambda prm: (coeff_mu(prm), 0.0))
+
+
+def _shifted_exponent_gap():
+    """The shifted-exponent profile's image is eta1 w^p + eta2 w^(p-1)."""
+    return _identity_gap(gmq_shifted_profile, coeff_eta)
+
+
+def _manufactured_gap(seed=11):
+    """Worst relative error recovering random coefficients lam* from S lam*;
+    each layout draws lam* from a fresh generator seeded with `seed`."""
+    worst = 0.0
+    layouts = ((uniform_interval(10), 1), (uniform_interval(12), 1), (polar_layout(3, 7), 2))
+    for ps, d in layouts:
+        basis = GmqBasis(ps.points, FracParams(d, 1.2), 1.0)
+        sm = assemble(ps, basis, K=32, M=48)
+        lam_star = np.random.default_rng(seed).standard_normal(ps.n_total)
+        lam = sm.solve(sm.s @ lam_star)
+        worst = max(worst, float(np.linalg.norm(lam - lam_star) / np.linalg.norm(lam_star)))
+    return worst
+
+
+def _rms_examples_gap():
+    """Deviation of rms_error from two hand-computed values."""
+    return max(abs(rms_error([1.0, 0.0], [0.0, 0.0]) - 1.0),
+               abs(rms_error([3.0, 4.0], [3.0, 0.0]) - 0.8))
+
+
 PRESETS = {
     "table2": preset_table2,
     "table3": preset_table3,
@@ -398,6 +481,17 @@ PRESETS = {
     "fig-mixed": preset_fig_mixed,
     "fig-qg": preset_fig_qg,
 }
+
+# (name, check, tolerance) behind `fracrbf verify` and acceptance criteria
+# 1, 2, 7 and 8; a check passes when its worst deviation is <= tolerance
+CHECKS = (
+    ("gauss-exactness", _gauss_gap, 1e-13),
+    ("hypergeometric-closed-forms", _hypergeometric_gap, 1e-10),
+    ("closed-form-identity", _closed_form_gap, 1e-4),
+    ("shifted-exponent-identity", _shifted_exponent_gap, 1e-4),
+    ("manufactured-coefficients", _manufactured_gap, 1e-10),
+    ("rms-error-examples", _rms_examples_gap, 1e-15),
+)
 
 
 _PLOT_SCRIPT = '''#!/usr/bin/env python3

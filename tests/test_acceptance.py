@@ -14,18 +14,14 @@ import pytest
 
 from fracrbf.dynamics import (EvolutionConfig, anisotropy_ratio,
                               crank_nicolson_mixed, run_qg, ssp_rk3_step)
-from fracrbf.geometry import disk_grid, polar_layout, uniform_interval
-from fracrbf.harness import (preset_table2, preset_table3, preset_table4,
+from fracrbf.geometry import disk_grid, polar_layout
+from fracrbf.harness import (CHECKS, preset_table2, preset_table3, preset_table4,
                              preset_table5)
 from fracrbf.linsys import assemble, nodal_operator
-from fracrbf.oracles import gmq_profile, gmq_shifted_profile, hypersingular_oracle
-from fracrbf.quadrature import gauss_legendre_01
 from fracrbf.rbf import GmqBasis
-from fracrbf.specialfun import FracParams, coeff_eta, coeff_mu, gauss_2f1
+from fracrbf.specialfun import FracParams
 
-ALPHAS = (0.4, 0.8, 1.0, 1.2, 1.6)
 TABLE_ALPHAS = (0.4, 0.8, 1.2, 1.6)
-OFFSETS = np.linspace(0.0, 0.9, 10)
 
 
 def _verdict(num, label, ok, detail):
@@ -34,44 +30,22 @@ def _verdict(num, label, ok, detail):
     assert ok, line
 
 
-def _pairs():
-    for d in (1, 2):
-        for alpha in ALPHAS:
-            if d == 1 and alpha == 1.0:
-                continue
-            yield d, alpha
+def _check(name):
+    """(worst deviation, tolerance) of the named `fracrbf verify` check."""
+    (check, tol), = [(c, t) for n, c, t in CHECKS if n == name]
+    return check(), tol
 
 
 def test_criterion_01_closed_form_image_matches_singular_integral():
-    worst = 0.0
-    for d, alpha in _pairs():
-        mu = coeff_mu(FracParams(d, alpha))
-        prof = gmq_profile(d, alpha, 1.0)
-        for r in OFFSETS:
-            x = np.zeros(d)
-            x[0] = r
-            got = hypersingular_oracle(prof, d, alpha, x)
-            ref = mu * (1.0 + r * r) ** (-(alpha + d) / 2.0)
-            worst = max(worst, abs(got - ref) / abs(ref))
-    _verdict(1, "closed-form operator image (two-route)", worst <= 1e-4,
-             f"worst relative gap {worst:.3e} (tolerance 1e-4)")
+    worst, tol = _check("closed-form-identity")
+    _verdict(1, "closed-form operator image (two-route)", worst <= tol,
+             f"worst relative gap {worst:.3e} (tolerance {tol:.0e})")
 
 
 def test_criterion_02_shifted_exponent_image_matches_singular_integral():
-    worst = 0.0
-    for d, alpha in _pairs():
-        eta1, eta2 = coeff_eta(FracParams(d, alpha))
-        prof = gmq_shifted_profile(d, alpha, 1.0)
-        for r in OFFSETS:
-            x = np.zeros(d)
-            x[0] = r
-            got = hypersingular_oracle(prof, d, alpha, x)
-            w = 1.0 + r * r
-            ref = (eta1 * w ** (-(alpha + d) / 2.0)
-                   + eta2 * w ** (-(alpha + d) / 2.0 - 1.0))
-            worst = max(worst, abs(got - ref) / abs(ref))
-    _verdict(2, "shifted-exponent operator image (two-route)", worst <= 1e-4,
-             f"worst relative gap {worst:.3e} (tolerance 1e-4)")
+    worst, tol = _check("shifted-exponent-identity")
+    _verdict(2, "shifted-exponent operator image (two-route)", worst <= tol,
+             f"worst relative gap {worst:.3e} (tolerance {tol:.0e})")
 
 
 def test_criterion_03_interval_hat_profile_error_levels():
@@ -126,40 +100,18 @@ def test_criterion_06_disk_smooth_convergence_and_conditioning():
 
 
 def test_criterion_07_manufactured_coefficients_recovered():
-    worst = 0.0
-    for ps, p in ((uniform_interval(10), FracParams(1, 1.2)),
-                  (polar_layout(3, 7), FracParams(2, 1.2))):
-        basis = GmqBasis(ps.points, p, 1.0)
-        sm = assemble(ps, basis, K=32, M=48)
-        rng = np.random.default_rng(11)
-        lam_star = rng.standard_normal(ps.n_total)
-        lam = sm.solve(sm.s @ lam_star)
-        worst = max(worst, float(np.linalg.norm(lam - lam_star)
-                                 / np.linalg.norm(lam_star)))
-    _verdict(7, "manufactured coefficients recovered", worst <= 1e-10,
-             f"worst relative error {worst:.3e} (tolerance 1e-10)")
+    worst, tol = _check("manufactured-coefficients")
+    _verdict(7, "manufactured coefficients recovered", worst <= tol,
+             f"worst relative error {worst:.3e} (tolerance {tol:.0e})")
 
 
 def test_criterion_08_quadrature_and_hypergeometric_exactness():
-    worst_q = 0.0
-    for K in (1, 2, 4, 8, 16, 32):
-        rule = gauss_legendre_01(K)
-        for m in range(2 * K):
-            got = float(np.dot(rule.weights, rule.nodes ** m))
-            worst_q = max(worst_q, abs(got - 1.0 / (m + 1)))
-    worst_h = 0.0
-    for z in np.linspace(0.05, 0.95, 19):
-        ref = -math.log1p(-z) / z
-        worst_h = max(worst_h, abs(gauss_2f1(1.0, 1.0, 2.0, z) - ref) / abs(ref))
-        for a in (0.3, 1.7, 2.5):
-            for b in (0.6, 1.9):
-                ref = (1.0 - z) ** (-a)
-                worst_h = max(worst_h,
-                              abs(gauss_2f1(a, b, b, z) - ref) / abs(ref))
-    ok = worst_q <= 1e-13 and worst_h <= 1e-10
+    worst_q, tol_q = _check("gauss-exactness")
+    worst_h, tol_h = _check("hypergeometric-closed-forms")
+    ok = worst_q <= tol_q and worst_h <= tol_h
     _verdict(8, "quadrature and hypergeometric exactness", ok,
-             f"monomial gap {worst_q:.2e} (<=1e-13), "
-             f"closed-form gap {worst_h:.2e} (<=1e-10)")
+             f"monomial gap {worst_q:.2e} (<={tol_q:.0e}), "
+             f"closed-form gap {worst_h:.2e} (<={tol_h:.0e})")
 
 
 def test_criterion_09_time_stepper_orders():

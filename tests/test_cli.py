@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracrbf import cli
+from fracrbf.harness import CHECKS
 
 
 def test_usage_error_exits_one():
@@ -38,9 +39,23 @@ def _exit_code(argv):
     ["forward", "--n", "0"],
     ["qg", "--L", "3", "--t-end", "0.015", "--dt", "0.01"],
     ["forward", "--scale", "2"],
-], ids=["negative-dt", "empty-sweep", "fractional-steps", "removed-scale-flag"])
+    ["preset", "fig-disk", "--alpha", "0.5", "--chi", "0.3"],
+    ["preset", "table2", "--eps-factor", "3", "--dim", "2", "--seed", "4"],
+], ids=["negative-dt", "empty-sweep", "fractional-steps", "removed-scale-flag",
+        "preset-alpha-chi", "preset-eps-factor-dim-seed"])
 def test_configuration_errors_exit_one(argv, capsys):
     assert _exit_code(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["case = bogus", "dim = 3", "alpha = fast", "alph = 0.8"],
+                         ids=["case-choice", "dim-choice", "alpha-type", "abbreviated-key"])
+def test_invalid_config_value_returns_one(line, tmp_path, capsys):
+    # config values go through the flag's own type and choices, and a key
+    # must name its flag in full
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert cli.main(["forward", "--config", str(cfg)]) == 1
     assert "error:" in capsys.readouterr().err
 
 
@@ -141,8 +156,23 @@ def test_verify_passes(capsys):
     assert cli.main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "all checks passed" in out
-    assert out.count("ok ") >= 5
+    lines = out.splitlines()
+    for name, _, _ in CHECKS:
+        assert sum(line.startswith(f"ok {name} ") for line in lines) == 1
     assert "FAIL" not in out
+
+
+def test_verify_seed_reaches_seeded_checks(monkeypatch, capsys):
+    seen = []
+
+    def seeded(seed=11):
+        seen.append(seed)
+        return 0.0
+    monkeypatch.setattr(cli, "CHECKS", (("seeded", seeded, 1e-10),
+                                        ("plain", lambda: 0.0, 1e-10)))
+    assert cli.main(["verify", "--seed", "5"]) == 0
+    assert cli.main(["verify"]) == 0
+    assert seen == [5, 11]
 
 
 def test_snapshot_output_dir(tmp_path):

@@ -2,14 +2,16 @@
 
 import csv
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fracrbf import harness
 from fracrbf.harness import (PRESETS, RunReport, RunRow, convergence_rate,
                              preset_fig_disk, preset_table2, preset_table3,
-                             preset_table4, preset_table5, rms_error)
+                             preset_table4, preset_table5, preset_table6, rms_error)
 
 
 def test_rms_error_examples():
@@ -168,3 +170,23 @@ def test_preset_table5_small_levels():
     # 2D rate derivation uses the per-axis point-count ratio
     ref_rate = math.log(rep.rows[0].e / rep.rows[1].e) / (math.log(31 / 13) / 2.0)
     assert rep.rows[1].rate_e == pytest.approx(ref_rate, rel=1e-12)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: preset_fig_disk(alphas=(0.4, 1.2)),
+    lambda: preset_table5(levels=(3, 5)),
+    lambda: preset_table6(hs=(0.5, 0.25)),
+], ids=["fig-disk", "table5", "table6"])
+def test_steady_presets_free_each_system(run, monkeypatch):
+    # a system kept alive into the next assembly doubles the peak memory
+    systems, live_at_assembly = [], []
+    assemble = harness.assemble
+
+    def tracked(*args, **kwargs):
+        live_at_assembly.append(sum(ref() is not None for ref in systems))
+        sm = assemble(*args, **kwargs)
+        systems.append(weakref.ref(sm))
+        return sm
+    monkeypatch.setattr(harness, "assemble", tracked)
+    run()
+    assert live_at_assembly == [0, 0]
