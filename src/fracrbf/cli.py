@@ -286,20 +286,23 @@ def _cmd_verify(args):
 def _cmd_preset(args):
     fn = PRESETS[args.name]
     params = inspect.signature(fn).parameters
-    kwargs, unmatched = {}, []
+    # every preset writes its report to out; those with an out parameter
+    # write their field and snapshot files there too
+    out = _pick(args.out, str(Path("runs") / args.name))
+    kwargs = {"out": out} if "out" in params else {}
+    unmatched = []
     for flag, val in vars(args).items():
-        if val is None or flag in ("command", "func", "name", "config"):
+        if val is None or flag in ("command", "func", "name", "config", "out"):
             continue
         param = {"quad_K": "K", "quad_M": "M"}.get(flag, flag)
         if param in params:
             kwargs[param] = val
-        elif flag != "out":  # every preset writes its report to --out
+        else:
             unmatched.append("--" + flag.replace("_", "-"))
     if unmatched:
         raise ValueError(f"preset {args.name} has no parameter for {', '.join(unmatched)}")
     rep = fn(**kwargs)
     _print_report(rep)
-    out = _pick(args.out, str(Path("runs") / args.name))
     path = rep.write(out)
     print(f"wrote {path.parent}")
     return 0

@@ -91,9 +91,9 @@ def crank_nicolson_mixed(ps, basis, cfg, u0, K=10, M=64, system=None):
     (times, fields) at the snapshot steps, fields rowed by time.
     """
     sm = assemble(ps, basis, K=K, M=M) if system is None else system
-    a_frac = nodal_operator(sm)
-    a_lap = nodal_operator(sm, rows=classical_lap_block(basis, ps.interior))
-    a = cfg.chi * a_frac + (1.0 - cfg.chi) * a_lap
+    n = ps.n_interior
+    ops = nodal_operator(sm, rows=(sm.s[:n], classical_lap_block(basis, ps.interior)))
+    a = cfg.chi * ops[:n] + (1.0 - cfg.chi) * ops[n:]
     eye = np.eye(ps.n_interior)
     lhs = sla.lu_factor(eye + 0.5 * cfg.dt * a)
     rhs = eye - 0.5 * cfg.dt * a
@@ -122,57 +122,74 @@ def ssp_rk3_step(op, u, dt):
 
 @dataclass(frozen=True)
 class QgOperators:
-    """Reduced nodal operators applied per quasi-geostrophic stage.
+    """The two stacked nodal operators of one quasi-geostrophic stage.
 
-    stream() couples the scalar to the stream function through the
-    half-Laplacian collocation system (factored once, back-solved per
-    call); dx/dy differentiate nodal fields through the expansion; diss
-    is the nodal fractional dissipation operator.
+    `local` holds, on interior nodal values, the fractional dissipation and
+    the x1 and x2 derivatives through the expansion, stacked as a (3n, n)
+    array. `velocity` maps the scalar theta straight to the stream-function
+    velocity (u1, u2) = (-d/dx2 psi, d/dx1 psi), stacked as a (2n, n) array:
+    the half-Laplacian stream solve is folded into it, so a stage costs two
+    matrix-vector products and no triangular solve.
     """
 
-    ps: object
-    diss: np.ndarray
-    dx: np.ndarray
-    dy: np.ndarray
-    stream_system: object
-    phi_top: np.ndarray
+    local: np.ndarray
+    velocity: np.ndarray
 
     def stream(self, theta):
-        rhs = np.zeros(self.ps.n_total)
-        rhs[: self.ps.n_interior] = -np.asarray(theta, dtype=float)
-        lam = self.stream_system.solve(rhs)
-        return self.phi_top @ lam
+        """The velocity (u1, u2) of the scalar theta, stacked as one 2n vector."""
+        return self.velocity @ np.asarray(theta, dtype=float)
 
 
 def qg_operators(ps, eps, alpha=1.0, K=10, M=64):
-    """Precompute every matrix the quasi-geostrophic stepper needs."""
+    """Precompute the two operators the quasi-geostrophic stepper applies.
+
+    The stream function of theta is psi = P theta with the stream map
+    P = -(A_top S^{-1})[:, :n] of the half-Laplacian system, A_top the
+    interior rows of A_phi. P is built from the transposed solve
+    S^T X = A_top^T rather than from A_top times S^{-1}[:, :n]: A_phi can be
+    so ill-conditioned (4.7e11 on polar_layout(8, 8) with eps 1) that the
+    forward product gives a radial scalar a spurious advection of 4.7e-3,
+    the transposed form one of 3.0e-7. Each system's coefficient map is
+    solved for once, the operators are filled in place, and both systems
+    are freed before this returns.
+    """
+    n = ps.n_interior
     half = GmqBasis(ps.points, FracParams(2, 1.0), eps)
-    sm_half = assemble(ps, half, K=K, M=M)
-    if alpha == 1.0:
-        sm_diss = sm_half
-    else:
-        sm_diss = assemble(ps, GmqBasis(ps.points, FracParams(2, alpha), eps), K=K, M=M)
+    sm = assemble(ps, half, K=K, M=M)
     gx, gy = grad_blocks(half, ps.interior)
-    return QgOperators(
-        ps=ps,
-        diss=nodal_operator(sm_diss),
-        dx=nodal_operator(sm_half, rows=gx),
-        dy=nodal_operator(sm_half, rows=gy),
-        stream_system=sm_half,
-        phi_top=sm_half.a_phi[: ps.n_interior, :],
-    )
+    local = np.empty((3 * n, n))
+    if alpha == 1.0:
+        nodal_operator(sm, rows=(sm.s[:n], gx, gy), out=local)
+    else:
+        nodal_operator(sm, rows=(gx, gy), out=local[n:])
+    del gx, gy
+    # (A_top S^{-1})[:, :n] = -P, so u1 = -dy P theta = dy (-P) theta
+    minus_p = sla.lu_solve(sm.s_lu(), sm.a_phi[:n].T, trans=1).T[:, :n]
+    del sm
+    velocity = np.empty((2 * n, n))
+    np.matmul(local[2 * n:], minus_p, out=velocity[:n])
+    np.matmul(local[n:2 * n], minus_p, out=velocity[n:])
+    np.negative(velocity[n:], out=velocity[n:])
+    del minus_p
+    if alpha != 1.0:
+        sm = assemble(ps, GmqBasis(ps.points, FracParams(2, alpha), eps), K=K, M=M)
+        nodal_operator(sm, out=local[:n])
+    return QgOperators(local=local, velocity=velocity)
 
 
 def qg_rhs(theta, ops, kappa, advect=True):
-    """Nodal tendency -u.grad(theta) - kappa*dissipation with the velocity
-    u = (-d/dx2 psi, d/dx1 psi) read off the stream solve."""
+    """Nodal tendency -u.grad(theta) - kappa*dissipation.
+
+    One product with `ops.local` gives the dissipation and both derivatives
+    of theta, one with `ops.velocity` (through `ops.stream`) the velocity u.
+    """
     theta = np.asarray(theta, dtype=float)
-    out = -kappa * (ops.diss @ theta)
+    n = theta.shape[0]
+    loc = ops.local @ theta
+    out = -kappa * loc[:n]
     if advect:
-        psi = ops.stream(theta)
-        u1 = -(ops.dy @ psi)
-        u2 = ops.dx @ psi
-        out = out - (u1 * (ops.dx @ theta) + u2 * (ops.dy @ theta))
+        u = ops.stream(theta)
+        out = out - (u[:n] * loc[n:2 * n] + u[n:] * loc[2 * n:])
     return out
 
 

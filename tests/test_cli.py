@@ -146,6 +146,14 @@ def test_preset_writes_report(tmp_path, capsys):
     assert (out / "plot.py").exists()
 
 
+def test_preset_without_out_writes_fields_to_default_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["preset", "fig-disk"]) == 0
+    out = tmp_path / "runs" / "fig-disk"
+    assert (out / "results.csv").exists()
+    assert (out / "solution_alpha0.4.csv").exists()
+
+
 def test_preset_rejects_unknown_name():
     with pytest.raises(SystemExit) as exc:
         cli.main(["preset", "table99"])

@@ -2,17 +2,22 @@
 vortex diagnostics."""
 
 import csv
+import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from fracrbf import dynamics
 from fracrbf.dynamics import (EvolutionConfig, anisotropy_ratio,
                               crank_nicolson_mixed, qg_operators, qg_rhs,
                               run_qg, ssp_rk3_step, write_snapshots)
 from fracrbf.geometry import disk_grid, polar_layout
-from fracrbf.linsys import assemble
-from fracrbf.rbf import GmqBasis
+from fracrbf.harness import vortex_run
+from fracrbf.linsys import assemble, nodal_operator
+from fracrbf.rbf import GmqBasis, grad_blocks
 from fracrbf.specialfun import FracParams
 
 
@@ -118,6 +123,67 @@ def test_qg_advection_vanishes_on_radial_field(disk73):
     gap = np.max(np.abs(with_adv - without))
     assert gap <= 1e-5
     assert gap < 0.01 * np.max(np.abs(without))
+
+
+def _per_stage_rhs(ps, eps, alpha, K, M):
+    """The tendency with one vector solve of S per call: theta -> psi through
+    the half-Laplacian system, then the derivatives of psi."""
+    n = ps.n_interior
+    half = GmqBasis(ps.points, FracParams(2, 1.0), eps)
+    sm = assemble(ps, half, K=K, M=M)
+    gx, gy = grad_blocks(half, ps.interior)
+    dx, dy = nodal_operator(sm, rows=gx), nodal_operator(sm, rows=gy)
+    diss = nodal_operator(sm if alpha == 1.0 else assemble(
+        ps, GmqBasis(ps.points, FracParams(2, alpha), eps), K=K, M=M))
+
+    def rhs(theta, kappa, advect=True):
+        out = -kappa * (diss @ theta)
+        if advect:
+            lam = sla.lu_solve(sm.s_lu(), np.concatenate([-theta, np.zeros(ps.n_total - n)]))
+            psi = sm.a_phi[:n] @ lam
+            u1, u2 = -(dy @ psi), dx @ psi
+            out = out - (u1 * (dx @ theta) + u2 * (dy @ theta))
+        return out
+    return rhs
+
+
+@pytest.mark.parametrize("h, eps, alpha", [(1 / 8, 0.2, 1.0), (1 / 16, 0.1, 1.0),
+                                           (1 / 8, 0.2, 1.5)])
+def test_qg_rhs_matches_per_stage_solve(h, eps, alpha):
+    # the precomputed velocity operator reproduces the per-stage stream solve
+    ps = disk_grid(h)
+    ops = qg_operators(ps, eps, alpha=alpha, K=32, M=64)
+    ref = _per_stage_rhs(ps, eps, alpha, K=32, M=64)
+    thetas = (vortex_run(0.01, 2.0, 0.001)[1](ps.interior),
+              np.random.default_rng(3).standard_normal(ps.n_interior))
+    for theta in thetas:
+        for kappa, advect in ((0.001, True), (1.0, False)):
+            want = ref(theta, kappa, advect)
+            got = qg_rhs(theta, ops, kappa, advect=advect)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_qg_operators_keep_no_system(alpha, monkeypatch):
+    # only the two stage operators outlive the build; each system is freed
+    # before the next one is assembled
+    systems, live_at_assembly = [], []
+    assemble = dynamics.assemble
+
+    def tracked(*args, **kwargs):
+        live_at_assembly.append(sum(ref() is not None for ref in systems))
+        sm = assemble(*args, **kwargs)
+        systems.append(weakref.ref(sm))
+        return sm
+    monkeypatch.setattr(dynamics, "assemble", tracked)
+    ps = polar_layout(4, 8)
+    ops = qg_operators(ps, 0.5, alpha=alpha, K=16, M=32)
+    assert live_at_assembly == ([0] if alpha == 1.0 else [0, 0])
+    assert all(ref() is None for ref in systems)
+    n = ps.n_interior
+    assert [f.name for f in dataclasses.fields(ops)] == ["local", "velocity"]
+    assert vars(ops).keys() == {"local", "velocity"}
+    assert ops.local.shape == (3 * n, n) and ops.velocity.shape == (2 * n, n)
 
 
 def test_qg_blowup_guard():
