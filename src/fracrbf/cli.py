@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from fracrbf.dynamics import anisotropy_ratio, crank_nicolson_mixed, run_qg, write_snapshots
+from fracrbf.dynamics import (anisotropy_ratio, crank_nicolson_mixed, mixed_operators, run_qg,
+                              write_snapshots)
 from fracrbf.exterior import GmqProfile, exterior_data_correction
 from fracrbf.geometry import disk_grid, polar_layout, uniform_interval
 from fracrbf.harness import (CHECKS, PRESETS, RunReport, RunRow, mixed_run, rms_error,
@@ -157,14 +158,6 @@ def _print_report(rep):
         print(" ".join(cells))
 
 
-def _finish(rep, args):
-    _print_report(rep)
-    if args.out is not None:
-        path = rep.write(args.out)
-        print(f"wrote {path.parent}")
-    return 0
-
-
 # subcommands ------------------------------------------------------------------
 
 
@@ -230,7 +223,10 @@ def _cmd_sweep(args, row):
         basis = GmqBasis(ps.points, FracParams(dim, alpha), eps)
         rep.add(row(ps, basis, tp, case, kq, mq), dim=dim)
         rep.meta["eps"] = eps
-    return _finish(rep, args)
+    _print_report(rep)
+    if args.out is not None:
+        print(f"wrote {rep.write(args.out).parent}")
+    return 0
 
 
 def _cmd_evolve(args):
@@ -239,8 +235,8 @@ def _cmd_evolve(args):
     eps = _eps_for(args, ps, 1.0)
     basis = GmqBasis(ps.points, FracParams(2, alpha), eps)
     cfg, u0 = mixed_run(_pick(args.dt, 0.001), _pick(args.t_end, 0.5), _pick(args.chi, 1.0))
-    times, fields = crank_nicolson_mixed(
-        ps, basis, cfg, u0, K=_pick(args.quad_K, 32), M=_pick(args.quad_M, 64))
+    ops = mixed_operators(ps, basis, K=_pick(args.quad_K, 32), M=_pick(args.quad_M, 64))
+    times, fields = crank_nicolson_mixed(ps, ops, cfg, u0)
     for t, f in zip(times, fields):
         print(f"t={t:8.4f} peak={np.max(np.abs(f)):.6e}")
     if args.out is not None:

@@ -21,6 +21,7 @@ from fracrbf.specialfun import FracParams
 
 __all__ = [
     "EvolutionConfig",
+    "mixed_operators",
     "crank_nicolson_mixed",
     "ssp_rk3_step",
     "QgOperators",
@@ -84,32 +85,41 @@ def _sample(u0, points):
     return vals
 
 
-def crank_nicolson_mixed(ps, basis, cfg, u0, K=10, M=64, system=None):
-    """Trapezoidal stepping of u_t + [chi*fractional + (1-chi)*classical]u = 0.
-
-    The implicit matrix is factored once and reused for every step. Returns
-    (times, fields) at the snapshot steps, fields rowed by time.
-    """
-    sm = assemble(ps, basis, K=K, M=M) if system is None else system
-    n = ps.n_interior
-    ops = nodal_operator(sm, rows=(sm.s[:n], classical_lap_block(basis, ps.interior)))
-    a = cfg.chi * ops[:n] + (1.0 - cfg.chi) * ops[n:]
-    eye = np.eye(ps.n_interior)
-    lhs = sla.lu_factor(eye + 0.5 * cfg.dt * a)
-    rhs = eye - 0.5 * cfg.dt * a
-
-    u = _sample(u0, ps.interior)
+def _march(cfg, u, step):
+    """u = step(u, t) at t = k*dt for k = 1..n_steps; returns (times, fields)
+    at the snapshot steps, fields rowed by time."""
     keep = set(cfg.snapshot_steps())
-    out_t, out_u = [], []
-    if 0 in keep:
-        out_t.append(0.0)
-        out_u.append(u.copy())
+    out_t, out_u = [0.0], [u.copy()]
     for k in range(1, cfg.n_steps + 1):
-        u = sla.lu_solve(lhs, rhs @ u)
+        u = step(u, k * cfg.dt)
         if k in keep:
             out_t.append(k * cfg.dt)
             out_u.append(u.copy())
     return np.array(out_t), np.array(out_u)
+
+
+def mixed_operators(ps, basis, K=10, M=64):
+    """The fractional and the classical Laplacian on interior nodal values,
+    stacked as one (2n, n) array; one coefficient map serves both, and the
+    system is freed before this returns."""
+    sm = assemble(ps, basis, K=K, M=M)
+    n = ps.n_interior
+    return nodal_operator(sm, rows=(sm.s[:n], classical_lap_block(basis, ps.interior)))
+
+
+def crank_nicolson_mixed(ps, ops, cfg, u0):
+    """Trapezoidal stepping of u_t + [chi*fractional + (1-chi)*classical]u = 0
+    with ops from mixed_operators.
+
+    The implicit matrix is factored once and reused for every step. Returns
+    (times, fields) at the snapshot steps, fields rowed by time.
+    """
+    n = ps.n_interior
+    a = cfg.chi * ops[:n] + (1.0 - cfg.chi) * ops[n:]
+    eye = np.eye(n)
+    lhs = sla.lu_factor(eye + 0.5 * cfg.dt * a)
+    rhs = eye - 0.5 * cfg.dt * a
+    return _march(cfg, _sample(u0, ps.interior), lambda u, t: sla.lu_solve(lhs, rhs @ u))
 
 
 def ssp_rk3_step(op, u, dt):
@@ -208,23 +218,15 @@ def run_qg(ps, basis, cfg, theta0, out_dir=None, advect=True, K=10, M=64):
     if cap == 0.0:
         cap = np.inf
 
-    keep = set(cfg.snapshot_steps())
-    out_t, out_u = [], []
-    if 0 in keep:
-        out_t.append(0.0)
-        out_u.append(theta.copy())
-    for k in range(1, cfg.n_steps + 1):
-        theta = ssp_rk3_step(lambda th: qg_rhs(th, ops, cfg.kappa, advect=advect),
-                             theta, cfg.dt)
-        peak = float(np.max(np.abs(theta)))
+    def step(th, t):
+        th = ssp_rk3_step(lambda v: qg_rhs(v, ops, cfg.kappa, advect=advect), th, cfg.dt)
+        peak = float(np.max(np.abs(th)))
         if not np.isfinite(peak) or peak > cap:
-            raise FloatingPointError(
-                f"blow-up at t={k * cfg.dt:.6g}: max|theta|={peak:.3e} "
-                f"exceeds 10x the initial value")
-        if k in keep:
-            out_t.append(k * cfg.dt)
-            out_u.append(theta.copy())
-    times, fields = np.array(out_t), np.array(out_u)
+            raise FloatingPointError(f"blow-up at t={t:.6g}: max|theta|={peak:.3e} "
+                                     f"exceeds 10x the initial value")
+        return th
+
+    times, fields = _march(cfg, theta, step)
     if out_dir is not None:
         write_snapshots(out_dir, ps, times, fields)
     return times, fields

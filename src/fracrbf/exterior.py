@@ -47,7 +47,6 @@ class TailFactors:
     diag(weights) @ c_alt); 2D: scale*(b @ diag(weights) @ c) with the
     radial weight, Jacobian power and angle weight combined into weights."""
 
-    dim: int
     b: np.ndarray
     c: np.ndarray
     weights: np.ndarray
@@ -63,19 +62,6 @@ class TailFactors:
         return self.scale * mat
 
 
-def _check_inside(points):
-    r = np.sqrt(np.sum(points * points, axis=1))
-    if np.any(r >= 1.0):
-        raise ValueError("tail rows exist only at points strictly inside the domain")
-
-
-def _pole_factors_1d(x, s):
-    # (1 -+ x_i s)^(-1-alpha) halves enter with the alpha power applied later
-    right = 1.0 - x[:, None] * s[None, :]
-    left = 1.0 + x[:, None] * s[None, :]
-    return right, left
-
-
 def _factors_1d(points, centers, eps, beta, alpha, K):
     """Factor pieces of int_{|y|>1} (eps^2+(y-c)^2)^beta |x-y|^(-1-alpha) dy."""
     rule = gauss_legendre_01(K)
@@ -84,9 +70,8 @@ def _factors_1d(points, centers, eps, beta, alpha, K):
     w = rule.weights * s ** gamma
     x = points[:, 0]
     xc = centers[:, 0]
-    b_r, b_l = _pole_factors_1d(x, s)
-    b_r = b_r ** (-1.0 - alpha)
-    b_l = b_l ** (-1.0 - alpha)
+    b_r = (1.0 - x[:, None] * s[None, :]) ** (-1.0 - alpha)
+    b_l = (1.0 + x[:, None] * s[None, :]) ** (-1.0 - alpha)
     c_r = ((s[:, None] * eps) ** 2 + (1.0 - xc[None, :] * s[:, None]) ** 2) ** beta
     c_l = ((s[:, None] * eps) ** 2 + (1.0 + xc[None, :] * s[:, None]) ** 2) ** beta
     return b_r, c_r, b_l, c_l, w
@@ -111,19 +96,23 @@ def _factors_2d(points, centers, eps, beta, alpha, K, M):
     return b, c.T, w
 
 
+def _tail_factors(points, centers, eps, beta, p, K, M):
+    """Tail factors of the profiles (eps^2+|y-center|^2)^beta, rowed by
+    points strictly inside the unit domain."""
+    points = np.asarray(points, dtype=float).reshape(-1, p.d)
+    if np.any(np.sqrt(np.sum(points * points, axis=1)) >= 1.0):
+        raise ValueError("tail rows exist only at points strictly inside the domain")
+    if p.d == 1:
+        b_r, c_r, b_l, c_l, w = _factors_1d(points, centers, eps, beta, p.alpha, K)
+        return TailFactors(b_r, c_r, w, coeff_c(p), b_alt=b_l, c_alt=c_l)
+    b, c, w = _factors_2d(points, centers, eps, beta, p.alpha, K, M)
+    return TailFactors(b, c, w, coeff_c(p))
+
+
 def tail_factors_at(points, basis, K=10, M=64):
     """Tail factors rowed by arbitrary points strictly inside the unit
     domain; columns cover all N centers."""
-    p = basis.params
-    points = np.asarray(points, dtype=float).reshape(-1, p.d)
-    _check_inside(points)
-    centers = basis.centers
-    beta = basis.beta
-    if p.d == 1:
-        b_r, c_r, b_l, c_l, w = _factors_1d(points, centers, basis.eps, beta, p.alpha, K)
-        return TailFactors(1, b_r, c_r, w, coeff_c(p), b_alt=b_l, c_alt=c_l)
-    b, c, w = _factors_2d(points, centers, basis.eps, beta, p.alpha, K, M)
-    return TailFactors(2, b, c, w, coeff_c(p))
+    return _tail_factors(points, basis.centers, basis.eps, basis.beta, basis.params, K, M)
 
 
 def exterior_data_correction(g, ps, p, K=10, M=64, points=None):
@@ -138,14 +127,9 @@ def exterior_data_correction(g, ps, p, K=10, M=64, points=None):
     """
     if 2.0 * g.exponent >= p.alpha:
         raise ValueError("exterior datum must decay: need 2*exponent < alpha")
-    points = ps.interior if points is None else np.asarray(points, dtype=float).reshape(-1, p.d)
-    _check_inside(points)
-    ctr = np.atleast_2d(g.center)
-    if p.d == 1:
-        b_r, c_r, b_l, c_l, w = _factors_1d(points, ctr, g.eps, g.exponent, p.alpha, K)
-        vals = (b_r * (w * c_r[:, 0])[None, :]).sum(axis=1)
-        vals = vals + (b_l * (w * c_l[:, 0])[None, :]).sum(axis=1)
-    else:
-        b, c, w = _factors_2d(points, ctr, g.eps, g.exponent, p.alpha, K, M)
-        vals = (b * (w * c[:, 0])[None, :]).sum(axis=1)
-    return coeff_c(p) * g.amplitude * vals
+    tf = _tail_factors(ps.interior if points is None else points, np.atleast_2d(g.center),
+                       g.eps, g.exponent, p, K, M)
+    vals = (tf.b * (tf.weights * tf.c[:, 0])[None, :]).sum(axis=1)
+    if tf.b_alt is not None:
+        vals = vals + (tf.b_alt * (tf.weights * tf.c_alt[:, 0])[None, :]).sum(axis=1)
+    return tf.scale * g.amplitude * vals

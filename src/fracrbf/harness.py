@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from fracrbf.dynamics import (EvolutionConfig, anisotropy_ratio, crank_nicolson_mixed,
-                              run_qg, write_field, write_snapshots)
+                              mixed_operators, run_qg, write_field, write_snapshots)
 from fracrbf.exterior import GmqProfile
-from fracrbf.geometry import Domain, clipped_grid, disk_grid, polar_layout, uniform_interval
+from fracrbf.geometry import clipped_grid, disk_grid, polar_layout, uniform_interval
 from fracrbf.linsys import assemble, condition_estimate
 from fracrbf.oracles import (case1, case2, case2_scaled, gmq_profile, gmq_shifted_profile,
                              hypersingular_oracle)
@@ -319,7 +319,7 @@ def preset_fig_square(alphas=(0.4, 0.8, 1.2, 1.6), eps=0.05, grid_h=0.03125,
                       K=32, M=64, out=None):
     """Constant-source solve on the square embedded in the disk; only the
     solution profile is emitted (no closed form exists here)."""
-    ps = clipped_grid(grid_h, Domain("embedded", half_width=np.sqrt(2.0) / 2.0))
+    ps = clipped_grid(grid_h, half_width=np.sqrt(2.0) / 2.0)
     return _constant_source("fig-square", ps, alphas, eps, K, M, out, grid_h=grid_h)
 
 
@@ -348,12 +348,12 @@ def preset_fig_mixed(alpha=1.0, eps=1.0, dt=0.001, t_end=0.5, K=32, M=64, out=No
         d=2, alpha=alpha, eps=eps, eps_mode="absolute", dt=dt, t_end=t_end, K=K, M=M,
         row_order="one row per chi in (0, 0.5, 1); E holds the final peak"))
     outp = Path(out) if out is not None else None
-    sm = assemble(ps, basis, K=K, M=M)
+    ops = mixed_operators(ps, basis, K=K, M=M)
     peaks = {}
     for chi in (0.0, 0.5, 1.0):
         cfg, u0 = mixed_run(dt, t_end, chi)
         t0 = time.perf_counter()
-        times, fields = crank_nicolson_mixed(ps, basis, cfg, u0, K=K, M=M, system=sm)
+        times, fields = crank_nicolson_mixed(ps, ops, cfg, u0)
         seconds = time.perf_counter() - t0
         peaks[chi] = float(np.max(np.abs(fields[-1])))
         rep.add(RunRow(n=ps.n_total, e=peaks[chi], seconds=seconds), dim=2)
@@ -450,18 +450,29 @@ def _shifted_exponent_gap():
     return _identity_gap(gmq_shifted_profile, coeff_eta)
 
 
-def _manufactured_gap(seed=11):
-    """Worst relative error recovering random coefficients lam* from S lam*;
-    each layout draws lam* from a fresh generator seeded with `seed`."""
-    worst = 0.0
-    layouts = ((uniform_interval(10), 1), (uniform_interval(12), 1), (polar_layout(3, 7), 2))
-    for ps, d in layouts:
-        basis = GmqBasis(ps.points, FracParams(d, 1.2), 1.0)
-        sm = assemble(ps, basis, K=32, M=48)
+def _manufactured_solves(seed):
+    """(S, b = S lam*, lam*, computed lam) per layout; each layout draws
+    lam* from a fresh generator seeded with `seed`."""
+    for ps, d in ((uniform_interval(10), 1), (uniform_interval(12), 1), (polar_layout(3, 7), 2)):
+        sm = assemble(ps, GmqBasis(ps.points, FracParams(d, 1.2), 1.0), K=32, M=48)
         lam_star = np.random.default_rng(seed).standard_normal(ps.n_total)
-        lam = sm.solve(sm.s @ lam_star)
-        worst = max(worst, float(np.linalg.norm(lam - lam_star) / np.linalg.norm(lam_star)))
-    return worst
+        b = sm.s @ lam_star
+        yield sm.s, b, lam_star, sm.solve(b)
+
+
+def _manufactured_gap(seed=11):
+    """Worst relative error recovering random coefficients lam* from S lam*.
+    It is bounded by about cond(S) times the backward error below."""
+    return max(float(np.linalg.norm(lam - lam_star) / np.linalg.norm(lam_star))
+               for _, _, lam_star, lam in _manufactured_solves(seed))
+
+
+def _manufactured_backward_error(seed=11):
+    """Worst normwise backward error of the same solves in units of n*u,
+    u = 2^-53: ||S lam - b|| / ((||S|| ||lam|| + ||b||) n u) in the inf-norm."""
+    inf = lambda v: float(np.linalg.norm(v, np.inf))
+    return max(inf(s @ lam - b) / ((inf(s) * inf(lam) + inf(b)) * s.shape[0] * 2.0 ** -53)
+               for s, b, _, lam in _manufactured_solves(seed))
 
 
 def _rms_examples_gap():
@@ -490,6 +501,7 @@ CHECKS = (
     ("closed-form-identity", _closed_form_gap, 1e-4),
     ("shifted-exponent-identity", _shifted_exponent_gap, 1e-4),
     ("manufactured-coefficients", _manufactured_gap, 1e-10),
+    ("manufactured-backward-error", _manufactured_backward_error, 1.0),
     ("rms-error-examples", _rms_examples_gap, 1e-15),
 )
 

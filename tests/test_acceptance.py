@@ -12,8 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from fracrbf.dynamics import (EvolutionConfig, anisotropy_ratio,
-                              crank_nicolson_mixed, run_qg, ssp_rk3_step)
+from fracrbf.dynamics import (EvolutionConfig, anisotropy_ratio, crank_nicolson_mixed,
+                              mixed_operators, run_qg, ssp_rk3_step)
 from fracrbf.geometry import disk_grid, polar_layout
 from fracrbf.harness import (CHECKS, preset_table2, preset_table3, preset_table4,
                              preset_table5)
@@ -118,12 +118,12 @@ def test_criterion_09_time_stepper_orders():
     # trapezoidal self-convergence on the mixed-diffusion disk problem
     ps = polar_layout(8, 8)
     basis = GmqBasis(ps.points, FracParams(2, 1.0), 1.0)
-    sm = assemble(ps, basis, K=32, M=64)
+    ops = mixed_operators(ps, basis, K=32, M=64)
     u0 = lambda pts: np.exp(-4.0 * np.sum(pts * pts, axis=1))
     finals = []
     for dt in (0.004, 0.002, 0.001):
         cfg = EvolutionConfig(dt=dt, t_end=0.1, chi=0.5)
-        _, fields = crank_nicolson_mixed(ps, basis, cfg, u0, system=sm)
+        _, fields = crank_nicolson_mixed(ps, ops, cfg, u0)
         finals.append(fields[-1])
     cn_order = float(np.log2(np.linalg.norm(finals[0] - finals[1])
                              / np.linalg.norm(finals[1] - finals[2])))

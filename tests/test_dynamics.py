@@ -12,10 +12,10 @@ import scipy.linalg as sla
 
 from fracrbf import dynamics
 from fracrbf.dynamics import (EvolutionConfig, anisotropy_ratio,
-                              crank_nicolson_mixed, qg_operators, qg_rhs,
-                              run_qg, ssp_rk3_step, write_snapshots)
+                              crank_nicolson_mixed, mixed_operators, qg_operators,
+                              qg_rhs, run_qg, ssp_rk3_step, write_snapshots)
 from fracrbf.geometry import disk_grid, polar_layout
-from fracrbf.harness import vortex_run
+from fracrbf.harness import preset_fig_mixed, vortex_run
 from fracrbf.linsys import assemble, nodal_operator
 from fracrbf.rbf import GmqBasis, grad_blocks
 from fracrbf.specialfun import FracParams
@@ -47,22 +47,20 @@ def test_snapshot_steps_include_ends():
 def disk73():
     ps = polar_layout(8, 8)
     basis = GmqBasis(ps.points, FracParams(2, 1.0), 1.0)
-    sm = assemble(ps, basis, K=32, M=64)
-    return ps, basis, sm
+    return ps, basis, mixed_operators(ps, basis, K=32, M=64)
 
 
 def test_mixed_diffusion_peak_regression(disk73):
     # frozen end states of the three-way local/nonlocal split; the purely
     # nonlocal run must decay slowest
-    ps, basis, sm = disk73
+    ps, _, ops = disk73
     expected = {0.0: 0.03603604436147113,
                 0.5: 0.0894411378584501,
                 1.0: 0.23270471157397762}
     peaks = {}
     for chi, ref in expected.items():
         cfg = EvolutionConfig(dt=0.001, t_end=0.5, chi=chi)
-        times, fields = crank_nicolson_mixed(ps, basis, cfg, _gaussian(4.0),
-                                             system=sm)
+        times, fields = crank_nicolson_mixed(ps, ops, cfg, _gaussian(4.0))
         assert times[-1] == pytest.approx(0.5)
         assert fields.shape == (2, ps.n_interior)
         peaks[chi] = float(np.max(np.abs(fields[-1])))
@@ -71,10 +69,10 @@ def test_mixed_diffusion_peak_regression(disk73):
 
 
 def test_mixed_diffusion_norm_decays(disk73):
-    ps, basis, sm = disk73
+    ps, _, ops = disk73
     cfg = EvolutionConfig(dt=0.02, t_end=0.2, chi=1.0,
                           snapshot_times=(0.04, 0.08, 0.12, 0.16))
-    _, fields = crank_nicolson_mixed(ps, basis, cfg, _gaussian(4.0), system=sm)
+    _, fields = crank_nicolson_mixed(ps, ops, cfg, _gaussian(4.0))
     norms = np.linalg.norm(fields, axis=1)
     assert np.all(np.diff(norms) < 0.0)
 
@@ -184,6 +182,35 @@ def test_qg_operators_keep_no_system(alpha, monkeypatch):
     assert [f.name for f in dataclasses.fields(ops)] == ["local", "velocity"]
     assert vars(ops).keys() == {"local", "velocity"}
     assert ops.local.shape == (3 * n, n) and ops.velocity.shape == (2 * n, n)
+
+
+def test_mixed_operators_keep_no_system(monkeypatch):
+    systems = []
+    assemble = dynamics.assemble
+
+    def tracked(*args, **kwargs):
+        sm = assemble(*args, **kwargs)
+        systems.append(weakref.ref(sm))
+        return sm
+    monkeypatch.setattr(dynamics, "assemble", tracked)
+    ps = polar_layout(4, 8)
+    ops = mixed_operators(ps, GmqBasis(ps.points, FracParams(2, 1.0), 0.5), K=16, M=32)
+    assert len(systems) == 1 and systems[0]() is None
+    assert ops.shape == (2 * ps.n_interior, ps.n_interior)
+
+
+def test_fig_mixed_solves_one_coefficient_map(monkeypatch):
+    # the three chi runs share one pair of nodal operators
+    calls = []
+    nodal_operator = dynamics.nodal_operator
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return nodal_operator(*args, **kwargs)
+    monkeypatch.setattr(dynamics, "nodal_operator", counted)
+    rep = preset_fig_mixed()
+    assert len(calls) == 1
+    assert len(rep.rows) == 3
 
 
 def test_qg_blowup_guard():

@@ -1,23 +1,19 @@
-"""Domains, point layouts, and mesh statistics."""
+"""Point layouts, the interior-first partition, and the separation q that
+a PointSet derives from its points."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracrbf.geometry import (Domain, PointSet, clipped_grid, disk_grid, mesh_stats,
-                              polar_layout, uniform_interval)
+from fracrbf.geometry import PointSet, clipped_grid, disk_grid, polar_layout, uniform_interval
 
 
-def test_domain_validation():
-    assert Domain("interval").dim == 1
-    assert Domain("disk").dim == 2
-    Domain("embedded", np.sqrt(2.0) / 2.0)
+def test_clipped_grid_half_width_validation():
+    clipped_grid(0.25, np.sqrt(2.0) / 2.0)
     with pytest.raises(ValueError):
-        Domain("box")
+        clipped_grid(0.25, 0.0)
     with pytest.raises(ValueError):
-        Domain("embedded", 0.0)
-    with pytest.raises(ValueError):
-        Domain("embedded", 0.9)
+        clipped_grid(0.25, 0.9)
 
 
 def test_uniform_interval_layout():
@@ -28,7 +24,6 @@ def test_uniform_interval_layout():
     assert np.allclose(ps.interior.ravel(), [-0.6, -0.2, 0.2, 0.6])
     assert np.allclose(np.sort(ps.boundary.ravel()), [-1.0, 1.0])
     assert ps.spacing == pytest.approx(0.4)
-    assert ps.h == pytest.approx(0.2, abs=0.01)
     with pytest.raises(ValueError):
         uniform_interval(2)
 
@@ -48,9 +43,6 @@ def test_polar_layout_mesh_stats():
     ps = polar_layout(3, 3)
     assert ps.n_total == 13 and ps.n_interior == 9
     assert ps.q == pytest.approx(1.0 / 6.0, rel=1e-12)
-    assert ps.h == pytest.approx(0.7007932013876212, rel=1e-9)
-    assert ps.rho == pytest.approx(ps.h / ps.q, rel=1e-12)
-    assert mesh_stats(ps) == (ps.h, ps.q, ps.rho)
 
 
 def test_disk_grid_counts():
@@ -58,8 +50,6 @@ def test_disk_grid_counts():
     totals, interiors = [], []
     for h in (0.5, 0.25, 0.125, 0.0625, 0.03125):
         ps = disk_grid(h)
-        # the report-only fill distance is not computed at construction
-        assert "h" not in ps.__dict__
         totals.append(ps.n_total)
         interiors.append(ps.n_interior)
     assert totals == [13, 53, 209, 825, 3269]
@@ -69,7 +59,7 @@ def test_disk_grid_counts():
 
 
 def test_clipped_grid_disk():
-    ps = clipped_grid(0.25, Domain("disk"))
+    ps = clipped_grid(0.25)
     assert ps.n_total == 49 and ps.n_interior == 45
     r = np.linalg.norm(ps.points, axis=1)
     assert np.all(r <= 1.0 + 1e-12)
@@ -78,28 +68,28 @@ def test_clipped_grid_disk():
 
 def test_clipped_grid_embedded():
     w = np.sqrt(2.0) / 2.0
-    ps = clipped_grid(1.0 / 32.0, Domain("embedded", w))
+    ps = clipped_grid(1.0 / 32.0, w)
     assert ps.n_total == 3209 and ps.n_interior == 2025
     inner = ps.interior
     assert np.all(np.max(np.abs(inner), axis=1) < w)
     collar = ps.boundary
     on_or_out = np.max(np.abs(collar), axis=1) >= w - 1e-12
     assert np.all(on_or_out)
-    with pytest.raises(ValueError):
-        clipped_grid(0.25, Domain("interval"))
 
 
 def test_point_set_partition_and_guards():
     pts = np.array([[0.0], [0.5], [-1.0], [1.0]])
-    ps = PointSet(pts, 2, Domain("interval"), 0.25)
+    ps = PointSet(pts, 2)
     assert ps.interior.shape == (2, 1)
     assert ps.boundary.shape == (2, 1)
+    # q is derived from the points, never passed in
+    assert ps.q == 0.25
     with pytest.raises(ValueError):
-        PointSet(pts, 5, Domain("interval"), 0.25)
+        PointSet(pts, 5)
 
 
-def test_mesh_stats_rejects_duplicates():
-    pts = np.array([[0.1], [0.1], [0.5]])
-    ps = PointSet(pts, 3, Domain("interval"), 0.0)
-    with pytest.raises(ValueError):
-        mesh_stats(ps)
+def test_point_set_rejects_repeated_or_too_few_points():
+    with pytest.raises(ValueError, match="distinct"):
+        PointSet(np.array([[0.1], [0.1], [0.5]]), 3)
+    with pytest.raises(ValueError, match="at least 2"):
+        PointSet(np.array([[0.1]]), 1)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from fracrbf import steady
-from fracrbf.geometry import (Domain, clipped_grid, disk_grid, polar_layout,
-                              uniform_interval)
+from fracrbf.geometry import clipped_grid, disk_grid, polar_layout, uniform_interval
 from fracrbf.oracles import gmq_profile, gmq_shifted_profile, hypersingular_oracle
 from fracrbf.rbf import (GmqBasis, classical_lap_block, frac_lap_block,
                          grad_blocks, phi_block, psi_block, _sq_dist)
@@ -131,7 +130,7 @@ def test_grad_matches_finite_differences():
     (uniform_interval(34).points, None),
     (polar_layout(11, 11).points, None),
     (disk_grid(1.0 / 8.0).points, None),
-    (clipped_grid(1.0 / 16.0, Domain("embedded", np.sqrt(2.0) / 2.0)).points, None),
+    (clipped_grid(1.0 / 16.0, np.sqrt(2.0) / 2.0).points, None),
     (steady.test_points_disk(), disk_grid(1.0 / 8.0).points),
 ], ids=["interval", "polar", "lattice", "embedded", "rectangular"])
 def test_sq_dist_matches_broadcast_bitwise(points, centers):
