@@ -48,59 +48,59 @@ class _ConfigParser(_Parser):
         raise ValueError(f"config file: {message}")
 
 
+# every flag a subcommand may take, in help order; each subcommand
+# registers only the ones it reads, so any other flag is a usage error
+_FLAGS = {
+    "config": dict(help="flat key=value file; flags override it"),
+    "dim": dict(type=int, choices=(1, 2)),
+    "alpha": dict(type=float),
+    "eps": dict(type=float, help="absolute shape parameter"),
+    "eps-factor": dict(type=float, help="shape parameter as a multiple of the node spacing"),
+    "case": dict(choices=("smooth", "compact")),
+    "p": dict(type=float, help="compact-profile power"),
+    "L": dict(type=int, help="ring count of the polar layout"),
+    "J": dict(type=int, help="angles per ring minus one"),
+    "n": dict(type=int, help="interior point count (1D)"),
+    "grid-h": dict(type=float, help="lattice step for disk grids"),
+    "quad-K": dict(type=int, help="radial tail-quadrature order"),
+    "quad-M": dict(type=int, help="angular tail-quadrature order"),
+    "dt": dict(type=float),
+    "t-end": dict(type=float),
+    "chi": dict(type=float, help="nonlocal fraction of the mixed model"),
+    "kappa": dict(type=float, help="dissipation strength"),
+    "out": dict(help="output directory for CSV reports"),
+    "seed": dict(type=int, help="seed for any randomized check"),
+}
+_STEADY_ONLY = ("dim", "case", "p", "n")
+_TIME_ONLY = ("dt", "t-end", "chi", "kappa")
+
+
 def _build_parser(parser_class=_Parser):
     top = parser_class(prog="fracrbf", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, time_flags=False):
-        p.add_argument("--config", help="flat key=value file; flags override it")
-        p.add_argument("--dim", type=int, choices=(1, 2))
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--eps", type=float, help="absolute shape parameter")
-        p.add_argument("--eps-factor", type=float,
-                       help="shape parameter as a multiple of the node spacing")
-        p.add_argument("--case", choices=("smooth", "compact"))
-        p.add_argument("--p", type=float, help="compact-profile power")
-        p.add_argument("--L", type=int, help="ring count of the polar layout")
-        p.add_argument("--J", type=int, help="angles per ring minus one")
-        p.add_argument("--n", type=int, help="interior point count (1D)")
-        p.add_argument("--grid-h", type=float, help="lattice step for disk grids")
-        p.add_argument("--quad-K", type=int, help="radial tail-quadrature order")
-        p.add_argument("--quad-M", type=int, help="angular tail-quadrature order")
-        if time_flags:
-            p.add_argument("--dt", type=float)
-            p.add_argument("--t-end", type=float)
-            p.add_argument("--chi", type=float, help="nonlocal fraction of the mixed model")
-            p.add_argument("--kappa", type=float, help="dissipation strength")
-        p.add_argument("--out", help="output directory for CSV reports")
-        p.add_argument("--seed", type=int, help="seed for any randomized check")
+    def add(name, func, summary, drop=(), keep=None):
+        p = sub.add_parser(name, help=summary)
+        for flag in keep or [f for f in _FLAGS if f not in drop]:
+            p.add_argument("--" + flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("forward", help="interpolate an exact profile and sweep "
-                                       "the forward-operator residual")
-    common(p)
-    p.set_defaults(func=functools.partial(_cmd_sweep, row=_forward_row))
-
-    p = sub.add_parser("solve", help="steady solve sweep: solution error and "
-                                     "condition number per N")
-    common(p)
-    p.set_defaults(func=functools.partial(_cmd_sweep, row=_solution_error_row))
-
-    p = sub.add_parser("evolve", help="mixed local/nonlocal diffusion run")
-    common(p, time_flags=True)
-    p.set_defaults(func=_cmd_evolve)
-
-    p = sub.add_parser("qg", help="quasi-geostrophic single-vortex run")
-    common(p, time_flags=True)
-    p.set_defaults(func=_cmd_qg)
-
-    p = sub.add_parser("verify", help="oracle and property verification suite")
-    common(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("preset", help="reproduce a published experiment")
-    p.add_argument("name", choices=sorted(PRESETS))
-    common(p, time_flags=True)
-    p.set_defaults(func=_cmd_preset)
+    add("forward", functools.partial(_cmd_sweep, row=_forward_row),
+        "interpolate an exact profile and sweep the forward-operator residual",
+        drop=_TIME_ONLY + ("seed",))
+    add("solve", functools.partial(_cmd_sweep, row=_solution_error_row),
+        "steady solve sweep: solution error and condition number per N",
+        drop=_TIME_ONLY + ("seed",))
+    add("evolve", _cmd_evolve, "mixed local/nonlocal diffusion run",
+        drop=_STEADY_ONLY + ("kappa", "seed"))
+    add("qg", _cmd_qg, "quasi-geostrophic single-vortex run",
+        drop=_STEADY_ONLY + ("chi", "seed"))
+    add("verify", _cmd_verify, "oracle and property verification suite",
+        keep=("config", "seed"))
+    # a preset takes every flag and rejects, by name, those it has no parameter for
+    add("preset", _cmd_preset, "reproduce a published experiment").add_argument(
+        "name", choices=sorted(PRESETS))
     return top
 
 

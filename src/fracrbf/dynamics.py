@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg as sla
 
-from fracrbf.linsys import assemble, nodal_operator
+from fracrbf.linsys import _factor, assemble, nodal_operator
 from fracrbf.rbf import GmqBasis, classical_lap_block, grad_blocks
 from fracrbf.specialfun import FracParams
 
@@ -117,7 +117,7 @@ def crank_nicolson_mixed(ps, ops, cfg, u0):
     n = ps.n_interior
     a = cfg.chi * ops[:n] + (1.0 - cfg.chi) * ops[n:]
     eye = np.eye(n)
-    lhs = sla.lu_factor(eye + 0.5 * cfg.dt * a)
+    lhs = _factor(eye + 0.5 * cfg.dt * a)
     rhs = eye - 0.5 * cfg.dt * a
     return _march(cfg, _sample(u0, ps.interior), lambda u, t: sla.lu_solve(lhs, rhs @ u))
 

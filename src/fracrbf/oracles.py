@@ -422,7 +422,7 @@ def case1(d, alpha, x, f_required=True):
 
     validated against the hypersingular oracle and, at alpha=1, against the
     elementary Poisson-kernel derivative (d-|x|^2)(1+|x|^2)^(-(d+3)/2).
-    The hypergeometric argument stays in [0, 1/2), so the series is fast.
+    The hypergeometric argument stays in [0, 1/2).
     """
     FracParams(d, alpha)
     r2 = _radii2(x, d)
@@ -432,10 +432,8 @@ def case1(d, alpha, x, f_required=True):
     if np.any(r2 >= 1.0):
         raise ValueError("closed-form forcing of case 1 needs |x| < 1")
     pref = gamma_fn(d + alpha) / gamma_fn(d)
-    f = pref * np.array([(1.0 + z) ** (-(d + alpha) / 2.0)
-                         * gauss_2f1((d + alpha) / 2.0, -(alpha + 1.0) / 2.0,
-                                     d / 2.0, z / (1.0 + z))
-                         for z in np.atleast_1d(r2)])
+    f = pref * ((1.0 + r2) ** (-(d + alpha) / 2.0)
+                * gauss_2f1((d + alpha) / 2.0, -(alpha + 1.0) / 2.0, d / 2.0, r2 / (1.0 + r2)))
     return _match_shape(u, x), _match_shape(f, x)
 
 
@@ -456,8 +454,7 @@ def case2(d, alpha, p, x, f_required=True):
         raise ValueError("closed-form forcing of case 2 needs |x| < 1")
     pref = (2.0 ** alpha * gamma_fn((alpha + d) / 2.0) * gamma_fn(p + 1.0)
             / (gamma_fn(d / 2.0) * gamma_fn(arg)))
-    f = pref * np.array([gauss_2f1((alpha + d) / 2.0, -p + alpha / 2.0,
-                                   d / 2.0, z) for z in np.atleast_1d(r2)])
+    f = pref * gauss_2f1((alpha + d) / 2.0, -p + alpha / 2.0, d / 2.0, r2)
     return _match_shape(u, x), _match_shape(f, x)
 
 

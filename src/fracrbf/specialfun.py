@@ -1,13 +1,16 @@
-"""Scalar special functions and the closed-form kernel coefficients.
+"""Special functions and the closed-form kernel coefficients.
 
-Everything downstream (basis identities, tail integrals, reference
-solutions) is built from the gamma function and the Gauss hypergeometric
-series implemented here, so both are kept dependency-free and accurate to
-near machine precision.
+Gamma and 2F1 enter the method only through the operator constants
+(mu, c, eta) and the closed-form right-hand sides. Both are guarded
+scipy.special calls: a pole or an argument outside the supported range
+raises ValueError, a non-finite result ArithmeticError.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+from scipy import special
 
 __all__ = [
     "FracParams",
@@ -38,93 +41,39 @@ class FracParams:
             raise ValueError("the pair d=1, alpha=1 is not admissible")
 
 
-# Lanczos approximation, g = 7, 9 coefficients. Relative error is a few ulp
-# over the range used here (x in [-10, 50] away from the poles).
-_LANCZOS_G = 7.0
-_LANCZOS_P = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+def _is_nonpositive_int(x):
+    return x <= 0.0 and x == math.floor(x)
+
+
+def _finite(value, what):
+    if not np.all(np.isfinite(value)):
+        raise ArithmeticError(f"{what} is not finite")
+    return value
 
 
 def gamma_fn(x):
-    """Gamma function for real non-pole arguments.
-
-    Uses the Lanczos approximation for x >= 0.5 and the reflection formula
-    Gamma(x) = pi / (sin(pi x) Gamma(1-x)) below that, so negative
-    non-integer arguments are supported.
-    """
+    """Gamma function of a real argument; poles raise ValueError and an
+    overflowing value (x above about 171.6) raises ArithmeticError."""
     x = float(x)
-    if x <= 0.0 and x == math.floor(x):
+    if _is_nonpositive_int(x):
         raise ValueError("gamma pole at nonpositive integer x=%g" % x)
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    y = x - 1.0
-    acc = _LANCZOS_P[0]
-    for i in range(1, len(_LANCZOS_P)):
-        acc += _LANCZOS_P[i] / (y + i)
-    t = y + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (y + 0.5) * math.exp(-t) * acc
-
-
-_2F1_TOL = 1e-14
-_2F1_MAX_TERMS = 10000
-
-
-def _series_2f1(a, b, c, z):
-    # Plain power series. Stops once two consecutive terms are negligible
-    # relative to the running sum (a single near-zero term can occur when
-    # a+n or b+n crosses zero).
-    total = 1.0
-    term = 1.0
-    small_streak = 0
-    for n in range(_2F1_MAX_TERMS):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        if term == 0.0:
-            return total
-        if abs(term) <= _2F1_TOL * abs(total):
-            small_streak += 1
-            if small_streak >= 2:
-                return total
-        else:
-            small_streak = 0
-    raise ArithmeticError(
-        "2F1 series did not converge within %d terms (a=%g b=%g c=%g z=%g)"
-        % (_2F1_MAX_TERMS, a, b, c, z))
-
-
-def _is_nonpositive_int(x):
-    return x <= 0.0 and x == math.floor(x)
+    return _finite(float(special.gamma(x)), "gamma(%g)" % x)
 
 
 def gauss_2f1(a, b, c, z):
     """Gauss hypergeometric function 2F1(a, b; c; z) for z in [0, 1).
 
-    For z > 1/2 the Euler transformation
-    2F1(a,b;c;z) = (1-z)^(c-a-b) 2F1(c-a, c-b; c; z) is applied first;
-    the transformed series has absolutely summable terms even as z -> 1.
-    Terminating series (a or b a nonpositive integer) are summed directly.
+    z may be an array; the result then has its shape. A value scipy cannot
+    compute (it returns NaN or inf) raises ArithmeticError.
     """
-    a, b, c, z = float(a), float(b), float(c), float(z)
+    a, b, c = float(a), float(b), float(c)
+    z = np.asarray(z, dtype=float)
     if _is_nonpositive_int(c):
         raise ValueError("2F1 parameter c must not be a nonpositive integer")
-    if z < 0.0 or z >= 1.0:
-        raise ValueError("2F1 argument z=%g outside [0, 1)" % z)
-    if z == 0.0:
-        return 1.0
-    if _is_nonpositive_int(a) or _is_nonpositive_int(b):
-        return _series_2f1(a, b, c, z)
-    if z > 0.5:
-        return (1.0 - z) ** (c - a - b) * _series_2f1(c - a, c - b, c, z)
-    return _series_2f1(a, b, c, z)
+    if np.any(z < 0.0) or np.any(z >= 1.0):
+        raise ValueError("2F1 argument z outside [0, 1)")
+    vals = _finite(special.hyp2f1(a, b, c, z), "2F1(%g, %g; %g; z)" % (a, b, c))
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def coeff_c(p):

@@ -4,9 +4,10 @@ fractional Poisson solve with optional nonzero exterior data."""
 import warnings
 
 import numpy as np
+import scipy.linalg as sla
 
 from fracrbf.exterior import exterior_data_correction, tail_factors_at
-from fracrbf.linsys import assemble, nodal_values
+from fracrbf.linsys import _factor, assemble, nodal_values
 from fracrbf.rbf import frac_lap_block, phi_block
 
 __all__ = [
@@ -27,7 +28,7 @@ def interpolate(ps, basis, samples):
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
     a_phi = phi_block(basis, ps.points)
-    lam = np.linalg.solve(a_phi, samples)
+    lam = sla.lu_solve(_factor(a_phi), samples)
     resid = np.max(np.abs(a_phi @ lam - samples))
     scale = max(np.max(np.abs(samples)), 1.0)
     if resid / scale > _RESIDUAL_WARN:

@@ -41,8 +41,14 @@ def _exit_code(argv):
     ["forward", "--scale", "2"],
     ["preset", "fig-disk", "--alpha", "0.5", "--chi", "0.3"],
     ["preset", "table2", "--eps-factor", "3", "--dim", "2", "--seed", "4"],
+    # each subcommand takes only the flags it reads
+    ["verify", "--alpha", "0.5"],
+    ["qg", "--chi", "0.3"],
+    ["evolve", "--kappa", "1"],
+    ["forward", "--seed", "3"],
 ], ids=["negative-dt", "empty-sweep", "fractional-steps", "removed-scale-flag",
-        "preset-alpha-chi", "preset-eps-factor-dim-seed"])
+        "preset-alpha-chi", "preset-eps-factor-dim-seed", "verify-alpha", "qg-chi",
+        "evolve-kappa", "forward-seed"])
 def test_configuration_errors_exit_one(argv, capsys):
     assert _exit_code(argv) == 1
     assert "error:" in capsys.readouterr().err
@@ -97,6 +103,21 @@ def test_solve_single_run(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "E" in out and "cond" in out
+
+
+@pytest.mark.parametrize("argv, n, column, value", [
+    (["forward", "--dim", "2", "--case", "smooth", "--L", "3", "--J", "5"], 19, "Ehat", 2.677e-3),
+    (["solve", "--dim", "2", "--case", "smooth", "--grid-h", "0.5"], 13, "E", 4.471e-3),
+], ids=["forward", "solve"])
+def test_smooth_disk_sweep_error(argv, n, column, value, capsys):
+    # the smooth case's closed-form f and exterior datum on the disk; the
+    # forward row also adds the datum's tail to f (dropping it gives
+    # Ehat 0.55)
+    assert cli.main(argv + ["--quad-K", "16", "--quad-M", "32"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header, row = lines[1].split(), lines[2].split()
+    assert int(row[0]) == n
+    assert float(row[header.index(column)]) == pytest.approx(value, rel=1e-3)
 
 
 def test_evolve_short_run(capsys):

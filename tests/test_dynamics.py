@@ -55,8 +55,8 @@ def test_mixed_diffusion_peak_regression(disk73):
     # nonlocal run must decay slowest
     ps, _, ops = disk73
     expected = {0.0: 0.03603604436147113,
-                0.5: 0.0894411378584501,
-                1.0: 0.23270471157397762}
+                0.5: 0.08944110490061552,
+                1.0: 0.23270469350068512}
     peaks = {}
     for chi, ref in expected.items():
         cfg = EvolutionConfig(dt=0.001, t_end=0.5, chi=chi)

@@ -1,6 +1,6 @@
 """The benchmark's layer trace (perfbench/layertrace.py, imported as it is)
 against the library: the counts it reads off the tail factors, their
-products and the LU calls of two small presets, in 1D and 2D."""
+products and the LU calls of three small presets, in 1D and 2D."""
 
 from pathlib import Path
 
@@ -16,7 +16,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
      {"exterior.tail_nodes": 384, "exterior.tail_flops": 10368, "linsys.lu_count": 4}),
     ("table6", dict(hs=(0.5,)),
      {"exterior.tail_nodes": 2048, "exterior.tail_flops": 479232, "linsys.lu_count": 2}),
-], ids=["table2", "table6"])
+    # one LU of A_phi for the nodal operators, one Crank-Nicolson matrix per chi
+    ("fig-mixed", dict(dt=0.1, t_end=0.2), {"linsys.lu_count": 4}),
+], ids=["table2", "table6", "fig-mixed"])
 def test_trace_counts(name, kwargs, counts, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layertrace

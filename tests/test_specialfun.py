@@ -1,9 +1,10 @@
-"""Gamma, Gauss hypergeometric series, and the kernel coefficients,
+"""Gamma, Gauss hypergeometric function, and the kernel coefficients,
 cross-checked against mpmath at 50-digit working precision."""
 
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -76,14 +77,32 @@ def test_2f1_domain_and_parameter_guards():
     with pytest.raises(ValueError):
         gauss_2f1(0.5, 0.5, -1.0, 0.3)
     assert gauss_2f1(0.7, 1.1, 1.9, 0.0) == 1.0
+    with pytest.raises(ValueError):
+        gauss_2f1(0.5, 0.5, 1.0, np.array([0.2, 1.0]))
+
+
+def test_2f1_accepts_array_argument():
+    z = np.array([[0.0, 0.3], [0.6, 0.9]])
+    got = gauss_2f1(0.4, 1.3, 2.1, z)
+    assert got.shape == z.shape
+    for zi, gi in zip(z.ravel(), got.ravel()):
+        assert gi == gauss_2f1(0.4, 1.3, 2.1, float(zi))
+
+
+def test_non_finite_values_raise_arithmetic_error():
+    # the CLI turns ArithmeticError into exit 2; scipy returns NaN for this
+    # 2F1 and inf for this gamma
+    with pytest.raises(ArithmeticError):
+        gauss_2f1(1000.0, 1000.0, 1.5, 0.9)
+    with pytest.raises(ArithmeticError):
+        gamma_fn(200.0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(a=st.floats(-3.0, 3.0), b=st.floats(0.1, 3.0),
        dc=st.floats(0.1, 2.0), z=st.floats(0.0, 0.98))
 def test_2f1_matches_mpmath(a, b, dc, z):
-    # c = b + dc keeps c away from the nonpositive integers and keeps the
-    # Euler-transformed series well-behaved for z near 1
+    # c = b + dc keeps c away from the nonpositive integers
     c = b + dc
     ref = float(mpmath.hyp2f1(a, b, c, z))
     got = gauss_2f1(a, b, c, z)
