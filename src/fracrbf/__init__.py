@@ -10,8 +10,8 @@ from fracrbf.quadrature import QuadRule1D, PeriodicRule, gauss_legendre_01, peri
 from fracrbf.geometry import PointSet, uniform_interval, polar_layout, disk_grid
 from fracrbf.rbf import GmqBasis
 from fracrbf.linsys import assemble, condition_estimate, nodal_operator
-from fracrbf.steady import (interpolate, forward_frac_lap, forward_frac_lap_clipped,
-                            solve_poisson, evaluate_interpolant)
+from fracrbf.steady import (interpolate, forward_frac_lap_clipped, solve_poisson,
+                            evaluate_interpolant)
 from fracrbf.dynamics import (EvolutionConfig, mixed_operators, crank_nicolson_mixed,
                               ssp_rk3_step, run_qg)
 from fracrbf.harness import rms_error, RunReport

@@ -137,11 +137,16 @@ def _eps_for(args, ps, default_abs):
     return _pick(args.eps, default_abs)
 
 
-def _disk_set(args):
-    """Lattice disk grid when --grid-h is given, else the polar layout
-    (--L rings, default 8; --J defaults to L)."""
+def _disk_set(args, default):
+    """The 2D point set the flags pick: the lattice disk grid for --grid-h,
+    the polar layout for --L or --J (--L defaults to 8, --J to L), and
+    default() when none of them is given."""
     if args.grid_h is not None:
+        if args.L is not None or args.J is not None:
+            raise ValueError("--grid-h picks a lattice grid; it cannot be combined with --L or --J")
         return disk_grid(args.grid_h)
+    if args.L is None and args.J is None:
+        return default()
     lvl_l = _pick(args.L, 8)
     return polar_layout(lvl_l, _pick(args.J, lvl_l))
 
@@ -174,17 +179,19 @@ def _case_funcs(args, dim, alpha):
 
 
 def _sweep(args, dim):
-    """(point set, measurement points) per sweep entry. Measurement points
-    are the staggered companion grid in 1D and the polar lattice on the
-    disk in 2D."""
+    """(point set, measurement points) per sweep entry: n = 2..32 interior
+    points in 1D (or --n), polar layouts L = J = 3..9 on the disk (or the one
+    set _disk_set picks). Measurement points are the staggered companion
+    grid in 1D and the polar lattice on the disk in 2D."""
     if dim == 1:
         for n in [2, 4, 8, 16, 32] if args.n is None else [args.n]:
             yield uniform_interval(n + 2), uniform_interval(n + 1).interior
-    elif args.grid_h is not None or args.L is not None or args.J is not None:
-        yield _disk_set(args), test_points_disk()
     else:
-        for lvl in (3, 5, 7, 9):
-            yield polar_layout(lvl, lvl), test_points_disk()
+        sets = [_disk_set(args, lambda: None)]
+        if sets[0] is None:
+            sets = (polar_layout(lvl, lvl) for lvl in (3, 5, 7, 9))
+        for ps in sets:
+            yield ps, test_points_disk()
 
 
 def _forward_row(ps, basis, tp, case, kq, mq):
@@ -216,13 +223,16 @@ def _cmd_sweep(args, row):
     kq = _pick(args.quad_K, 48)
     mq = _pick(args.quad_M, 96)
     case = _case_funcs(args, dim, alpha)
+    eps_abs = 1.5 if dim == 1 else 1.0
+    # under --eps-factor eps changes with every point set, so the factor is recorded
+    eps_meta = (dict(eps=_pick(args.eps, eps_abs)) if args.eps_factor is None
+                else dict(eps_factor=args.eps_factor))
     rep = RunReport(label=args.command, meta=dict(
-        d=dim, alpha=alpha, case=_pick(args.case, "compact"), K=kq, M=mq))
+        d=dim, alpha=alpha, case=_pick(args.case, "compact"), K=kq, M=mq, **eps_meta))
     for ps, tp in _sweep(args, dim):
-        eps = _eps_for(args, ps, 1.5 if dim == 1 else 1.0)
+        eps = _eps_for(args, ps, eps_abs)
         basis = GmqBasis(ps.points, FracParams(dim, alpha), eps)
         rep.add(row(ps, basis, tp, case, kq, mq), dim=dim)
-        rep.meta["eps"] = eps
     _print_report(rep)
     if args.out is not None:
         print(f"wrote {rep.write(args.out).parent}")
@@ -231,7 +241,7 @@ def _cmd_sweep(args, row):
 
 def _cmd_evolve(args):
     alpha = _pick(args.alpha, 1.0)
-    ps = _disk_set(args)
+    ps = _disk_set(args, lambda: polar_layout(8, 8))
     eps = _eps_for(args, ps, 1.0)
     basis = GmqBasis(ps.points, FracParams(2, alpha), eps)
     cfg, u0 = mixed_run(_pick(args.dt, 0.001), _pick(args.t_end, 0.5), _pick(args.chi, 1.0))
@@ -247,8 +257,7 @@ def _cmd_evolve(args):
 
 def _cmd_qg(args):
     alpha = _pick(args.alpha, 1.0)
-    ps = disk_grid(_pick(args.grid_h, 0.0625)) if args.L is None \
-        else polar_layout(args.L, _pick(args.J, args.L))
+    ps = _disk_set(args, lambda: disk_grid(0.0625))
     eps = _eps_for(args, ps, 0.1)
     basis = GmqBasis(ps.points, FracParams(2, alpha), eps)
     cfg, theta0 = vortex_run(_pick(args.dt, 0.01), _pick(args.t_end, 2.0),

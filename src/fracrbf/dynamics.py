@@ -174,7 +174,7 @@ def qg_operators(ps, eps, alpha=1.0, K=10, M=64):
         nodal_operator(sm, rows=(gx, gy), out=local[n:])
     del gx, gy
     # (A_top S^{-1})[:, :n] = -P, so u1 = -dy P theta = dy (-P) theta
-    minus_p = sla.lu_solve(sm.s_lu(), sm.a_phi[:n].T, trans=1).T[:, :n]
+    minus_p = sla.lu_solve(_factor(sm.s), sm.a_phi[:n].T, trans=1).T[:, :n]
     del sm
     velocity = np.empty((2 * n, n))
     np.matmul(local[2 * n:], minus_p, out=velocity[:n])

@@ -61,6 +61,14 @@ class TailFactors:
             mat = mat + (self.b_alt * self.weights[None, :]) @ self.c_alt
         return self.scale * mat
 
+    def apply(self, v):
+        """The tail matrix times v, row by row without forming the matrix."""
+        v = np.asarray(v, dtype=float)
+        out = (self.b * (self.weights * (self.c @ v))[None, :]).sum(axis=1)
+        if self.b_alt is not None:
+            out = out + (self.b_alt * (self.weights * (self.c_alt @ v))[None, :]).sum(axis=1)
+        return self.scale * out
+
 
 def _factors_1d(points, centers, eps, beta, alpha, K):
     """Factor pieces of int_{|y|>1} (eps^2+(y-c)^2)^beta |x-y|^(-1-alpha) dy."""
@@ -129,7 +137,4 @@ def exterior_data_correction(g, ps, p, K=10, M=64, points=None):
         raise ValueError("exterior datum must decay: need 2*exponent < alpha")
     tf = _tail_factors(ps.interior if points is None else points, np.atleast_2d(g.center),
                        g.eps, g.exponent, p, K, M)
-    vals = (tf.b * (tf.weights * tf.c[:, 0])[None, :]).sum(axis=1)
-    if tf.b_alt is not None:
-        vals = vals + (tf.b_alt * (tf.weights * tf.c_alt[:, 0])[None, :]).sum(axis=1)
-    return tf.scale * g.amplitude * vals
+    return g.amplitude * tf.apply(np.ones(1))

@@ -142,11 +142,12 @@ def solve_row(ps, basis, f, g=None, K=10, M=64):
     """One steady solve of every steady preset and of `fracrbf solve`.
 
     Returns (row, lam, u_nodes): the row carries N and cond(A_phi), and its
-    seconds cover assemble, right-hand side and solve. The system stays
+    seconds cover assemble, right-hand side and solve. The LU of S is
+    dropped before condition_estimate factors A_phi, and the system stays
     local, so it is freed before the caller assembles the next one."""
     t0 = time.perf_counter()
     sm = assemble(ps, basis, K=K, M=M)
-    lam, u_nodes = solve_poisson(ps, basis, f, g=g, K=K, M=M, system=sm)
+    lam, u_nodes = solve_poisson(sm, basis, f, g=g, K=K, M=M)
     seconds = time.perf_counter() - t0
     return RunRow(n=ps.n_total, cond=condition_estimate(sm), seconds=seconds), lam, u_nodes
 

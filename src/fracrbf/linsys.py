@@ -7,7 +7,7 @@ values through plain basis evaluation.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -19,7 +19,6 @@ from fracrbf.rbf import frac_lap_block, phi_block
 __all__ = [
     "SystemMatrices",
     "assemble",
-    "nodal_values",
     "condition_estimate",
     "nodal_operator",
 ]
@@ -35,32 +34,18 @@ def _factor(mat):
     return lu, piv
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemMatrices:
-    """Assembled collocation matrices plus factorization handles."""
+    """Assembled collocation matrices. No factorization is kept: each LU
+    is computed where it is used and dropped right after."""
 
     ps: object
     a_phi: np.ndarray
     s: np.ndarray
-    _s_lu: tuple = field(default=None, repr=False)
-    _phi_lu: tuple = field(default=None, repr=False)
-
-    @property
-    def n_interior(self):
-        return self.ps.n_interior
-
-    def s_lu(self):
-        if self._s_lu is None:
-            self._s_lu = _factor(self.s)
-        return self._s_lu
-
-    def phi_lu(self):
-        if self._phi_lu is None:
-            self._phi_lu = _factor(self.a_phi)
-        return self._phi_lu
 
     def solve(self, rhs):
-        return sla.lu_solve(self.s_lu(), np.asarray(rhs, dtype=float))
+        """S^{-1} rhs through an LU of S that is dropped on return."""
+        return sla.lu_solve(_factor(self.s), np.asarray(rhs, dtype=float))
 
 
 def assemble(ps, basis, K=10, M=64):
@@ -75,16 +60,11 @@ def assemble(ps, basis, K=10, M=64):
     return SystemMatrices(ps, a_phi, s)
 
 
-def nodal_values(sm, lam):
-    """Expansion values at the equation points: top block of A_phi times lam."""
-    return sm.a_phi[: sm.n_interior, :] @ np.asarray(lam, dtype=float)
-
-
 def condition_estimate(sm):
     """1-norm condition estimate of the interpolation matrix A_phi
     (Hager-Higham style through the LAPACK reciprocal-condition routine)."""
     mat = sm.a_phi
-    lu, _ = sm.phi_lu()
+    lu, _ = _factor(mat)
     anorm = float(np.max(np.abs(mat).sum(axis=0)))
     gecon = get_lapack_funcs(("gecon",), (mat,))[0]
     rcond, info = gecon(lu, anorm, norm="1")
@@ -106,11 +86,11 @@ def nodal_operator(sm, rows=None, out=None):
     order given, into `out` when it is passed. Each block is multiplied on
     its own, so its rows are bitwise the ones a single-block call gives.
     """
-    n_int = sm.n_interior
+    n_int = sm.ps.n_interior
     n = sm.a_phi.shape[0]
     rhs = np.zeros((n, n_int))
     rhs[:n_int, :] = np.eye(n_int)
-    coeff_map = sla.lu_solve(sm.phi_lu(), rhs)
+    coeff_map = sla.lu_solve(_factor(sm.a_phi), rhs)
     if rows is None:
         rows = sm.s[:n_int, :]
     blocks = [np.asarray(w, dtype=float) for w in (rows if isinstance(rows, tuple) else (rows,))]

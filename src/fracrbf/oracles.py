@@ -83,20 +83,6 @@ class RadialPowerProfile:
                                   a, b, beta - 2.0))
         return RadialPowerProfile(self.center, tuple(new_terms), self.support)
 
-    def scale_argument(self, c):
-        """Profile of y -> v(c*y)."""
-        c = float(c)
-        terms = tuple((coef, a, b * c * c, beta) for coef, a, b, beta in self.terms)
-        support = None
-        if self.support is not None:
-            support = (self.support[0], self.support[1] * c * c)
-        return RadialPowerProfile(self.center / c, terms, support)
-
-    def shift(self, delta):
-        """Profile of y -> v(y - delta)."""
-        return RadialPowerProfile(self.center + np.asarray(delta, dtype=float),
-                                  self.terms, self.support)
-
     def support_radius(self):
         """Radius of the support ball around the center, or None."""
         if self.support is None:

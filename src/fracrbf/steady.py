@@ -7,12 +7,11 @@ import numpy as np
 import scipy.linalg as sla
 
 from fracrbf.exterior import exterior_data_correction, tail_factors_at
-from fracrbf.linsys import _factor, assemble, nodal_values
+from fracrbf.linsys import _factor
 from fracrbf.rbf import frac_lap_block, phi_block
 
 __all__ = [
     "interpolate",
-    "forward_frac_lap",
     "forward_frac_lap_clipped",
     "solve_poisson",
     "evaluate_interpolant",
@@ -37,30 +36,27 @@ def interpolate(ps, basis, samples):
     return lam
 
 
-def forward_frac_lap(lam, basis, test_points):
-    """Fractional Laplacian of the expansion, exact via the operator images."""
-    return frac_lap_block(basis, test_points) @ np.asarray(lam, dtype=float)
-
-
 def forward_frac_lap_clipped(lam, basis, test_points, K=10, M=64):
     """Fractional Laplacian of the expansion zero-extended outside the unit
     domain: the full-space image plus the tail of every center over the
     exterior. This is the operator the collocation rows discretize, so its
     residual against f is the quantity the convergence tables track."""
-    w = (frac_lap_block(basis, test_points)
-         + tail_factors_at(test_points, basis, K=K, M=M).assemble())
-    return w @ np.asarray(lam, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    tail = tail_factors_at(test_points, basis, K=K, M=M)
+    return frac_lap_block(basis, test_points) @ lam + tail.apply(lam)
 
 
-def solve_poisson(ps, basis, f, g=None, K=10, M=64, system=None):
-    """Collocation solve of the exterior-value problem.
+def solve_poisson(sm, basis, f, g=None, K=10, M=64):
+    """Collocation solve of the exterior-value problem on the system sm
+    that linsys.assemble built for basis with the same K and M.
 
     Equation rows carry the exact operator image plus the basis tails; the
     right-hand side gains the tail integral of the exterior datum g, and
     the zero-value rows pin the expansion to g on the boundary set. g=None
-    means homogeneous exterior data.
+    means homogeneous exterior data. Returns the coefficients and the
+    expansion values at the equation points.
     """
-    sm = assemble(ps, basis, K=K, M=M) if system is None else system
+    ps = sm.ps
     rhs = np.zeros(ps.n_total)
     rhs[: ps.n_interior] = f(ps.interior)
     if g is not None:
@@ -70,7 +66,7 @@ def solve_poisson(ps, basis, f, g=None, K=10, M=64, system=None):
     if not np.all(np.isfinite(rhs)):
         raise ValueError("right-hand side must be finite at the collocation points")
     lam = sm.solve(rhs)
-    return lam, nodal_values(sm, lam)
+    return lam, sm.a_phi[: ps.n_interior] @ lam
 
 
 def evaluate_interpolant(lam, basis, points):

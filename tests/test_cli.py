@@ -46,12 +46,43 @@ def _exit_code(argv):
     ["qg", "--chi", "0.3"],
     ["evolve", "--kappa", "1"],
     ["forward", "--seed", "3"],
+    # --grid-h picks the lattice grid, --L and --J the polar layout
+    ["qg", "--grid-h", "0.25", "--L", "3"],
+    ["evolve", "--grid-h", "0.25", "--J", "5"],
+    ["forward", "--dim", "2", "--grid-h", "0.25", "--L", "3"],
+    ["solve", "--dim", "2", "--grid-h", "0.25", "--J", "3"],
 ], ids=["negative-dt", "empty-sweep", "fractional-steps", "removed-scale-flag",
         "preset-alpha-chi", "preset-eps-factor-dim-seed", "verify-alpha", "qg-chi",
-        "evolve-kappa", "forward-seed"])
+        "evolve-kappa", "forward-seed", "qg-grid-h-L", "evolve-grid-h-J",
+        "forward-grid-h-L", "solve-grid-h-J"])
 def test_configuration_errors_exit_one(argv, capsys):
     assert _exit_code(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_evolve_and_qg_read_point_set_flags_alike(monkeypatch):
+    # stop each run at its first use of the point set and record its size
+    seen = []
+
+    def stop(ps, *args, **kwargs):
+        seen.append(ps.n_total)
+        raise ValueError("stop")
+    monkeypatch.setattr(cli, "mixed_operators", stop)
+    monkeypatch.setattr(cli, "run_qg", stop)
+    for command in ("evolve", "qg"):
+        for flags in (["--grid-h", "0.25"], ["--L", "3"], ["--J", "5"]):
+            assert cli.main([command] + flags) == 1
+    # disk_grid(0.25), polar_layout(3, 3), polar_layout(8, 5)
+    assert seen == [53, 13, 49] * 2
+
+
+def test_eps_factor_sweep_records_the_factor(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert cli.main(["forward", "--dim", "1", "--n", "4", "--eps-factor", "3",
+                     "--quad-K", "16", "--out", str(out)]) == 0
+    meta = (out / "run_meta.txt").read_text().splitlines()
+    assert "eps_factor=3.0" in meta
+    assert not any(line.startswith("eps=") for line in meta)
 
 
 @pytest.mark.parametrize("line", ["case = bogus", "dim = 3", "alpha = fast", "alph = 0.8"],

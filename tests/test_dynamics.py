@@ -16,7 +16,7 @@ from fracrbf.dynamics import (EvolutionConfig, anisotropy_ratio,
                               qg_rhs, run_qg, ssp_rk3_step, write_snapshots)
 from fracrbf.geometry import disk_grid, polar_layout
 from fracrbf.harness import preset_fig_mixed, vortex_run
-from fracrbf.linsys import assemble, nodal_operator
+from fracrbf.linsys import _factor, assemble, nodal_operator
 from fracrbf.rbf import GmqBasis, grad_blocks
 from fracrbf.specialfun import FracParams
 
@@ -134,10 +134,12 @@ def _per_stage_rhs(ps, eps, alpha, K, M):
     diss = nodal_operator(sm if alpha == 1.0 else assemble(
         ps, GmqBasis(ps.points, FracParams(2, alpha), eps), K=K, M=M))
 
+    s_lu = _factor(sm.s)
+
     def rhs(theta, kappa, advect=True):
         out = -kappa * (diss @ theta)
         if advect:
-            lam = sla.lu_solve(sm.s_lu(), np.concatenate([-theta, np.zeros(ps.n_total - n)]))
+            lam = sla.lu_solve(s_lu, np.concatenate([-theta, np.zeros(ps.n_total - n)]))
             psi = sm.a_phi[:n] @ lam
             u1, u2 = -(dy @ psi), dx @ psi
             out = out - (u1 * (dx @ theta) + u2 * (dy @ theta))

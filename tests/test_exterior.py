@@ -52,28 +52,39 @@ def test_tail_entries_need_interior_points():
         _entry((1.0, 0.0), (0.0, 0.0), 1.0, FracParams(2, 1.0), K=10)
 
 
+def _assert_apply_matches_assemble(tf, mat):
+    # the matrix-free product agrees with the assembled matrix up to the
+    # rounding of a sum of |mat| |v| terms
+    v = np.random.default_rng(4).standard_normal(mat.shape[1])
+    assert np.all(np.abs(tf.apply(v) - mat @ v) <= 1e-13 * (np.abs(mat) @ np.abs(v)))
+
+
 def test_factored_matrix_matches_entries():
     ps = uniform_interval(8)
     p = FracParams(1, 0.8)
     basis = GmqBasis(ps.points, p, 1.3)
-    mat = tail_factors_at(ps.interior, basis, K=16).assemble()
+    tf = tail_factors_at(ps.interior, basis, K=16)
+    mat = tf.assemble()
     assert mat.shape == (ps.n_interior, ps.n_total)
     for i in (0, 3):
         for j in (0, 5, 7):
             ref = _entry(ps.interior[i], ps.points[j], 1.3, p, K=16)
             assert mat[i, j] == pytest.approx(ref, rel=1e-13)
+    _assert_apply_matches_assemble(tf, mat)
 
 
 def test_factored_matrix_matches_entries_2d():
     ps = polar_layout(3, 5)
     p = FracParams(2, 1.2)
     basis = GmqBasis(ps.points, p, 0.9)
-    mat = tail_factors_at(ps.interior, basis, K=12, M=48).assemble()
+    tf = tail_factors_at(ps.interior, basis, K=12, M=48)
+    mat = tf.assemble()
     assert mat.shape == (ps.n_interior, ps.n_total)
     for i in (0, 4):
         for j in (0, 9):
             ref = _entry(ps.interior[i], ps.points[j], 0.9, p, K=12, M=48)
             assert mat[i, j] == pytest.approx(ref, rel=1e-13)
+    _assert_apply_matches_assemble(tf, mat)
 
 
 def test_tail_factors_at_arbitrary_points():

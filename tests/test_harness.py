@@ -2,13 +2,16 @@
 
 import csv
 import math
+import sys
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracrbf import harness
+from fracrbf import harness, linsys
+from fracrbf.dynamics import qg_operators
+from fracrbf.geometry import disk_grid
 from fracrbf.harness import (PRESETS, RunReport, RunRow, convergence_rate,
                              preset_fig_disk, preset_table2, preset_table3,
                              preset_table4, preset_table5, preset_table6, rms_error)
@@ -119,7 +122,7 @@ def test_preset_table2_frozen_rows():
         (0.010472334562950047, 0.14241864260425896, 2947.4735597553567),
         (0.00797341830885559, 0.02669109844379767, 290390.6321256796),
         (0.00045374595909822735, 0.0008604432235049976, 2084009949.2349632),
-        (2.0366260709462887e-06, 1.901543827772273e-06, 6.4687264996550024e+16),
+        (2.0366260709462887e-06, 1.9047687790985556e-06, 6.4687264996550024e+16),
     ]
     for row, (e, ehat, cond) in zip(rep.rows, expect):
         assert row.e == pytest.approx(e, rel=1e-9)
@@ -190,6 +193,28 @@ def test_steady_presets_free_each_system(run, monkeypatch):
     monkeypatch.setattr(harness, "assemble", tracked)
     run()
     assert live_at_assembly == [0, 0]
+
+
+@pytest.mark.parametrize("run, n_factors", [
+    (lambda: preset_fig_disk(alphas=(0.4, 1.2)), 4),
+    (lambda: qg_operators(disk_grid(1 / 8), 0.2, alpha=1.5, K=32, M=64), 3),
+], ids=["fig-disk", "qg-operators"])
+def test_no_factor_outlives_its_use(run, n_factors, monkeypatch):
+    # an LU kept after its solves sits in memory beside the next one,
+    # 82 MB per factor at N=3209
+    factors, live_at_factor = [], []
+    factor = linsys._factor
+
+    def tracked(mat):
+        live_at_factor.append(sum(ref() is not None for ref in factors))
+        lu, piv = factor(mat)
+        factors.append(weakref.ref(lu))
+        return lu, piv
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("fracrbf.") and hasattr(mod, "_factor"):
+            monkeypatch.setattr(mod, "_factor", tracked)
+    run()
+    assert live_at_factor == [0] * n_factors
 
 
 def test_manufactured_backward_error_holds_at_every_seed():

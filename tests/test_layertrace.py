@@ -13,7 +13,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 @pytest.mark.parametrize("name, kwargs, counts", [
     ("table2", dict(ns=(2, 4)),
-     {"exterior.tail_nodes": 384, "exterior.tail_flops": 10368, "linsys.lu_count": 4}),
+     {"exterior.tail_nodes": 384, "exterior.tail_flops": 6144, "linsys.lu_count": 4}),
     ("table6", dict(hs=(0.5,)),
      {"exterior.tail_nodes": 2048, "exterior.tail_flops": 479232, "linsys.lu_count": 2}),
     # one LU of A_phi for the nodal operators, one Crank-Nicolson matrix per chi

@@ -6,10 +6,10 @@ import scipy.linalg as sla
 
 from fracrbf.exterior import tail_factors_at
 from fracrbf.geometry import polar_layout, uniform_interval
-from fracrbf.linsys import (_factor, assemble, condition_estimate, nodal_operator,
-                            nodal_values)
+from fracrbf.linsys import _factor, assemble, condition_estimate, nodal_operator
 from fracrbf.rbf import GmqBasis, classical_lap_block, frac_lap_block, phi_block
 from fracrbf.specialfun import FracParams
+from fracrbf.steady import solve_poisson
 
 
 def _system_1d(n=10, alpha=1.2, eps=1.0, K=32):
@@ -62,10 +62,12 @@ def test_lu_solve_plain_matrix_and_singularity():
 
 
 def test_nodal_values_reads_top_block():
+    # solve_poisson's nodal values are the expansion at the equation points
     ps, basis, sm = _system_1d(n=8)
-    lam = np.arange(1.0, 9.0)
+    lam, u_nodes = solve_poisson(sm, basis, lambda pts: np.cos(pts[:, 0]), K=32)
     ref = phi_block(basis, ps.interior) @ lam
-    assert np.allclose(nodal_values(sm, lam), ref, atol=1e-14)
+    assert u_nodes.shape == (ps.n_interior,)
+    assert np.allclose(u_nodes, ref, atol=1e-14)
 
 
 def test_condition_estimate_tracks_true_condition():

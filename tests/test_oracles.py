@@ -46,15 +46,6 @@ def test_profile_laplacian_matches_finite_differences():
         assert got == pytest.approx(ref, rel=1e-6, abs=1e-8)
 
 
-def test_profile_scale_and_shift():
-    prof = truncated_profile(1, 1.5)
-    scaled = prof.scale_argument(2.0)
-    xs = np.array([0.1, 0.3, 0.49, 0.6])
-    assert np.allclose(scaled.value(xs), prof.value(2.0 * xs), atol=1e-15)
-    shifted = prof.shift([0.25])
-    assert np.allclose(shifted.value(xs), prof.value(xs - 0.25), atol=1e-15)
-
-
 def test_oracle_matches_smooth_closed_form():
     # u = (1+|x|^2)^(-(d+1)/2) has a hypergeometric image; the oracle
     # integrates the defining singular integral with no shared code
