@@ -248,15 +248,15 @@ def write_snapshots(out_dir, ps, times, fields, prefix="field"):
     Boundary nodes are appended with their zero value so every file is a
     complete field.
     """
+    names = [f"{prefix}_t{t:.6f}.csv" for t in times]
+    if len(set(names)) < len(names):
+        raise ValueError("snapshot times that agree to six decimals would share a file")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pad = ps.n_total - ps.n_interior
-    names = []
-    for t, u in zip(times, fields):
-        name = f"{prefix}_t{t:.6f}.csv"
+    for name, u in zip(names, fields):
         full = np.concatenate([np.asarray(u, dtype=float), np.zeros(pad)])
         write_field(out / name, ps.points, full)
-        names.append(name)
     with open(out / f"{prefix}_manifest.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "file"])

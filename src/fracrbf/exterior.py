@@ -107,7 +107,11 @@ def _factors_2d(points, centers, eps, beta, alpha, K, M):
 def _tail_factors(points, centers, eps, beta, p, K, M):
     """Tail factors of the profiles (eps^2+|y-center|^2)^beta, rowed by
     points strictly inside the unit domain."""
-    points = np.asarray(points, dtype=float).reshape(-1, p.d)
+    points = np.atleast_1d(np.asarray(points, dtype=float))
+    if points.ndim == 1:
+        points = points.reshape(-1, p.d)
+    if points.ndim != 2 or points.shape[1] != p.d:
+        raise ValueError("points must have one column per dimension")
     if np.any(np.sqrt(np.sum(points * points, axis=1)) >= 1.0):
         raise ValueError("tail rows exist only at points strictly inside the domain")
     if p.d == 1:

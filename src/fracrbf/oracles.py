@@ -4,9 +4,12 @@ This module never calls the solver-side kernels. The hypersingular oracle
 evaluates the defining singular integral of the fractional Laplacian
 directly (singularity subtraction inside a small ball, compactified
 adaptive quadrature outside), so agreement with the closed-form identities
-used by the solver is a genuine two-route check.
+used by the solver is a genuine two-route check. The compactly supported
+profiles and the exterior-tail reference, which only the tests use, live in
+tests/reference.py.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -20,10 +23,7 @@ __all__ = [
     "RadialPowerProfile",
     "gmq_profile",
     "gmq_shifted_profile",
-    "inverse_power_profile",
-    "truncated_profile",
     "hypersingular_oracle",
-    "tail_oracle",
     "case1",
     "case2",
     "case2_scaled",
@@ -36,17 +36,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RadialPowerProfile:
-    """Radial function v(y) = [indicator] * sum_k a_k (A_k + B_k |y-c|^2)^beta_k.
+    """Smooth radial function v(y) = sum_k a_k (A_k + B_k |y-c|^2)^beta_k.
 
     The family is closed under the Laplacian, which is what makes exact
-    Taylor coefficients available to the singularity subtraction. An
-    optional support pair (A_s, B_s) truncates the whole sum to the region
-    A_s + B_s |y-c|^2 > 0 (used for compactly supported profiles).
+    Taylor coefficients available to the singularity subtraction. The
+    oracle asks the profile for the three steps that depend on where it is
+    smooth: `split_radius`, `sphere_mean` and `outer_integral`.
     """
 
     center: np.ndarray
     terms: tuple  # of (coef, A, B, beta)
-    support: tuple | None = None  # (A_s, B_s) or None
 
     @property
     def d(self):
@@ -56,17 +55,8 @@ class RadialPowerProfile:
         pts = _as_points(points, self.d)
         r2 = np.sum((pts - self.center) ** 2, axis=-1)
         out = np.zeros_like(r2)
-        if self.support is not None:
-            a_s, b_s = self.support
-            mask = a_s + b_s * r2 > 0.0
-        else:
-            mask = np.ones_like(r2, dtype=bool)
-        if np.any(mask):
-            rm = r2[mask]
-            acc = np.zeros_like(rm)
-            for coef, a, b, beta in self.terms:
-                acc += coef * (a + b * rm) ** beta
-            out[mask] = acc
+        for coef, a, b, beta in self.terms:
+            out += coef * (a + b * r2) ** beta
         return out
 
     def laplacian(self):
@@ -81,16 +71,29 @@ class RadialPowerProfile:
             if beta != 1.0:
                 new_terms.append((-coef * 4.0 * a * b * beta * (beta - 1.0),
                                   a, b, beta - 2.0))
-        return RadialPowerProfile(self.center, tuple(new_terms), self.support)
+        return dataclasses.replace(self, terms=tuple(new_terms))
 
-    def support_radius(self):
-        """Radius of the support ball around the center, or None."""
-        if self.support is None:
-            return None
-        a_s, b_s = self.support
-        if b_s >= 0.0:
-            return None
-        return math.sqrt(-a_s / b_s)
+    def split_radius(self, x):
+        """Radius splitting the oracle's inner ball from its outer integral."""
+        return 0.5
+
+    def sphere_mean(self, x, rhos):
+        """Mean of the profile over the sphere of radius rho around x."""
+        rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
+        if self.d == 1:
+            up = self.value(x[None, :] + rhos[:, None])
+            dn = self.value(x[None, :] - rhos[:, None])
+            return 0.5 * (up + dn)
+        R = float(np.linalg.norm(x - self.center))
+        out = np.zeros_like(rhos)
+        for i, rho in enumerate(rhos):
+            for coef, a, b, beta in self.terms:
+                out[i] += _circle_mean_term(coef, a, b, beta, R, rho)
+        return out
+
+    def outer_integral(self, x, r0, alpha):
+        """Integral over (r0, inf) of the sphere mean times rho^(-1-alpha)."""
+        return sum(_outer_smooth_term(term, alpha, self.center, x, r0) for term in self.terms)
 
 
 def _as_points(x, d):
@@ -117,22 +120,8 @@ def gmq_shifted_profile(d, alpha, eps, center=None):
     return RadialPowerProfile(c, ((1.0, eps * eps, 1.0, (alpha - 2.0 - d) / 2.0),))
 
 
-def inverse_power_profile(d, power, center=None):
-    """Globally smooth profile (1 + |y-c|^2)^(-power/2)."""
-    c = np.zeros(d) if center is None else np.asarray(center, dtype=float)
-    return RadialPowerProfile(c, ((1.0, 1.0, 1.0, -power / 2.0),))
-
-
-def truncated_profile(d, p, scale=1.0, center=None):
-    """Compactly supported profile (1 - |scale*(y-c)|^2)_+^p."""
-    c = np.zeros(d) if center is None else np.asarray(center, dtype=float)
-    s2 = scale * scale
-    return RadialPowerProfile(c, ((1.0, 1.0, -s2, float(p)),), support=(1.0, -s2))
-
-
 # ---------------------------------------------------------------------------
-# composite Gauss panels (geometric refinement toward weak endpoint
-# singularities; used for kink arcs and the subtracted inner integral)
+# composite Gauss panels and spherical means
 
 _GAUSS32 = gauss_legendre_01(32)
 
@@ -147,57 +136,12 @@ def _gauss_panels(f, edges):
     return float(np.dot(f(x), w))
 
 
-def _geometric_edges(a, b, toward_a=True, tiny=1e-8):
-    """Breakpoints of [a,b] refined geometrically (ratio 10) toward one end."""
-    fracs = [0.0] + [tiny * 10.0 ** k for k in range(int(round(-math.log10(tiny))))] + [1.0]
-    fracs = np.array(fracs)
-    if not toward_a:
-        fracs = 1.0 - fracs[::-1]
-    return a + (b - a) * fracs
-
-
-# ---------------------------------------------------------------------------
-# spherical means
-
-
-def _circle_mean_term(coef, a, b, beta, support, R, rho):
-    """Angular mean over the circle {x + rho*sigma} of one 2D term.
-
-    R is the distance from x to the profile center. Smooth terms use an
-    equispaced rule doubled until stable; terms whose support boundary
-    crosses the circle are integrated per smooth arc with panels refined
-    toward the crossing angle.
-    """
+def _circle_mean_term(coef, a, b, beta, R, rho):
+    """Angular mean of one smooth 2D term over the circle {x + rho*sigma},
+    R the distance from x to the profile center: an equispaced rule
+    doubled until stable."""
     u0 = a + b * (R * R + rho * rho)
     v0 = 2.0 * b * rho * R
-    if support is not None:
-        a_s, b_s = support
-        us = a_s + b_s * (R * R + rho * rho)
-        vs = 2.0 * b_s * rho * R
-        # support condition us + vs*cos(theta) > 0 on the circle
-        if vs == 0.0:
-            if us <= 0.0:
-                return 0.0
-            theta_star = 0.0
-        else:
-            t = -us / vs
-            if b_s < 0:
-                # vs <= 0: support is theta in (theta*, pi]
-                if t >= 1.0:
-                    theta_star = 0.0
-                elif t <= -1.0:
-                    return 0.0
-                else:
-                    theta_star = math.acos(t)
-            else:
-                raise NotImplementedError("growing support regions are not used")
-        if theta_star > 0.0:
-            def h(theta):
-                w = u0 + v0 * np.cos(theta)
-                return coef * np.maximum(w, 0.0) ** beta
-            edges = _geometric_edges(theta_star, math.pi, toward_a=True)
-            return _gauss_panels(h, edges) / math.pi
-    # smooth on the whole circle: equispaced mean, doubled until stable
     m = 64
     prev = None
     while m <= 8192:
@@ -210,100 +154,50 @@ def _circle_mean_term(coef, a, b, beta, support, R, rho):
     return prev
 
 
-def _sphere_mean(profile, x, rhos):
-    """Mean of the profile over the sphere of radius rho around x."""
-    rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-    d = profile.d
-    if d == 1:
-        up = profile.value(x[None, :] + rhos[:, None])
-        dn = profile.value(x[None, :] - rhos[:, None])
-        return 0.5 * (np.atleast_1d(up) + np.atleast_1d(dn))
-    R = float(np.linalg.norm(x - profile.center))
-    out = np.zeros_like(rhos)
-    for i, rho in enumerate(rhos):
-        if rho == 0.0:
-            out[i] = profile.value(x)
-            continue
-        acc = 0.0
-        for coef, a, b, beta in profile.terms:
-            acc += _circle_mean_term(coef, a, b, beta, profile.support, R, rho)
-        out[i] = acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the hypersingular oracle
 
 
-def _split_radius(profile, x):
-    """Half the distance from x to the nearest smoothness feature, capped."""
-    r0 = 1.0
-    rad = profile.support_radius()
-    if rad is not None:
-        dist = abs(np.linalg.norm(x - profile.center) - rad)
-        r0 = min(r0, dist)
-    return 0.5 * r0
-
-
-def _outer_smooth_term(coef, a, b, beta, alpha, profile_center, x, r0):
+def _outer_smooth_term(term, alpha, profile_center, x, r0):
     """Integral over (r0, inf) of the term's sphere mean times rho^(-1-alpha).
 
     Compactified with rho = r0/s; the integrand is fs(s) * s^gamma with
     gamma = alpha - 1 - 2*beta and fs smooth, handled by weighted (QAWS)
     adaptive quadrature.
     """
+    coef, a, b, beta = term
     gamma = alpha - 1.0 - 2.0 * beta
     if gamma <= -1.0:
         raise ValueError("profile decays too slowly for a finite tail integral")
-    term_profile = RadialPowerProfile(profile_center, ((coef, a, b, beta),))
+    term_profile = RadialPowerProfile(profile_center, (term,))
 
     def fs(s):
         if s <= 0.0:
             return coef * b ** beta * r0 ** (2.0 * beta)
         rho = r0 / s
-        return float(_sphere_mean(term_profile, x, np.array([rho]))[0]) * s ** (2.0 * beta)
+        return float(term_profile.sphere_mean(x, np.array([rho]))[0]) * s ** (2.0 * beta)
 
     val, _ = integrate.quad(fs, 0.0, 1.0, weight="alg", wvar=(gamma, 0.0),
                             epsabs=1e-13, epsrel=1e-11, limit=200)
     return r0 ** (-alpha) * val
 
 
-def _outer_truncated(profile, x, r0, alpha):
-    """Finite-support outer integral, split at the kink radii."""
-    rad = profile.support_radius()
-    dist = float(np.linalg.norm(x - profile.center))
-    reach = dist + rad
-    if reach <= r0:
-        return 0.0
-    kinks = sorted({abs(dist - rad), dist + rad})
-    pts = [k for k in kinks if r0 < k < reach]
-
-    def f(rho):
-        return float(_sphere_mean(profile, x, np.array([rho]))[0]) * rho ** (-1.0 - alpha)
-
-    val, _ = integrate.quad(f, r0, reach, points=pts or None,
-                            epsabs=1e-13, epsrel=1e-10, limit=300)
-    return val
-
-
 def hypersingular_oracle(v, d, alpha, x):
     """Directly evaluate c_{d,alpha} PV int (v(x)-v(y)) / |x-y|^(d+alpha) dy.
 
-    The integral is written radially through sphere means, split at r0:
-    inside, the mean-value expansion M(rho) = v(x) + a2 rho^2 + a4 rho^4 + ...
-    (a2, a4 from the profile's exact iterated Laplacians) is subtracted so the
-    integrand is O(rho^(5-alpha)) and free of cancellation blow-up; outside,
-    the per-term compactified weighted quadrature takes over.
+    The integral is written radially through sphere means, split at the
+    profile's split radius r0: inside, the mean-value expansion
+    M(rho) = v(x) + a2 rho^2 + a4 rho^4 + ... (a2, a4 from the profile's
+    exact iterated Laplacians) is subtracted so the integrand is
+    O(rho^(5-alpha)) and free of cancellation blow-up; outside, the
+    profile's own outer integral takes over.
     """
     x = _as_points(x, d)[0]
     params = FracParams(d, alpha)
     c = coeff_c(params)
     omega = 2.0 if d == 1 else 2.0 * math.pi
 
-    r0 = _split_radius(v, x)
-    if r0 <= 0.0:
-        raise ValueError("evaluation point lies on a smoothness feature of v")
-
+    r0 = v.split_radius(x)
     vx = float(v.value(x)[0])
     lap1 = v.laplacian()
     lap2 = lap1.laplacian()
@@ -314,7 +208,7 @@ def hypersingular_oracle(v, d, alpha, x):
     # entering the region where floating-point cancellation noise would
     # dominate rho^(-1-alpha)
     def inner_f(rho):
-        mean = _sphere_mean(v, x, rho)
+        mean = v.sphere_mean(x, rho)
         return (vx - mean + a2 * rho ** 2 + a4 * rho ** 4) * rho ** (-1.0 - alpha)
 
     edges = r0 * np.array([1e-3, 1e-2, 0.1, 0.4, 1.0])
@@ -323,72 +217,9 @@ def hypersingular_oracle(v, d, alpha, x):
     inner -= a4 * r0 ** (4.0 - alpha) / (4.0 - alpha)
 
     # outer part: v(x) tail minus the mean integral
-    outer = vx * r0 ** (-alpha) / alpha
-    if v.support is not None:
-        outer -= _outer_truncated(v, x, r0, alpha)
-    else:
-        for coef, a, b, beta in v.terms:
-            outer -= _outer_smooth_term(coef, a, b, beta, alpha,
-                                        v.center, x, r0)
+    outer = vx * r0 ** (-alpha) / alpha - v.outer_integral(x, r0, alpha)
 
     return c * omega * (inner + outer)
-
-
-def tail_oracle(v, d, alpha, x):
-    """Adaptive reference for c_{d,alpha} int_{|y|>1} v(y) |x-y|^(-d-alpha) dy.
-
-    Brute-force counterpart of the solver's tail quadrature; |x| < 1 required.
-    """
-    x = _as_points(x, d)[0]
-    if np.linalg.norm(x) >= 1.0:
-        raise ValueError("tail oracle needs an interior evaluation point")
-    params = FracParams(d, alpha)
-    c = coeff_c(params)
-    sup = v.support_radius()
-    if sup is not None and float(np.linalg.norm(v.center)) + sup <= 1.0:
-        return 0.0
-
-    if d == 1:
-        xi = float(x[0])
-
-        def half(sign):
-            # y = sign/s maps sign*(1, inf) to s in (0, 1)
-            def f(s):
-                if s <= 0.0:
-                    return 0.0
-                y = sign / s
-                return float(v.value(np.array([y]))[0]) * abs(y - xi) ** (-1.0 - alpha) / (s * s)
-            val, _ = integrate.quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-11,
-                                    limit=400)
-            return val
-
-        return c * (half(1.0) + half(-1.0))
-
-    # d == 2: angular mean of v(rho sigma) |x - rho sigma|^(-2-alpha), then
-    # a compactified radial integral
-    def ang_mean(rho):
-        m = 64
-        prev = None
-        while m <= 16384:
-            theta = 2.0 * np.pi * np.arange(m) / m
-            pts = rho * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-            dist2 = np.sum((pts - x) ** 2, axis=1)
-            vals = v.value(pts) * dist2 ** (-(2.0 + alpha) / 2.0)
-            val = float(np.mean(vals))
-            if prev is not None and abs(val - prev) <= 1e-12 * (abs(val) + 1e-300):
-                return val
-            prev = val
-            m *= 2
-        return prev
-
-    def f(s):
-        if s <= 0.0:
-            return 0.0
-        rho = 1.0 / s
-        return ang_mean(rho) * rho / (s * s)
-
-    val, _ = integrate.quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-10, limit=300)
-    return c * 2.0 * np.pi * val
 
 
 # ---------------------------------------------------------------------------

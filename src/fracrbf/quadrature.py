@@ -18,7 +18,6 @@ class QuadRule1D:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
 
 @dataclass(frozen=True)
@@ -27,7 +26,6 @@ class PeriodicRule:
 
     angles: np.ndarray
     weight: float
-    order: int
 
 
 def gauss_legendre_01(K):
@@ -70,7 +68,7 @@ def gauss_legendre_01(K):
 
     order = np.argsort(x)
     x, w = x[order], w[order]
-    return QuadRule1D(nodes=(x + 1.0) / 2.0, weights=w / 2.0, order=K)
+    return QuadRule1D(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
 
 
 def periodic_rule(M):
@@ -79,4 +77,4 @@ def periodic_rule(M):
     if M < 1:
         raise ValueError("periodic rule needs at least one angle")
     angles = 2.0 * np.pi * np.arange(M) / M
-    return PeriodicRule(angles=angles, weight=2.0 * np.pi / M, order=M)
+    return PeriodicRule(angles=angles, weight=2.0 * np.pi / M)

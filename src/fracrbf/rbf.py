@@ -34,18 +34,16 @@ class GmqBasis:
     def __post_init__(self):
         if not self.eps > 0.0:
             raise ValueError("shape parameter eps must be positive")
-        c = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        if c.shape[1] != self.params.d:
+        c = np.atleast_1d(np.asarray(self.centers, dtype=float))
+        if c.ndim == 1:
             c = c.reshape(-1, self.params.d)
+        if c.ndim != 2 or c.shape[1] != self.params.d:
+            raise ValueError("centers must have one column per dimension")
         object.__setattr__(self, "centers", c)
 
     @property
     def beta(self):
         return (self.params.alpha - self.params.d) / 2.0
-
-    @property
-    def n(self):
-        return self.centers.shape[0]
 
 
 def _sq_dist(basis, x):

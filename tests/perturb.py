@@ -68,7 +68,7 @@ def _jittered(seed):
 
     def rule(K):
         r = gauss(K)
-        return QuadRule1D(r.nodes, _jitter(r.weights, rng), r.order)
+        return QuadRule1D(r.nodes, _jitter(r.weights, rng))
 
     for name, fn in layouts.items():
         setattr(harness, name, layout(fn))

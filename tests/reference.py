@@ -1,0 +1,158 @@
+"""Test-only references: inverse-power and compactly supported profiles for
+`fracrbf.oracles.hypersingular_oracle`, and a brute-force exterior tail.
+The file name keeps pytest from collecting it.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy import integrate
+
+from fracrbf.oracles import RadialPowerProfile, _as_points, _gauss_panels
+from fracrbf.specialfun import FracParams, coeff_c
+
+# kinked-arc panel breakpoints, refined geometrically (ratio 10) toward the kink
+_ARC_FRACS = np.array([0.0] + [1e-8 * 10.0 ** k for k in range(8)] + [1.0])
+
+
+class ReferenceProfile(RadialPowerProfile):
+    """A smooth profile, which has no support boundary."""
+
+    def support_radius(self):
+        return None
+
+
+@dataclass(frozen=True)
+class TruncatedProfile(ReferenceProfile):
+    """Profile cut to the support A_s + B_s |y-c|^2 > 0 (B_s < 0). It
+    overrides only the oracle steps that depend on where the profile is
+    smooth, so the inner-ball subtraction keeps its one copy."""
+
+    support: tuple = (1.0, -1.0)  # (A_s, B_s)
+
+    def value(self, points):
+        pts = _as_points(points, self.d)
+        a_s, b_s = self.support
+        inside = a_s + b_s * np.sum((pts - self.center) ** 2, axis=-1) > 0.0
+        out = np.zeros(pts.shape[0])
+        out[inside] = super().value(pts[inside])
+        return out
+
+    def support_radius(self):
+        a_s, b_s = self.support
+        return math.sqrt(-a_s / b_s)
+
+    def split_radius(self, x):
+        """Half the distance from x to the support sphere, capped at 1/2."""
+        dist = abs(np.linalg.norm(x - self.center) - self.support_radius())
+        if dist <= 0.0:
+            raise ValueError("evaluation point lies on a smoothness feature of v")
+        return 0.5 * min(1.0, dist)
+
+    def sphere_mean(self, x, rhos):
+        """Sphere mean; on a circle the support boundary crosses, each term is
+        integrated over the supported arc (theta*, pi] by refined panels."""
+        rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
+        if self.d == 1:
+            return super().sphere_mean(x, rhos)
+        R = float(np.linalg.norm(x - self.center))
+        a_s, b_s = self.support
+        out = np.zeros_like(rhos)
+        for i, rho in enumerate(rhos):
+            # the circle's support is us + vs*cos(theta) > 0 with vs <= 0,
+            # i.e. cos(theta) < t
+            us = a_s + b_s * (R * R + rho * rho)
+            vs = 2.0 * b_s * rho * R
+            t = -us / vs if vs != 0.0 else (math.inf if us > 0.0 else -math.inf)
+            if t >= 1.0:
+                out[i] = super().sphere_mean(x, rho)[0]
+            elif t > -1.0:
+                edges = math.acos(t) + (math.pi - math.acos(t)) * _ARC_FRACS
+                for coef, a, b, beta in self.terms:
+                    u0, v0 = a + b * (R * R + rho * rho), 2.0 * b * rho * R
+
+                    def arc(theta):
+                        return coef * np.maximum(u0 + v0 * np.cos(theta), 0.0) ** beta
+                    out[i] += _gauss_panels(arc, edges) / math.pi
+        return out
+
+    def outer_integral(self, x, r0, alpha):
+        """Finite-support outer integral, split at the inner kink radius."""
+        rad = self.support_radius()
+        dist = float(np.linalg.norm(x - self.center))
+        reach = dist + rad
+        if reach <= r0:
+            return 0.0
+        kink = abs(dist - rad)
+
+        def f(rho):
+            return float(self.sphere_mean(x, np.array([rho]))[0]) * rho ** (-1.0 - alpha)
+
+        val, _ = integrate.quad(f, r0, reach, points=[kink] if r0 < kink < reach else None,
+                                epsabs=1e-13, epsrel=1e-10, limit=300)
+        return val
+
+
+def inverse_power_profile(d, power, center=None):
+    """Globally smooth profile (1 + |y-c|^2)^(-power/2)."""
+    c = np.zeros(d) if center is None else np.asarray(center, dtype=float)
+    return ReferenceProfile(c, ((1.0, 1.0, 1.0, -power / 2.0),))
+
+
+def truncated_profile(d, p, scale=1.0, center=None):
+    """Compactly supported profile (1 - |scale*(y-c)|^2)_+^p."""
+    c = np.zeros(d) if center is None else np.asarray(center, dtype=float)
+    s2 = scale * scale
+    return TruncatedProfile(c, ((1.0, 1.0, -s2, float(p)),), support=(1.0, -s2))
+
+
+def tail_oracle(v, d, alpha, x):
+    """Adaptive reference for c_{d,alpha} int_{|y|>1} v(y) |x-y|^(-d-alpha) dy.
+
+    Brute-force counterpart of the solver's tail quadrature; |x| < 1 required.
+    """
+    x = _as_points(x, d)[0]
+    if np.linalg.norm(x) >= 1.0:
+        raise ValueError("tail oracle needs an interior evaluation point")
+    c = coeff_c(FracParams(d, alpha))
+    if (isinstance(v, TruncatedProfile)
+            and float(np.linalg.norm(v.center)) + v.support_radius() <= 1.0):
+        return 0.0
+
+    if d == 1:
+        xi = float(x[0])
+
+        def half(sign):
+            # y = sign/s maps sign*(1, inf) to s in (0, 1)
+            def f(s):
+                if s <= 0.0:
+                    return 0.0
+                y = sign / s
+                return float(v.value(np.array([y]))[0]) * abs(y - xi) ** (-1.0 - alpha) / (s * s)
+            return integrate.quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-11, limit=400)[0]
+
+        return c * (half(1.0) + half(-1.0))
+
+    # d == 2: angular mean of v(rho sigma) |x - rho sigma|^(-2-alpha), doubled
+    # until stable, then a compactified radial integral
+    def ang_mean(rho):
+        m, prev = 64, None
+        while m <= 16384:
+            theta = 2.0 * np.pi * np.arange(m) / m
+            pts = rho * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+            dist2 = np.sum((pts - x) ** 2, axis=1)
+            val = float(np.mean(v.value(pts) * dist2 ** (-(2.0 + alpha) / 2.0)))
+            if prev is not None and abs(val - prev) <= 1e-12 * (abs(val) + 1e-300):
+                return val
+            prev, m = val, 2 * m
+        return prev
+
+    def f(s):
+        if s <= 0.0:
+            return 0.0
+        rho = 1.0 / s
+        return ang_mean(rho) * rho / (s * s)
+
+    val, _ = integrate.quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-10, limit=300)
+    return c * 2.0 * np.pi * val

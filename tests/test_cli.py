@@ -244,3 +244,10 @@ def test_snapshot_output_dir(tmp_path):
     files = sorted(p.name for p in out.glob("*.csv"))
     assert "mixed_manifest.csv" in files
     assert sum(name.startswith("mixed_t") for name in files) >= 2
+
+
+def test_snapshot_name_clash_exits_one(tmp_path, capsys):
+    # six snapshot times within 5e-7 of each other print as one file name
+    assert cli.main(["evolve", "--L", "3", "--dt", "0.0000001", "--t-end", "0.0000005",
+                     "--out", str(tmp_path / "snaps")]) == 1
+    assert "error:" in capsys.readouterr().err

@@ -253,6 +253,15 @@ def test_snapshot_files(tmp_path):
     assert np.all(vals[ps.n_interior:] == 0.0)
 
 
+def test_snapshot_names_must_differ(tmp_path):
+    # 0 and 1e-7 both print as t0.000000; the second file would overwrite the first
+    ps = polar_layout(3, 5)
+    fields = np.zeros((2, ps.n_interior))
+    with pytest.raises(ValueError):
+        write_snapshots(tmp_path / "out", ps, np.array([0.0, 1e-7]), fields)
+    assert not (tmp_path / "out").exists()
+
+
 def test_anisotropy_ratio_synthetic():
     pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]])
     assert anisotropy_ratio(pts, np.ones(4)) == pytest.approx(4.0, rel=1e-12)

@@ -5,9 +5,10 @@ import pytest
 
 from fracrbf.exterior import GmqProfile, exterior_data_correction, tail_factors_at
 from fracrbf.geometry import polar_layout, uniform_interval
-from fracrbf.oracles import RadialPowerProfile, tail_oracle
+from fracrbf.oracles import RadialPowerProfile
 from fracrbf.rbf import GmqBasis
 from fracrbf.specialfun import FracParams
+from reference import tail_oracle
 
 
 def _oracle_profile(d, eps, beta, center):
@@ -50,6 +51,12 @@ def test_tail_entries_need_interior_points():
         _entry(1.0, 0.0, 1.0, FracParams(1, 1.2), K=10)
     with pytest.raises(ValueError):
         _entry((1.0, 0.0), (0.0, 0.0), 1.0, FracParams(2, 1.0), K=10)
+
+
+def test_tail_rows_need_one_column_per_dimension():
+    basis = GmqBasis(np.zeros((1, 2)), FracParams(2, 1.0), 1.0)
+    with pytest.raises(ValueError):
+        tail_factors_at(np.full((2, 3), 0.1), basis)
 
 
 def _assert_apply_matches_assemble(tf, mat):

@@ -1,9 +1,12 @@
 """Error metrics, rate derivation, report files, and the benchmark presets."""
 
+import ast
 import csv
 import math
+import re
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,3 +226,28 @@ def test_manufactured_backward_error_holds_at_every_seed():
     (check, tol), = [(c, t) for n, c, t in harness.CHECKS
                      if n == "manufactured-backward-error"]
     assert max(check(seed=seed) for seed in range(100)) <= tol
+
+
+def test_every_public_name_is_used_in_src():
+    # a name in a module's __all__ that nothing else in src/ mentions is
+    # test-only code; it belongs under tests/
+    package = Path(harness.__file__).parent
+    sources = {p: p.read_text() for p in package.glob("*.py")}
+    unused = []
+    for path, text in sources.items():
+        tree = ast.parse(text)
+        exported = [node for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)]
+        if not exported:
+            continue
+        skip = set(range(exported[0].lineno, exported[0].end_lineno + 1))
+        for name in ast.literal_eval(exported[0].value):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            header = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
+            uses = sum(1 for other, body in sources.items()
+                       for i, line in enumerate(body.splitlines(), 1)
+                       if word.search(line)
+                       and not (other == path and (i in skip or header.match(line))))
+            if uses == 0:
+                unused.append(f"{path.stem}.{name}")
+    assert unused == []

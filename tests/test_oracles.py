@@ -8,8 +8,8 @@ import pytest
 
 from fracrbf.oracles import (RadialPowerProfile, case1, case2, case2_scaled,
                              gmq_profile, gmq_shifted_profile,
-                             hypersingular_oracle, inverse_power_profile,
-                             tail_oracle, truncated_profile)
+                             hypersingular_oracle)
+from reference import inverse_power_profile, tail_oracle, truncated_profile
 
 
 def _fd_laplacian(profile, x, h=1e-4):

@@ -18,7 +18,7 @@ def test_gauss_monomial_exactness():
 
 def test_gauss_rule_structure():
     rule = gauss_legendre_01(12)
-    assert rule.order == 12
+    assert rule.nodes.size == 12
     assert np.all(np.diff(rule.nodes) > 0.0)
     assert np.all(rule.nodes > 0.0) and np.all(rule.nodes < 1.0)
     assert np.all(rule.weights > 0.0)

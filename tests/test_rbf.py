@@ -24,8 +24,12 @@ def _basis_2d(alpha=0.8, eps=1.1):
 def test_basis_validation():
     with pytest.raises(ValueError):
         GmqBasis(np.zeros((3, 1)), FracParams(1, 1.2), 0.0)
+    with pytest.raises(ValueError):
+        GmqBasis(np.arange(12.0).reshape(4, 3), FracParams(2, 1.0), 1.0)
     b = _basis_2d()
-    assert b.n == 3
+    assert b.centers.shape == (3, 2)
+    # only a flat array is read as rows of d coordinates
+    assert GmqBasis(np.arange(4.0), FracParams(2, 1.0), 1.0).centers.shape == (2, 2)
     assert b.beta == pytest.approx((0.8 - 2.0) / 2.0)
 
 
@@ -45,7 +49,7 @@ def test_block_shapes_and_agreement():
     assert phi_block(b, pts).shape == (4, 3)
     for block in (phi_block, psi_block, frac_lap_block, classical_lap_block):
         full = block(b, pts)
-        for j in range(b.n):
+        for j in range(b.centers.shape[0]):
             one = GmqBasis(b.centers[j], b.params, b.eps)
             assert np.allclose(full[:, j], block(one, pts)[:, 0], atol=1e-15)
 
@@ -107,7 +111,7 @@ def test_classical_lap_matches_finite_differences():
     b = _basis_2d(alpha=1.6, eps=0.7)
     x = np.array([0.25, -0.15])
     got = classical_lap_block(b, x)[0]
-    for j in range(b.n):
+    for j in range(b.centers.shape[0]):
         fun = lambda y: phi_block(b, y)[0, j]
         ref = -_fd_lap(fun, x)
         assert got[j] == pytest.approx(ref, rel=1e-5)
@@ -122,7 +126,7 @@ def test_grad_matches_finite_differences():
         e = np.zeros(2)
         e[k] = h
         ref = (phi_block(b, x + e)[0] - phi_block(b, x - e)[0]) / (2.0 * h)
-        for j in range(b.n):
+        for j in range(b.centers.shape[0]):
             assert grads[k][0, j] == pytest.approx(ref[j], rel=1e-8, abs=1e-12)
 
 
