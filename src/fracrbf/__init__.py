@@ -13,7 +13,7 @@ from fracrbf.linsys import assemble, condition_estimate, nodal_operator
 from fracrbf.steady import (interpolate, forward_frac_lap_clipped, solve_poisson,
                             evaluate_interpolant)
 from fracrbf.dynamics import (EvolutionConfig, mixed_operators, crank_nicolson_mixed,
-                              ssp_rk3_step, run_qg)
+                              ssp_rk3_step, qg_operators, run_qg)
 from fracrbf.harness import rms_error, RunReport
 
 __version__ = "0.1.0"

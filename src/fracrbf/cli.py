@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from fracrbf.dynamics import (anisotropy_ratio, crank_nicolson_mixed, mixed_operators, run_qg,
-                              write_snapshots)
+from fracrbf.dynamics import (anisotropy_ratio, crank_nicolson_mixed, mixed_operators,
+                              qg_operators, run_qg, write_snapshots)
 from fracrbf.exterior import GmqProfile, exterior_data_correction
 from fracrbf.geometry import disk_grid, polar_layout, uniform_interval
 from fracrbf.harness import (CHECKS, PRESETS, RunReport, RunRow, mixed_run, rms_error,
@@ -73,6 +73,9 @@ _FLAGS = {
 }
 _STEADY_ONLY = ("dim", "case", "p", "n")
 _TIME_ONLY = ("dt", "t-end", "chi", "kappa")
+# flags a forward/solve sweep takes but the chosen --dim or --case never reads
+_UNREAD = {("dim", 1): ("L", "J", "grid-h", "quad-M"), ("dim", 2): ("n",),
+           ("case", "smooth"): ("p",)}
 
 
 def _build_parser(parser_class=_Parser):
@@ -166,9 +169,8 @@ def _print_report(rep):
 # subcommands ------------------------------------------------------------------
 
 
-def _case_funcs(args, dim, alpha):
-    """(u sampler, f sampler, exterior profile or None) for the chosen case."""
-    kind = _pick(args.case, "compact")
+def _case_funcs(args, kind, dim, alpha):
+    """(u sampler, f sampler, exterior profile or None) for case kind."""
     if kind == "smooth":
         g = GmqProfile(np.zeros(dim), 1.0, -(dim + 1) / 2.0)
         return (lambda pts: case1(dim, alpha, pts, f_required=False)[0],
@@ -219,16 +221,21 @@ def _solution_error_row(ps, basis, tp, case, kq, mq):
 def _cmd_sweep(args, row):
     """forward/solve: one report row per point set of the sweep."""
     dim = _pick(args.dim, 1)
+    kind = _pick(args.case, "compact")
+    unread = [f"--{flag}" for key in (("dim", dim), ("case", kind))
+              for flag in _UNREAD.get(key, ()) if getattr(args, flag.replace("-", "_")) is not None]
+    if unread:
+        raise ValueError(f"--dim {dim} --case {kind} does not read {', '.join(unread)}")
     alpha = _pick(args.alpha, 1.2)
     kq = _pick(args.quad_K, 48)
     mq = _pick(args.quad_M, 96)
-    case = _case_funcs(args, dim, alpha)
+    case = _case_funcs(args, kind, dim, alpha)
     eps_abs = 1.5 if dim == 1 else 1.0
     # under --eps-factor eps changes with every point set, so the factor is recorded
     eps_meta = (dict(eps=_pick(args.eps, eps_abs)) if args.eps_factor is None
                 else dict(eps_factor=args.eps_factor))
     rep = RunReport(label=args.command, meta=dict(
-        d=dim, alpha=alpha, case=_pick(args.case, "compact"), K=kq, M=mq, **eps_meta))
+        d=dim, alpha=alpha, case=kind, K=kq, M=mq, **eps_meta))
     for ps, tp in _sweep(args, dim):
         eps = _eps_for(args, ps, eps_abs)
         basis = GmqBasis(ps.points, FracParams(dim, alpha), eps)
@@ -262,12 +269,13 @@ def _cmd_qg(args):
     basis = GmqBasis(ps.points, FracParams(2, alpha), eps)
     cfg, theta0 = vortex_run(_pick(args.dt, 0.01), _pick(args.t_end, 2.0),
                              _pick(args.kappa, 0.001))
-    times, fields = run_qg(ps, basis, cfg, theta0, out_dir=args.out,
-                           K=_pick(args.quad_K, 32), M=_pick(args.quad_M, 64))
+    ops = qg_operators(ps, basis, K=_pick(args.quad_K, 32), M=_pick(args.quad_M, 64))
+    times, fields = run_qg(ps, ops, cfg, theta0)
     for t, f in zip(times, fields):
         print(f"t={t:8.4f} peak={np.max(np.abs(f)):.6e} "
               f"anisotropy={anisotropy_ratio(ps.interior, f):.4f}")
     if args.out is not None:
+        write_snapshots(args.out, ps, times, fields)
         print(f"wrote {args.out}")
     return 0
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg as sla
 
+from fracrbf.geometry import as_points
 from fracrbf.linsys import _factor, assemble, nodal_operator
 from fracrbf.rbf import GmqBasis, classical_lap_block, grad_blocks
 from fracrbf.specialfun import FracParams
@@ -55,6 +56,9 @@ class EvolutionConfig:
             raise ValueError("kappa must be nonnegative")
         object.__setattr__(
             self, "snapshot_times", tuple(float(t) for t in self.snapshot_times))
+        stamps = [_stamp(k * self.dt) for k in self.snapshot_steps()]
+        if len(set(stamps)) < len(stamps):
+            raise ValueError("snapshot times that agree to six decimals would share a file")
 
     @property
     def n_steps(self):
@@ -73,6 +77,11 @@ class EvolutionConfig:
                 raise ValueError("snapshot time outside [0, t_end]")
             idx.add(k)
         return sorted(idx)
+
+
+def _stamp(t):
+    """The time as snapshot file names and manifests print it."""
+    return f"{t:.6f}"
 
 
 def _sample(u0, points):
@@ -150,8 +159,9 @@ class QgOperators:
         return self.velocity @ np.asarray(theta, dtype=float)
 
 
-def qg_operators(ps, eps, alpha=1.0, K=10, M=64):
-    """Precompute the two operators the quasi-geostrophic stepper applies.
+def qg_operators(ps, basis, K=10, M=64):
+    """Precompute the two operators the quasi-geostrophic stepper applies:
+    the dissipation of basis and the half-Laplacian stream map on its centers.
 
     The stream function of theta is psi = P theta with the stream map
     P = -(A_top S^{-1})[:, :n] of the half-Laplacian system, A_top the
@@ -163,12 +173,14 @@ def qg_operators(ps, eps, alpha=1.0, K=10, M=64):
     solved for once, the operators are filled in place, and both systems
     are freed before this returns.
     """
+    if basis.params.d != 2:
+        raise ValueError("the quasi-geostrophic run lives on the disk")
     n = ps.n_interior
-    half = GmqBasis(ps.points, FracParams(2, 1.0), eps)
+    half = GmqBasis(basis.centers, FracParams(2, 1.0), basis.eps)
     sm = assemble(ps, half, K=K, M=M)
     gx, gy = grad_blocks(half, ps.interior)
     local = np.empty((3 * n, n))
-    if alpha == 1.0:
+    if basis.params.alpha == 1.0:
         nodal_operator(sm, rows=(sm.s[:n], gx, gy), out=local)
     else:
         nodal_operator(sm, rows=(gx, gy), out=local[n:])
@@ -181,13 +193,13 @@ def qg_operators(ps, eps, alpha=1.0, K=10, M=64):
     np.matmul(local[n:2 * n], minus_p, out=velocity[n:])
     np.negative(velocity[n:], out=velocity[n:])
     del minus_p
-    if alpha != 1.0:
-        sm = assemble(ps, GmqBasis(ps.points, FracParams(2, alpha), eps), K=K, M=M)
+    if basis.params.alpha != 1.0:
+        sm = assemble(ps, basis, K=K, M=M)
         nodal_operator(sm, out=local[:n])
     return QgOperators(local=local, velocity=velocity)
 
 
-def qg_rhs(theta, ops, kappa, advect=True):
+def qg_rhs(theta, ops, kappa):
     """Nodal tendency -u.grad(theta) - kappa*dissipation.
 
     One product with `ops.local` gives the dissipation and both derivatives
@@ -196,40 +208,30 @@ def qg_rhs(theta, ops, kappa, advect=True):
     theta = np.asarray(theta, dtype=float)
     n = theta.shape[0]
     loc = ops.local @ theta
-    out = -kappa * loc[:n]
-    if advect:
-        u = ops.stream(theta)
-        out = out - (u[:n] * loc[n:2 * n] + u[n:] * loc[2 * n:])
-    return out
+    u = ops.stream(theta)
+    return -kappa * loc[:n] - (u[:n] * loc[n:2 * n] + u[n:] * loc[2 * n:])
 
 
-def run_qg(ps, basis, cfg, theta0, out_dir=None, advect=True, K=10, M=64):
-    """March the active scalar with SSP-RK3.
+def run_qg(ps, ops, cfg, theta0):
+    """March the active scalar with SSP-RK3 on ops from qg_operators.
 
-    Returns (times, fields) at the snapshot steps and, when out_dir is
-    given, writes one x1,x2,value CSV per snapshot plus a manifest.
+    Returns (times, fields) at the snapshot steps, fields rowed by time.
     Aborts when max|theta| exceeds 10x its initial value.
     """
-    if basis.params.d != 2:
-        raise ValueError("the quasi-geostrophic run lives on the disk")
-    ops = qg_operators(ps, basis.eps, alpha=basis.params.alpha, K=K, M=M)
     theta = _sample(theta0, ps.interior)
     cap = 10.0 * float(np.max(np.abs(theta)))
     if cap == 0.0:
         cap = np.inf
 
     def step(th, t):
-        th = ssp_rk3_step(lambda v: qg_rhs(v, ops, cfg.kappa, advect=advect), th, cfg.dt)
+        th = ssp_rk3_step(lambda v: qg_rhs(v, ops, cfg.kappa), th, cfg.dt)
         peak = float(np.max(np.abs(th)))
         if not np.isfinite(peak) or peak > cap:
             raise FloatingPointError(f"blow-up at t={t:.6g}: max|theta|={peak:.3e} "
                                      f"exceeds 10x the initial value")
         return th
 
-    times, fields = _march(cfg, theta, step)
-    if out_dir is not None:
-        write_snapshots(out_dir, ps, times, fields)
-    return times, fields
+    return _march(cfg, theta, step)
 
 
 def write_field(path, points, values):
@@ -248,7 +250,7 @@ def write_snapshots(out_dir, ps, times, fields, prefix="field"):
     Boundary nodes are appended with their zero value so every file is a
     complete field.
     """
-    names = [f"{prefix}_t{t:.6f}.csv" for t in times]
+    names = [f"{prefix}_t{_stamp(t)}.csv" for t in times]
     if len(set(names)) < len(names):
         raise ValueError("snapshot times that agree to six decimals would share a file")
     out = Path(out_dir)
@@ -261,7 +263,7 @@ def write_snapshots(out_dir, ps, times, fields, prefix="field"):
         writer = csv.writer(fh)
         writer.writerow(["time", "file"])
         for t, name in zip(times, names):
-            writer.writerow([f"{t:.6f}", name])
+            writer.writerow([_stamp(t), name])
     return names
 
 
@@ -269,7 +271,7 @@ def anisotropy_ratio(points, values):
     """Eigenvalue ratio (largest/smallest) of the centered second-moment
     matrix weighted by values^2; 1 means isotropic, and the single-vortex
     runs should relax toward 1. Rotation of the field leaves it unchanged."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))[:, :2]
+    pts = as_points(points, 2)
     w = np.asarray(values, dtype=float) ** 2
     mass = float(np.sum(w))
     if mass <= 0.0:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fracrbf.geometry import as_points
 from fracrbf.quadrature import gauss_legendre_01, periodic_rule
 from fracrbf.specialfun import coeff_c
 
@@ -24,21 +25,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GmqProfile:
-    """Radial profile amplitude*(eps^2+|x-center|^2)^exponent used as
-    exterior data."""
+    """Radial profile (eps^2+|x-center|^2)^exponent used as exterior data."""
 
     center: np.ndarray
     eps: float
     exponent: float
-    amplitude: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, dtype=float)))
 
     def value(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = as_points(points, self.center.shape[0])
         r2 = np.sum((pts - self.center) ** 2, axis=1)
-        return self.amplitude * (self.eps ** 2 + r2) ** self.exponent
+        return (self.eps ** 2 + r2) ** self.exponent
 
 
 @dataclass(frozen=True)
@@ -107,11 +106,7 @@ def _factors_2d(points, centers, eps, beta, alpha, K, M):
 def _tail_factors(points, centers, eps, beta, p, K, M):
     """Tail factors of the profiles (eps^2+|y-center|^2)^beta, rowed by
     points strictly inside the unit domain."""
-    points = np.atleast_1d(np.asarray(points, dtype=float))
-    if points.ndim == 1:
-        points = points.reshape(-1, p.d)
-    if points.ndim != 2 or points.shape[1] != p.d:
-        raise ValueError("points must have one column per dimension")
+    points = as_points(points, p.d)
     if np.any(np.sqrt(np.sum(points * points, axis=1)) >= 1.0):
         raise ValueError("tail rows exist only at points strictly inside the domain")
     if p.d == 1:
@@ -139,6 +134,6 @@ def exterior_data_correction(g, ps, p, K=10, M=64, points=None):
     """
     if 2.0 * g.exponent >= p.alpha:
         raise ValueError("exterior datum must decay: need 2*exponent < alpha")
-    tf = _tail_factors(ps.interior if points is None else points, np.atleast_2d(g.center),
+    tf = _tail_factors(ps.interior if points is None else points, as_points(g.center, p.d),
                        g.eps, g.exponent, p, K, M)
-    return g.amplitude * tf.apply(np.ones(1))
+    return tf.apply(np.ones(1))

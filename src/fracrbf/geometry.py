@@ -12,6 +12,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 __all__ = [
+    "as_points",
     "PointSet",
     "uniform_interval",
     "polar_layout",
@@ -20,6 +21,18 @@ __all__ = [
 ]
 
 _TOL = 1e-12
+
+
+def as_points(x, d):
+    """x as an (n, d) float array of points: a scalar or a flat array is
+    read as consecutive d-vectors, a 2-D array must already have d columns,
+    and anything else raises ValueError."""
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim <= 1 and pts.size % d == 0:
+        return pts.reshape(-1, d)
+    if pts.ndim == 2 and pts.shape[1] == d:
+        return pts
+    raise ValueError(f"points of shape {pts.shape} do not have {d} columns")
 
 
 @dataclass(frozen=True)
@@ -95,29 +108,17 @@ def _lattice(h):
     return np.column_stack([xx.ravel(), yy.ravel()])
 
 
-def clipped_grid(h, half_width=None):
-    """Uniform grid of step h over [-1,1]^2, clipped to the closed unit disk.
-
-    half_width None: the PDE domain is the disk; points strictly inside
-    carry the equation, points landing exactly on the circle are zero-value.
-    half_width w: the domain is the square of half-width w embedded in the
-    disk (0 < w <= sqrt(2)/2); points strictly inside the open square carry
-    the equation, the rest of the clipped grid (the disk collar and the
-    square's edge) are zero-value points.
-    """
+def clipped_grid(h):
+    """Uniform grid of step h over [-1,1]^2, clipped to the closed unit disk,
+    for the square of half-width sqrt(2)/2 inscribed in the disk: points
+    strictly inside the open square carry the equation, the rest of the
+    clipped grid (the disk collar and the square's edge) are zero-value
+    points."""
     if not 0.0 < h <= 1.0:
         raise ValueError("need 0 < h <= 1")
-    w = half_width
-    if w is not None and (not 0.0 < w or w * np.sqrt(2.0) > 1.0 + _TOL):
-        raise ValueError("embedded square must satisfy 0 < w <= sqrt(2)/2")
     pts = _lattice(h)
-    r2 = np.sum(pts * pts, axis=1)
-    pts = pts[r2 <= 1.0 + _TOL]
-    r2 = np.sum(pts * pts, axis=1)
-    if w is None:
-        inner = r2 < 1.0 - _TOL
-    else:
-        inner = np.max(np.abs(pts), axis=1) < w - _TOL
+    pts = pts[np.sum(pts * pts, axis=1) <= 1.0 + _TOL]
+    inner = np.max(np.abs(pts), axis=1) < np.sqrt(2.0) / 2.0 - _TOL
     if not np.any(inner):
         raise ValueError("grid too coarse: no interior points")
     pts = np.vstack([pts[inner], pts[~inner]])

@@ -17,9 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from fracrbf.dynamics import (EvolutionConfig, anisotropy_ratio, crank_nicolson_mixed,
-                              mixed_operators, run_qg, write_field, write_snapshots)
+                              mixed_operators, qg_operators, run_qg, write_field,
+                              write_snapshots)
 from fracrbf.exterior import GmqProfile
-from fracrbf.geometry import clipped_grid, disk_grid, polar_layout, uniform_interval
+from fracrbf.geometry import as_points, clipped_grid, disk_grid, polar_layout, uniform_interval
 from fracrbf.linsys import assemble, condition_estimate
 from fracrbf.oracles import (case1, case2, case2_scaled, gmq_profile, gmq_shifted_profile,
                              hypersingular_oracle)
@@ -198,20 +199,20 @@ def preset_table3(alpha=1.2, eps=1.5, K=48, ns=(2, 4, 8, 16)):
     return _compact_table("table3", 2.0, alpha, eps, K, ns)
 
 
-def _scaled_rhs(alpha, xs, n_quad=200):
+def _scaled_rhs(alpha, xs):
     """Right-hand side for the interior-singularity profile u=(1-|2x|^2)^alpha_+.
 
     Inside the support the closed form applies; outside it the operator
     reduces to -c * int u(y)/|x-y|^(1+alpha) dy over the support, computed
     with the substitution y = sin(t)/2 that turns u into cos(t)^(2*alpha)
-    and removes the endpoint singularity of the integrand."""
-    xs = np.asarray(xs, dtype=float).reshape(-1)
+    and removes the endpoint singularity of the integrand (200 Gauss points)."""
+    xs = as_points(xs, 1)[:, 0]
     out = np.empty_like(xs)
     inside = np.abs(xs) < 0.5
     if np.any(inside):
         _, out[inside] = case2_scaled(1, alpha, alpha, 2.0, xs[inside])
     if np.any(np.logical_not(inside)):
-        rule = gauss_legendre_01(n_quad)
+        rule = gauss_legendre_01(200)
         t = -np.pi / 2.0 + np.pi * rule.nodes
         w = np.pi * rule.weights * 0.5 * np.cos(t) * np.cos(t) ** (2.0 * alpha)
         y = 0.5 * np.sin(t)
@@ -320,7 +321,7 @@ def preset_fig_square(alphas=(0.4, 0.8, 1.2, 1.6), eps=0.05, grid_h=0.03125,
                       K=32, M=64, out=None):
     """Constant-source solve on the square embedded in the disk; only the
     solution profile is emitted (no closed form exists here)."""
-    ps = clipped_grid(grid_h, half_width=np.sqrt(2.0) / 2.0)
+    ps = clipped_grid(grid_h)
     return _constant_source("fig-square", ps, alphas, eps, K, M, out, grid_h=grid_h)
 
 
@@ -374,8 +375,7 @@ def preset_fig_qg(alpha=1.0, eps=0.1, dt=0.01, t_end=2.0, kappa=0.001,
                                         t_end=t_end, kappa=kappa, grid_h=grid_h, K=K, M=M))
     cfg, theta0 = vortex_run(dt, t_end, kappa)
     t0 = time.perf_counter()
-    times, fields = run_qg(ps, basis, cfg, theta0,
-                           out_dir=out, K=K, M=M)
+    times, fields = run_qg(ps, qg_operators(ps, basis, K=K, M=M), cfg, theta0)
     seconds = time.perf_counter() - t0
     ratios = [anisotropy_ratio(ps.interior, f) for f in fields]
     for t, f, r in zip(times, fields, ratios):
@@ -383,6 +383,7 @@ def preset_fig_qg(alpha=1.0, eps=0.1, dt=0.01, t_end=2.0, kappa=0.001,
                        seconds=seconds if t == times[-1] else 0.0), dim=2)
     rep.meta["columns_note"] = "E column holds max|theta|, Ehat column the anisotropy ratio"
     if out is not None:
+        write_snapshots(out, ps, times, fields)
         with open(Path(out) / "anisotropy.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["time", "peak", "ratio"])

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+from fracrbf.geometry import as_points
 from fracrbf.specialfun import FracParams, coeff_c, gamma_fn, gauss_2f1
 from fracrbf.quadrature import gauss_legendre_01
 
@@ -52,7 +53,7 @@ class RadialPowerProfile:
         return self.center.shape[0]
 
     def value(self, points):
-        pts = _as_points(points, self.d)
+        pts = as_points(points, self.d)
         r2 = np.sum((pts - self.center) ** 2, axis=-1)
         out = np.zeros_like(r2)
         for coef, a, b, beta in self.terms:
@@ -94,18 +95,6 @@ class RadialPowerProfile:
     def outer_integral(self, x, r0, alpha):
         """Integral over (r0, inf) of the sphere mean times rho^(-1-alpha)."""
         return sum(_outer_smooth_term(term, alpha, self.center, x, r0) for term in self.terms)
-
-
-def _as_points(x, d):
-    pts = np.atleast_1d(np.asarray(x, dtype=float))
-    if pts.ndim == 1:
-        if d == 1:
-            pts = pts[:, None]
-        else:
-            pts = pts[None, :]
-    if pts.shape[-1] != d:
-        raise ValueError("points have dimension %d, expected %d" % (pts.shape[-1], d))
-    return pts
 
 
 def gmq_profile(d, alpha, eps, center=None):
@@ -192,7 +181,7 @@ def hypersingular_oracle(v, d, alpha, x):
     O(rho^(5-alpha)) and free of cancellation blow-up; outside, the
     profile's own outer integral takes over.
     """
-    x = _as_points(x, d)[0]
+    x = as_points(x, d)[0]
     params = FracParams(d, alpha)
     c = coeff_c(params)
     omega = 2.0 if d == 1 else 2.0 * math.pi
@@ -227,7 +216,7 @@ def hypersingular_oracle(v, d, alpha, x):
 
 
 def _radii2(x, d):
-    pts = _as_points(x, d)
+    pts = as_points(x, d)
     return np.sum(pts * pts, axis=-1)
 
 
@@ -275,21 +264,16 @@ def case2(d, alpha, p, x, f_required=True):
     return _match_shape(u, x), _match_shape(f, x)
 
 
-def case2_scaled(d, alpha, p, scale, x, f_required=True):
+def case2_scaled(d, alpha, p, scale, x):
     """Interior-singularity benchmark: u(x) = (1-|scale*x|^2)_+^p.
 
     By the scaling property, f(x) = scale^alpha * f_case2(scale*x), valid
-    only where |scale*x| < 1; outside, requesting f raises a domain error
-    while u is still returned (it is zero there).
+    only where |scale*x| < 1; elsewhere it raises a domain error.
     """
     scale = float(scale)
     if scale <= 0.0:
         raise ValueError("scale must be positive")
-    pts = _as_points(x, d) * scale
-    if not f_required:
-        u, _ = case2(d, alpha, p, pts, f_required=False)
-        return _match_shape(np.atleast_1d(u), x), None
-    u, f = case2(d, alpha, p, pts)
+    u, f = case2(d, alpha, p, as_points(x, d) * scale)
     return (_match_shape(np.atleast_1d(u), x),
             _match_shape(scale ** alpha * np.atleast_1d(f), x))
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from fracrbf.geometry import as_points
 from fracrbf.specialfun import FracParams, coeff_mu
 
 __all__ = [
@@ -34,12 +35,7 @@ class GmqBasis:
     def __post_init__(self):
         if not self.eps > 0.0:
             raise ValueError("shape parameter eps must be positive")
-        c = np.atleast_1d(np.asarray(self.centers, dtype=float))
-        if c.ndim == 1:
-            c = c.reshape(-1, self.params.d)
-        if c.ndim != 2 or c.shape[1] != self.params.d:
-            raise ValueError("centers must have one column per dimension")
-        object.__setattr__(self, "centers", c)
+        object.__setattr__(self, "centers", as_points(self.centers, self.params.d))
 
     @property
     def beta(self):
@@ -48,9 +44,7 @@ class GmqBasis:
 
 def _sq_dist(basis, x):
     """r^2 to every center, shape (npoints, ncenters), plus the points as rows."""
-    pts = np.atleast_1d(np.asarray(x, dtype=float))
-    if pts.ndim == 1:
-        pts = pts[:, None] if basis.params.d == 1 else pts[None, :]
+    pts = as_points(x, basis.params.d)
     return cdist(pts, basis.centers, "sqeuclidean"), pts
 
 

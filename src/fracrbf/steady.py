@@ -74,11 +74,11 @@ def evaluate_interpolant(lam, basis, points):
     return phi_block(basis, points) @ np.asarray(lam, dtype=float)
 
 
-def test_points_disk(n_radii=40, n_angles=64, r_max=0.95):
+def test_points_disk():
     """Error-measurement grid on the disk: origin plus a polar lattice of
-    n_radii radii up to r_max by n_angles angles."""
-    radii = r_max * np.arange(1, n_radii + 1) / n_radii
-    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    40 radii up to 0.95 by 64 angles."""
+    radii = 0.95 * np.arange(1, 41) / 40
+    angles = 2.0 * np.pi * np.arange(64) / 64
     rr, tt = np.meshgrid(radii, angles, indexing="ij")
     pts = np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
     return np.vstack([np.zeros((1, 2)), pts])

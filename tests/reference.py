@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from fracrbf.oracles import RadialPowerProfile, _as_points, _gauss_panels
+from fracrbf.geometry import as_points
+from fracrbf.oracles import RadialPowerProfile, _gauss_panels
 from fracrbf.specialfun import FracParams, coeff_c
 
 # kinked-arc panel breakpoints, refined geometrically (ratio 10) toward the kink
@@ -32,7 +33,7 @@ class TruncatedProfile(ReferenceProfile):
     support: tuple = (1.0, -1.0)  # (A_s, B_s)
 
     def value(self, points):
-        pts = _as_points(points, self.d)
+        pts = as_points(points, self.d)
         a_s, b_s = self.support
         inside = a_s + b_s * np.sum((pts - self.center) ** 2, axis=-1) > 0.0
         out = np.zeros(pts.shape[0])
@@ -112,7 +113,7 @@ def tail_oracle(v, d, alpha, x):
 
     Brute-force counterpart of the solver's tail quadrature; |x| < 1 required.
     """
-    x = _as_points(x, d)[0]
+    x = as_points(x, d)[0]
     if np.linalg.norm(x) >= 1.0:
         raise ValueError("tail oracle needs an interior evaluation point")
     c = coeff_c(FracParams(d, alpha))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fracrbf.dynamics import (EvolutionConfig, anisotropy_ratio, crank_nicolson_mixed,
-                              mixed_operators, run_qg, ssp_rk3_step)
+                              mixed_operators, qg_operators, run_qg, ssp_rk3_step)
 from fracrbf.geometry import disk_grid, polar_layout
 from fracrbf.harness import (CHECKS, preset_table2, preset_table3, preset_table4,
                              preset_table5)
@@ -154,7 +154,7 @@ def test_criterion_10_vortex_isotropization_and_stability():
     cfg = EvolutionConfig(dt=0.01, t_end=2.0, kappa=0.001,
                           snapshot_times=tuple(np.round(np.arange(0.25, 2.0, 0.25), 8)))
     theta0 = lambda pts: np.exp(-4.0 * pts[:, 0] ** 2 - 64.0 * pts[:, 1] ** 2)
-    times, fields = run_qg(ps, basis, cfg, theta0, K=32, M=64)
+    times, fields = run_qg(ps, qg_operators(ps, basis, K=32, M=64), cfg, theta0)
     ratios = [anisotropy_ratio(ps.interior, f) for f in fields]
     peaks = [float(np.max(np.abs(f))) for f in fields]
     toward_one = ratios[-1] < ratios[0] and min(ratios) >= 1.0

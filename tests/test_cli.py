@@ -51,10 +51,16 @@ def _exit_code(argv):
     ["evolve", "--grid-h", "0.25", "--J", "5"],
     ["forward", "--dim", "2", "--grid-h", "0.25", "--L", "3"],
     ["solve", "--dim", "2", "--grid-h", "0.25", "--J", "3"],
+    # a flag the chosen --dim or --case never reads
+    ["forward", "--dim", "1", "--L", "5", "--n", "4"],
+    ["forward", "--dim", "2", "--n", "4"],
+    ["solve", "--dim", "1", "--case", "smooth", "--p", "3"],
+    ["solve", "--dim", "1", "--quad-M", "32"],
 ], ids=["negative-dt", "empty-sweep", "fractional-steps", "removed-scale-flag",
         "preset-alpha-chi", "preset-eps-factor-dim-seed", "verify-alpha", "qg-chi",
         "evolve-kappa", "forward-seed", "qg-grid-h-L", "evolve-grid-h-J",
-        "forward-grid-h-L", "solve-grid-h-J"])
+        "forward-grid-h-L", "solve-grid-h-J", "forward-dim1-L", "forward-dim2-n",
+        "solve-smooth-p", "solve-dim1-quad-M"])
 def test_configuration_errors_exit_one(argv, capsys):
     assert _exit_code(argv) == 1
     assert "error:" in capsys.readouterr().err
@@ -68,7 +74,7 @@ def test_evolve_and_qg_read_point_set_flags_alike(monkeypatch):
         seen.append(ps.n_total)
         raise ValueError("stop")
     monkeypatch.setattr(cli, "mixed_operators", stop)
-    monkeypatch.setattr(cli, "run_qg", stop)
+    monkeypatch.setattr(cli, "qg_operators", stop)
     for command in ("evolve", "qg"):
         for flags in (["--grid-h", "0.25"], ["--L", "3"], ["--J", "5"]):
             assert cli.main([command] + flags) == 1
@@ -247,7 +253,12 @@ def test_snapshot_output_dir(tmp_path):
 
 
 def test_snapshot_name_clash_exits_one(tmp_path, capsys):
-    # six snapshot times within 5e-7 of each other print as one file name
-    assert cli.main(["evolve", "--L", "3", "--dt", "0.0000001", "--t-end", "0.0000005",
-                     "--out", str(tmp_path / "snaps")]) == 1
-    assert "error:" in capsys.readouterr().err
+    # six snapshot times within 5e-7 of each other print as one file name;
+    # the run stops before its first step, with or without --out
+    argv = ["evolve", "--L", "3", "--dt", "0.0000001", "--t-end", "0.0000005"]
+    for extra in (["--out", str(tmp_path / "snaps")], []):
+        assert cli.main(argv + extra) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "snaps").exists()

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg as sla
 
 from fracrbf import dynamics
-from fracrbf.dynamics import (EvolutionConfig, anisotropy_ratio,
+from fracrbf.dynamics import (EvolutionConfig, QgOperators, anisotropy_ratio,
                               crank_nicolson_mixed, mixed_operators, qg_operators,
                               qg_rhs, run_qg, ssp_rk3_step, write_snapshots)
 from fracrbf.geometry import disk_grid, polar_layout
@@ -41,6 +41,14 @@ def test_config_validation():
 def test_snapshot_steps_include_ends():
     cfg = EvolutionConfig(dt=0.001, t_end=0.5, snapshot_times=(0.1, 0.25))
     assert cfg.snapshot_steps() == [0, 100, 250, 500]
+
+
+def test_config_rejects_snapshot_steps_that_share_a_name():
+    # steps 0..5 at dt 1e-7 all print as t0.000000; the run would only fail
+    # when its snapshots are written, after all the stepping
+    with pytest.raises(ValueError, match="six decimals"):
+        EvolutionConfig(dt=1e-7, t_end=5e-7)
+    EvolutionConfig(dt=1e-6, t_end=5e-6)
 
 
 @pytest.fixture(scope="module")
@@ -96,16 +104,19 @@ def test_ssp_step_fourth_order_local_error():
     assert 14.0 < ratio < 18.0
 
 
+def _no_advection(ops):
+    return QgOperators(ops.local, np.zeros_like(ops.velocity))
+
+
 def test_qg_rhs_zero_field_and_pure_decay(disk73):
     ps, basis, _ = disk73
-    ops = qg_operators(ps, 1.0, K=32, M=64)
+    ops = qg_operators(ps, basis, K=32, M=64)
     zero = np.zeros(ps.n_interior)
     assert np.allclose(qg_rhs(zero, ops, 0.001), 0.0, atol=1e-14)
 
     cfg = EvolutionConfig(dt=0.01, t_end=0.2, kappa=0.01,
                           snapshot_times=(0.05, 0.1, 0.15))
-    _, fields = run_qg(ps, basis, cfg, _gaussian(4.0), advect=False,
-                       K=32, M=64)
+    _, fields = run_qg(ps, _no_advection(ops), cfg, _gaussian(4.0))
     peaks = np.max(np.abs(fields), axis=1)
     assert np.all(np.diff(peaks) < 0.0)
 
@@ -114,10 +125,10 @@ def test_qg_advection_vanishes_on_radial_field(disk73):
     # a radial scalar spins without transporting itself: the advective part
     # of the tendency is orders below the dissipative part
     ps, basis, _ = disk73
-    ops = qg_operators(ps, 1.0, K=32, M=64)
+    ops = qg_operators(ps, basis, K=32, M=64)
     theta = _gaussian(4.0)(ps.interior)
-    with_adv = qg_rhs(theta, ops, 0.001, advect=True)
-    without = qg_rhs(theta, ops, 0.001, advect=False)
+    with_adv = qg_rhs(theta, ops, 0.001)
+    without = qg_rhs(theta, _no_advection(ops), 0.001)
     gap = np.max(np.abs(with_adv - without))
     assert gap <= 1e-5
     assert gap < 0.01 * np.max(np.abs(without))
@@ -152,14 +163,14 @@ def _per_stage_rhs(ps, eps, alpha, K, M):
 def test_qg_rhs_matches_per_stage_solve(h, eps, alpha):
     # the precomputed velocity operator reproduces the per-stage stream solve
     ps = disk_grid(h)
-    ops = qg_operators(ps, eps, alpha=alpha, K=32, M=64)
+    ops = qg_operators(ps, GmqBasis(ps.points, FracParams(2, alpha), eps), K=32, M=64)
     ref = _per_stage_rhs(ps, eps, alpha, K=32, M=64)
     thetas = (vortex_run(0.01, 2.0, 0.001)[1](ps.interior),
               np.random.default_rng(3).standard_normal(ps.n_interior))
     for theta in thetas:
         for kappa, advect in ((0.001, True), (1.0, False)):
             want = ref(theta, kappa, advect)
-            got = qg_rhs(theta, ops, kappa, advect=advect)
+            got = qg_rhs(theta, ops if advect else _no_advection(ops), kappa)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
@@ -177,7 +188,7 @@ def test_qg_operators_keep_no_system(alpha, monkeypatch):
         return sm
     monkeypatch.setattr(dynamics, "assemble", tracked)
     ps = polar_layout(4, 8)
-    ops = qg_operators(ps, 0.5, alpha=alpha, K=16, M=32)
+    ops = qg_operators(ps, GmqBasis(ps.points, FracParams(2, alpha), 0.5), K=16, M=32)
     assert live_at_assembly == ([0] if alpha == 1.0 else [0, 0])
     assert all(ref() is None for ref in systems)
     n = ps.n_interior
@@ -220,16 +231,15 @@ def test_qg_blowup_guard():
     basis = GmqBasis(ps.points, FracParams(2, 1.0), 0.5)
     cfg = EvolutionConfig(dt=2.0, t_end=40.0, kappa=0.001)
     with pytest.raises(FloatingPointError):
-        run_qg(ps, basis, cfg, _gaussian(4.0), K=16, M=32)
+        run_qg(ps, qg_operators(ps, basis, K=16, M=32), cfg, _gaussian(4.0))
 
 
 def test_qg_requires_disk_basis():
     from fracrbf.geometry import uniform_interval
     ps = uniform_interval(8)
     basis = GmqBasis(ps.points, FracParams(1, 1.2), 1.0)
-    cfg = EvolutionConfig(dt=0.1, t_end=0.2)
     with pytest.raises(ValueError):
-        run_qg(ps, basis, cfg, lambda pts: np.ones(pts.shape[0]))
+        qg_operators(ps, basis)
 
 
 def test_snapshot_files(tmp_path):
@@ -279,3 +289,10 @@ def test_anisotropy_ratio_weighting():
     pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     vals = np.array([2.0, 2.0, 1.0, 1.0])
     assert anisotropy_ratio(pts, vals) == pytest.approx(4.0, rel=1e-12)
+
+
+def test_anisotropy_ratio_needs_planar_points():
+    # a third column used to be dropped without a word
+    pts = [[0.1, 0.2, 9.0], [0.3, -0.1, 9.0], [-0.2, 0.1, 1.0]]
+    with pytest.raises(ValueError):
+        anisotropy_ratio(pts, [1.0, 2.0, 3.0])

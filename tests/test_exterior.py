@@ -123,10 +123,6 @@ def test_exterior_correction_amplitude_and_points_kwarg():
     ps = uniform_interval(7)
     p = FracParams(1, 1.2)
     g1 = GmqProfile(np.zeros(1), 1.0, -1.2)
-    g3 = GmqProfile(np.zeros(1), 1.0, -1.2, amplitude=3.0)
-    a = exterior_data_correction(g1, ps, p, K=24)
-    b = exterior_data_correction(g3, ps, p, K=24)
-    assert np.allclose(b, 3.0 * a, rtol=1e-14)
     pts = np.array([[0.2], [0.4]])
     c = exterior_data_correction(g1, ps, p, K=24, points=pts)
     assert c.shape == (2,)
@@ -135,6 +131,9 @@ def test_exterior_correction_amplitude_and_points_kwarg():
 
 
 def test_gmq_profile_values():
-    g = GmqProfile(np.array([0.5, 0.0]), 2.0, -1.0, amplitude=4.0)
+    g = GmqProfile(np.array([0.5, 0.0]), 2.0, -1.0)
     pts = np.array([[0.5, 0.0], [1.5, 0.0]])
-    assert np.allclose(g.value(pts), [1.0, 0.8], atol=1e-15)
+    assert np.allclose(g.value(pts), [0.25, 0.2], atol=1e-15)
+    # a flat array of 1D points is one point per entry, not one 2-value row
+    g1 = GmqProfile(np.zeros(1), 1.0, -1.0)
+    assert np.allclose(g1.value(np.array([0.5, 1.5])), [0.8, 1.0 / 3.25], rtol=1e-15)

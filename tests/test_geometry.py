@@ -5,15 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracrbf.geometry import PointSet, clipped_grid, disk_grid, polar_layout, uniform_interval
+from fracrbf.exterior import GmqProfile, tail_factors_at
+from fracrbf.geometry import (PointSet, as_points, clipped_grid, disk_grid, polar_layout,
+                              uniform_interval)
+from fracrbf.oracles import case1
+from fracrbf.rbf import GmqBasis, phi_block
+from fracrbf.specialfun import FracParams
 
 
-def test_clipped_grid_half_width_validation():
-    clipped_grid(0.25, np.sqrt(2.0) / 2.0)
+def test_clipped_grid_step_validation():
+    clipped_grid(0.25)
     with pytest.raises(ValueError):
-        clipped_grid(0.25, 0.0)
+        clipped_grid(0.0)
     with pytest.raises(ValueError):
-        clipped_grid(0.25, 0.9)
+        clipped_grid(1.5)
 
 
 def test_uniform_interval_layout():
@@ -58,17 +63,9 @@ def test_disk_grid_counts():
         disk_grid(0.6)
 
 
-def test_clipped_grid_disk():
-    ps = clipped_grid(0.25)
-    assert ps.n_total == 49 and ps.n_interior == 45
-    r = np.linalg.norm(ps.points, axis=1)
-    assert np.all(r <= 1.0 + 1e-12)
-    assert np.all(r[: ps.n_interior] < 1.0 - 1e-12)
-
-
 def test_clipped_grid_embedded():
     w = np.sqrt(2.0) / 2.0
-    ps = clipped_grid(1.0 / 32.0, w)
+    ps = clipped_grid(1.0 / 32.0)
     assert ps.n_total == 3209 and ps.n_interior == 2025
     inner = ps.interior
     assert np.all(np.max(np.abs(inner), axis=1) < w)
@@ -93,3 +90,34 @@ def test_point_set_rejects_repeated_or_too_few_points():
         PointSet(np.array([[0.1], [0.1], [0.5]]), 3)
     with pytest.raises(ValueError, match="at least 2"):
         PointSet(np.array([[0.1]]), 1)
+
+
+@pytest.mark.parametrize("x, d, shape", [
+    (0.3, 1, (1, 1)),
+    (np.array([0.1, -0.4, 0.7]), 1, (3, 1)),
+    (np.array([0.1, -0.4]), 2, (1, 2)),
+    (np.array([[0.1], [-0.4], [0.7]]), 1, (3, 1)),
+    (np.array([[0.1, 0.2], [-0.4, 0.5]]), 2, (2, 2)),
+    (np.array([[0.1, 0.2, 0.3]]), 2, None),
+    (np.array([[0.1, 0.2], [0.3, 0.4]]), 1, None),
+    (np.zeros((2, 2, 1)), 1, None),
+], ids=["scalar", "flat-1d", "flat-2d", "column", "right-width", "wrong-width",
+        "wrong-width-1d", "three-dims"])
+def test_as_points(x, d, shape):
+    if shape is None:
+        with pytest.raises(ValueError):
+            as_points(x, d)
+        return
+    pts = as_points(x, d)
+    assert pts.shape == shape
+    assert np.array_equal(pts.ravel(), np.ravel(x))
+    if d == 1:
+        # every consumer of 1D points reads flat, scalar and column input alike
+        col = pts.copy()
+        basis = GmqBasis(np.array([-0.5, 0.0, 0.6]), FracParams(1, 1.2), 0.9)
+        g = GmqProfile(np.zeros(1), 1.0, -1.0)
+        assert np.array_equal(phi_block(basis, x), phi_block(basis, col))
+        assert np.array_equal(tail_factors_at(x, basis, K=8).assemble(),
+                              tail_factors_at(col, basis, K=8).assemble())
+        assert np.array_equal(g.value(x), g.value(col))
+        assert np.array_equal(np.ravel(case1(1, 1.2, x)), np.ravel(case1(1, 1.2, col)))

@@ -18,6 +18,8 @@ from fracrbf.geometry import disk_grid
 from fracrbf.harness import (PRESETS, RunReport, RunRow, convergence_rate,
                              preset_fig_disk, preset_table2, preset_table3,
                              preset_table4, preset_table5, preset_table6, rms_error)
+from fracrbf.rbf import GmqBasis
+from fracrbf.specialfun import FracParams
 
 
 def test_rms_error_examples():
@@ -198,9 +200,14 @@ def test_steady_presets_free_each_system(run, monkeypatch):
     assert live_at_assembly == [0, 0]
 
 
+def _lattice_qg_operators(h, alpha, eps):
+    ps = disk_grid(h)
+    return qg_operators(ps, GmqBasis(ps.points, FracParams(2, alpha), eps), K=32, M=64)
+
+
 @pytest.mark.parametrize("run, n_factors", [
     (lambda: preset_fig_disk(alphas=(0.4, 1.2)), 4),
-    (lambda: qg_operators(disk_grid(1 / 8), 0.2, alpha=1.5, K=32, M=64), 3),
+    (lambda: _lattice_qg_operators(1 / 8, 1.5, 0.2), 3),
 ], ids=["fig-disk", "qg-operators"])
 def test_no_factor_outlives_its_use(run, n_factors, monkeypatch):
     # an LU kept after its solves sits in memory beside the next one,

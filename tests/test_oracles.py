@@ -108,8 +108,8 @@ def test_case2_scaled_consistency():
     u_r, f_r = case2(d, alpha, p, scale * xs)
     assert np.allclose(u_s, u_r, atol=1e-15)
     assert np.allclose(f_s, scale ** alpha * f_r, rtol=1e-14)
-    u_far, _ = case2_scaled(d, alpha, p, scale, np.array([0.9]), f_required=False)
-    assert u_far == 0.0
+    with pytest.raises(ValueError):
+        case2_scaled(d, alpha, p, scale, np.array([0.9]))
 
 
 def test_case2_scaled_oracle_route():

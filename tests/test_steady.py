@@ -108,8 +108,8 @@ def test_solve_poisson_rejects_nonfinite_rhs():
 
 
 def test_measurement_grids():
-    tp = test_points_disk(n_radii=5, n_angles=8, r_max=0.9)
-    assert tp.shape == (41, 2)
+    tp = test_points_disk()
+    assert tp.shape == (2561, 2)
     r = np.linalg.norm(tp, axis=1)
     assert r[0] == 0.0
-    assert np.max(r) == pytest.approx(0.9)
+    assert np.max(r) == pytest.approx(0.95)
