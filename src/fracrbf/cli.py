@@ -235,7 +235,7 @@ def _cmd_sweep(args, row):
     eps_meta = (dict(eps=_pick(args.eps, eps_abs)) if args.eps_factor is None
                 else dict(eps_factor=args.eps_factor))
     rep = RunReport(label=args.command, meta=dict(
-        d=dim, alpha=alpha, case=kind, K=kq, M=mq, **eps_meta))
+        d=dim, alpha=alpha, case=kind, K=kq, **eps_meta, **(dict(M=mq) if dim == 2 else {})))
     for ps, tp in _sweep(args, dim):
         eps = _eps_for(args, ps, eps_abs)
         basis = GmqBasis(ps.points, FracParams(dim, alpha), eps)

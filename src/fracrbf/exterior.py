@@ -53,12 +53,12 @@ class TailFactors:
     b_alt: np.ndarray | None = None
     c_alt: np.ndarray | None = None
 
-    def assemble(self):
-        bw = self.b * self.weights[None, :]
-        mat = bw @ self.c
+    def assemble(self, out=None):
+        """The tail matrix, written into `out` (rows x centers) when passed."""
+        mat = np.matmul(self.b * self.weights[None, :], self.c, out=out)
         if self.b_alt is not None:
-            mat = mat + (self.b_alt * self.weights[None, :]) @ self.c_alt
-        return self.scale * mat
+            mat += (self.b_alt * self.weights[None, :]) @ self.c_alt
+        return np.multiply(mat, self.scale, out=mat)
 
     def apply(self, v):
         """The tail matrix times v, row by row without forming the matrix."""
@@ -77,10 +77,14 @@ def _factors_1d(points, centers, eps, beta, alpha, K):
     w = rule.weights * s ** gamma
     x = points[:, 0]
     xc = centers[:, 0]
-    b_r = (1.0 - x[:, None] * s[None, :]) ** (-1.0 - alpha)
-    b_l = (1.0 + x[:, None] * s[None, :]) ** (-1.0 - alpha)
-    c_r = ((s[:, None] * eps) ** 2 + (1.0 - xc[None, :] * s[:, None]) ** 2) ** beta
-    c_l = ((s[:, None] * eps) ** 2 + (1.0 + xc[None, :] * s[:, None]) ** 2) ** beta
+    # 1 - x s on the ray y > 1 (b_r, c_r), 1 + x s on the ray y < -1 (b_l, c_l)
+    b_r, c_r, b_l, c_l = (op(1.0, t, out=t) for op in (np.subtract, np.add)
+                          for t in (x[:, None] * s[None, :], xc[None, :] * s[:, None]))
+    for b, c in ((b_r, c_r), (b_l, c_l)):
+        b **= -1.0 - alpha
+        c **= 2
+        c += (s[:, None] * eps) ** 2
+        c **= beta
     return b_r, c_r, b_l, c_l, w
 
 
@@ -93,13 +97,18 @@ def _factors_2d(points, centers, eps, beta, alpha, K, M):
     w = np.repeat(rule.weights, M) * s ** gamma * ang.weight
     theta = np.tile(ang.angles, K)
     sig = np.column_stack([np.cos(theta), np.sin(theta)])
-    # |sigma - s x|^2 for evaluation points and centers
+    # |sigma - s x|^2 for evaluation points and centers, in two buffers
     def sqd(pts):
-        d1 = sig[None, :, 0] - pts[:, 0, None] * s[None, :]
-        d2 = sig[None, :, 1] - pts[:, 1, None] * s[None, :]
-        return d1 * d1 + d2 * d2
-    b = sqd(points) ** (-(alpha / 2.0 + 1.0))
-    c = ((s[None, :] * eps) ** 2 + sqd(centers)) ** beta
+        d = [pts[:, k, None] * s[None, :] for k in range(2)]
+        for k in range(2):
+            np.subtract(sig[None, :, k], d[k], out=d[k])
+            d[k] *= d[k]
+        return np.add(d[0], d[1], out=d[0])
+    b = sqd(points)
+    b **= -(alpha / 2.0 + 1.0)
+    c = sqd(centers)
+    c += (s[None, :] * eps) ** 2
+    c **= beta
     return b, c.T, w
 
 

@@ -52,21 +52,23 @@ def assemble(ps, basis, K=10, M=64):
     """Build A_phi and the system S: closed-form images plus exterior tails
     on the equation rows, plain basis values on the zero-value rows."""
     a_phi = phi_block(basis, ps.points)
-    # tails before the image block: the tail quadrature's temporaries set the
-    # peak memory, so no (n_interior, N) block should be alive beside them
-    tail = tail_factors_at(ps.interior, basis, K=K, M=M).assemble()
-    top = frac_lap_block(basis, ps.interior) + tail
-    s = np.vstack([top, a_phi[ps.n_interior:, :]])
+    s = np.empty_like(a_phi)
+    # the tail quadrature's factors set the peak memory, so the image block is
+    # built only after the tail product has been written into S and they are gone
+    tail_factors_at(ps.interior, basis, K=K, M=M).assemble(out=s[:ps.n_interior])
+    s[:ps.n_interior] += frac_lap_block(basis, ps.interior)
+    s[ps.n_interior:] = a_phi[ps.n_interior:]
     return SystemMatrices(ps, a_phi, s)
 
 
 def condition_estimate(sm):
     """1-norm condition estimate of the interpolation matrix A_phi
-    (Hager-Higham style through the LAPACK reciprocal-condition routine)."""
+    (Hager-Higham style through the LAPACK reciprocal-condition routine);
+    the 1-norm comes from `lange` on the transposed view, with no N x N copy."""
     mat = sm.a_phi
     lu, _ = _factor(mat)
-    anorm = float(np.max(np.abs(mat).sum(axis=0)))
-    gecon = get_lapack_funcs(("gecon",), (mat,))[0]
+    gecon, lange = get_lapack_funcs(("gecon", "lange"), (mat,))
+    anorm = float(lange("I", mat.T))
     rcond, info = gecon(lu, anorm, norm="1")
     if info != 0:
         raise np.linalg.LinAlgError("condition estimation failed")

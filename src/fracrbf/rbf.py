@@ -51,20 +51,23 @@ def _sq_dist(basis, x):
 def phi_block(basis, x):
     """Matrix of phi_j(x_i), shape (npoints, ncenters)."""
     r2, _ = _sq_dist(basis, x)
-    return (basis.eps ** 2 + r2) ** basis.beta
+    r2 += basis.eps ** 2
+    r2 **= basis.beta
+    return r2
 
 
 def psi_block(basis, x):
     """Matrix of the companion profile (eps^2 + |x_i-x_j|^2)^(-(alpha+d)/2)."""
-    d, alpha = basis.params.d, basis.params.alpha
     r2, _ = _sq_dist(basis, x)
-    return (basis.eps ** 2 + r2) ** (-(alpha + d) / 2.0)
+    r2 += basis.eps ** 2
+    r2 **= -(basis.params.alpha + basis.params.d) / 2.0
+    return r2
 
 
 def frac_lap_block(basis, x):
     """Matrix of the full-space fractional Laplacian of every phi_j."""
-    mu = coeff_mu(basis.params)
-    return basis.eps ** basis.params.alpha * mu * psi_block(basis, x)
+    psi = psi_block(basis, x)
+    return np.multiply(psi, basis.eps ** basis.params.alpha * coeff_mu(basis.params), out=psi)
 
 
 def classical_lap_block(basis, x):
@@ -72,17 +75,23 @@ def classical_lap_block(basis, x):
     d = basis.params.d
     b = basis.beta
     eps2 = basis.eps ** 2
-    r2, _ = _sq_dist(basis, x)
-    w = eps2 + r2
+    w, _ = _sq_dist(basis, x)
+    w += eps2
     coef1 = 2.0 * d * b + 4.0 * b * (b - 1.0)
     coef2 = 4.0 * b * (b - 1.0)
-    return -coef1 * w ** (b - 1.0) + coef2 * eps2 * w ** (b - 2.0)
+    out = w ** (b - 1.0)
+    out *= -coef1
+    w **= b - 2.0
+    w *= coef2 * eps2
+    return np.add(out, w, out=out)
 
 
 def grad_blocks(basis, x):
     """Component matrices of grad phi_j(x_i); one (npoints, ncenters) per axis."""
     b = basis.beta
-    r2, pts = _sq_dist(basis, x)
-    common = 2.0 * b * (basis.eps ** 2 + r2) ** (b - 1.0)
-    return [common * (pts[:, k, None] - basis.centers[None, :, k])
-            for k in range(basis.params.d)]
+    common, pts = _sq_dist(basis, x)
+    common += basis.eps ** 2
+    common **= b - 1.0
+    common *= 2.0 * b
+    diffs = [pts[:, k, None] - basis.centers[None, :, k] for k in range(basis.params.d)]
+    return [np.multiply(diff, common, out=diff) for diff in diffs]

@@ -1,5 +1,7 @@
 """Test-only references: inverse-power and compactly supported profiles for
-`fracrbf.oracles.hypersingular_oracle`, and a brute-force exterior tail.
+`fracrbf.oracles.hypersingular_oracle`, a brute-force exterior tail, and the
+out-of-place forms of the kernel blocks, tail factors, tail product and
+1-norm that the solver computes in place with the same operations.
 The file name keeps pytest from collecting it.
 """
 
@@ -9,9 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+from fracrbf.exterior import TailFactors
 from fracrbf.geometry import as_points
 from fracrbf.oracles import RadialPowerProfile, _gauss_panels
-from fracrbf.specialfun import FracParams, coeff_c
+from fracrbf.quadrature import gauss_legendre_01, periodic_rule
+from fracrbf.rbf import _sq_dist
+from fracrbf.specialfun import FracParams, coeff_c, coeff_mu
 
 # kinked-arc panel breakpoints, refined geometrically (ratio 10) toward the kink
 _ARC_FRACS = np.array([0.0] + [1e-8 * 10.0 ** k for k in range(8)] + [1.0])
@@ -157,3 +162,84 @@ def tail_oracle(v, d, alpha, x):
 
     val, _ = integrate.quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-10, limit=300)
     return c * 2.0 * np.pi * val
+
+
+# Out-of-place references. Each expression below is the one the solver used
+# before it moved to in-place updates; the solver must match it bit for bit.
+
+def phi_block_ref(basis, x):
+    r2, _ = _sq_dist(basis, x)
+    return (basis.eps ** 2 + r2) ** basis.beta
+
+
+def psi_block_ref(basis, x):
+    d, alpha = basis.params.d, basis.params.alpha
+    r2, _ = _sq_dist(basis, x)
+    return (basis.eps ** 2 + r2) ** (-(alpha + d) / 2.0)
+
+
+def frac_lap_block_ref(basis, x):
+    mu = coeff_mu(basis.params)
+    return basis.eps ** basis.params.alpha * mu * psi_block_ref(basis, x)
+
+
+def classical_lap_block_ref(basis, x):
+    d = basis.params.d
+    b = basis.beta
+    eps2 = basis.eps ** 2
+    r2, _ = _sq_dist(basis, x)
+    w = eps2 + r2
+    coef1 = 2.0 * d * b + 4.0 * b * (b - 1.0)
+    coef2 = 4.0 * b * (b - 1.0)
+    return -coef1 * w ** (b - 1.0) + coef2 * eps2 * w ** (b - 2.0)
+
+
+def grad_blocks_ref(basis, x):
+    b = basis.beta
+    r2, pts = _sq_dist(basis, x)
+    common = 2.0 * b * (basis.eps ** 2 + r2) ** (b - 1.0)
+    return [common * (pts[:, k, None] - basis.centers[None, :, k])
+            for k in range(basis.params.d)]
+
+
+def tail_factors_ref(points, centers, eps, beta, p, K, M):
+    """The factors `exterior._tail_factors` builds, from the same arguments."""
+    points, centers = as_points(points, p.d), as_points(centers, p.d)
+    rule = gauss_legendre_01(K)
+    gamma = p.alpha - 1.0 - 2.0 * beta
+    if p.d == 1:
+        s = rule.nodes
+        w = rule.weights * s ** gamma
+        x, xc = points[:, 0], centers[:, 0]
+        b_r = (1.0 - x[:, None] * s[None, :]) ** (-1.0 - p.alpha)
+        b_l = (1.0 + x[:, None] * s[None, :]) ** (-1.0 - p.alpha)
+        c_r = ((s[:, None] * eps) ** 2 + (1.0 - xc[None, :] * s[:, None]) ** 2) ** beta
+        c_l = ((s[:, None] * eps) ** 2 + (1.0 + xc[None, :] * s[:, None]) ** 2) ** beta
+        return TailFactors(b_r, c_r, w, coeff_c(p), b_alt=b_l, c_alt=c_l)
+    ang = periodic_rule(M)
+    s = np.repeat(rule.nodes, M)
+    w = np.repeat(rule.weights, M) * s ** gamma * ang.weight
+    theta = np.tile(ang.angles, K)
+    sig = np.column_stack([np.cos(theta), np.sin(theta)])
+
+    def sqd(pts):
+        d1 = sig[None, :, 0] - pts[:, 0, None] * s[None, :]
+        d2 = sig[None, :, 1] - pts[:, 1, None] * s[None, :]
+        return d1 * d1 + d2 * d2
+    b = sqd(points) ** (-(p.alpha / 2.0 + 1.0))
+    c = ((s[None, :] * eps) ** 2 + sqd(centers)) ** beta
+    return TailFactors(b, c.T, w, coeff_c(p))
+
+
+def tail_matrix_ref(tf):
+    """The full matrix of a `TailFactors`."""
+    bw = tf.b * tf.weights[None, :]
+    mat = bw @ tf.c
+    if tf.b_alt is not None:
+        mat = mat + (tf.b_alt * tf.weights[None, :]) @ tf.c_alt
+    return tf.scale * mat
+
+
+def one_norm_ref(mat):
+    """Largest absolute column sum."""
+    return float(np.max(np.abs(mat).sum(axis=0)))

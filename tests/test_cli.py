@@ -157,6 +157,21 @@ def test_smooth_disk_sweep_error(argv, n, column, value, capsys):
     assert float(row[header.index(column)]) == pytest.approx(value, rel=1e-3)
 
 
+@pytest.mark.parametrize("argv, disk", [
+    (["forward", "--n", "4"], False),
+    (["solve", "--dim", "1", "--n", "4"], False),
+    (["forward", "--dim", "2", "--L", "3", "--J", "5", "--quad-K", "16", "--quad-M", "32"], True),
+], ids=["forward", "solve-dim1", "forward-dim2"])
+def test_sweep_records_angular_rule_only_on_disk(argv, disk, tmp_path, capsys):
+    # the 1D tail has no angular rule, so a 1D run must not record an M it never used
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    header = capsys.readouterr().out.splitlines()[0].split()
+    meta = (tmp_path / "run_meta.txt").read_text().splitlines()
+    for fields in (header, meta):
+        assert [f for f in fields if f.startswith("M=")] == (["M=32"] if disk else [])
+        assert ("K=16" if disk else "K=48") in fields
+
+
 def test_evolve_short_run(capsys):
     rc = cli.main(["evolve", "--L", "4", "--J", "6", "--dt", "0.01",
                    "--t-end", "0.05", "--chi", "0.5", "--quad-K", "16",

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from fracrbf.exterior import GmqProfile, exterior_data_correction, tail_factors_at
-from fracrbf.geometry import polar_layout, uniform_interval
+from fracrbf.geometry import clipped_grid, polar_layout, uniform_interval
 from fracrbf.oracles import RadialPowerProfile
 from fracrbf.rbf import GmqBasis
 from fracrbf.specialfun import FracParams
-from reference import tail_oracle
+from reference import tail_factors_ref, tail_matrix_ref, tail_oracle
 
 
 def _oracle_profile(d, eps, beta, center):
@@ -137,3 +137,36 @@ def test_gmq_profile_values():
     # a flat array of 1D points is one point per entry, not one 2-value row
     g1 = GmqProfile(np.zeros(1), 1.0, -1.0)
     assert np.allclose(g1.value(np.array([0.5, 1.5])), [0.8, 1.0 / 3.25], rtol=1e-15)
+
+
+_FACTOR_FIELDS = ("b", "c", "weights", "b_alt", "c_alt")
+
+
+@pytest.mark.parametrize("d, alpha, ps, K, M", [
+    (1, 0.8, uniform_interval(120), 48, 96),
+    (1, 1.6, uniform_interval(40), 16, 96),
+    (2, 1.2, clipped_grid(1.0 / 16.0), 16, 32),
+    (2, 0.6, polar_layout(5, 7), 24, 48),
+], ids=["interval-0.8", "interval-1.6", "embedded-1.2", "polar-0.6"])
+def test_tail_factors_and_matrix_match_out_of_place_formulas_bitwise(d, alpha, ps, K, M):
+    # factors and product are built in place with the operations of the
+    # plain expressions, in the same order, so no bit may move
+    basis = GmqBasis(ps.points, FracParams(d, alpha), 0.9)
+    tf = tail_factors_at(ps.interior, basis, K=K, M=M)
+    ref = tail_factors_ref(ps.interior, basis.centers, basis.eps, basis.beta, basis.params, K, M)
+    assert tf.scale == ref.scale
+    for name in _FACTOR_FIELDS:
+        got, want = getattr(tf, name), getattr(ref, name)
+        assert (got is None) == (want is None), name
+        assert got is None or np.array_equal(got, want), name
+    mat = tail_matrix_ref(ref)
+    assert np.array_equal(tf.assemble(), mat)
+    # into the leading rows of a larger buffer, as linsys.assemble does
+    out = np.full((ps.n_total, ps.n_total), np.nan)
+    tf.assemble(out=out[:ps.n_interior])
+    assert np.array_equal(out[:ps.n_interior], mat)
+    assert np.all(np.isnan(out[ps.n_interior:]))
+    # the product leaves the factors untouched: apply reuses them
+    for name in _FACTOR_FIELDS:
+        got, want = getattr(tf, name), getattr(ref, name)
+        assert got is None or np.array_equal(got, want), name

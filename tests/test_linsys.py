@@ -1,15 +1,20 @@
 """Dense system assembly, LU solve, conditioning, and reduced operators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import get_lapack_funcs
 
 from fracrbf.exterior import tail_factors_at
-from fracrbf.geometry import polar_layout, uniform_interval
+from fracrbf.geometry import clipped_grid, polar_layout, uniform_interval
 from fracrbf.linsys import _factor, assemble, condition_estimate, nodal_operator
 from fracrbf.rbf import GmqBasis, classical_lap_block, frac_lap_block, phi_block
 from fracrbf.specialfun import FracParams
 from fracrbf.steady import solve_poisson
+from reference import (frac_lap_block_ref, one_norm_ref, phi_block_ref, tail_factors_ref,
+                       tail_matrix_ref)
 
 
 def _system_1d(n=10, alpha=1.2, eps=1.0, K=32):
@@ -100,3 +105,62 @@ def test_nodal_operator_custom_rows():
     samples = np.concatenate([v, np.zeros(2)])
     lam = np.linalg.solve(sm.a_phi, samples)
     assert np.allclose(a @ v, rows @ lam, rtol=1e-8, atol=1e-12)
+
+
+@pytest.mark.parametrize("ps, d, K, M", [
+    (uniform_interval(120), 1, 48, 96),
+    (clipped_grid(1.0 / 16.0), 2, 16, 32),
+], ids=["interval", "embedded"])
+def test_system_and_norm_match_out_of_place_formulas_bitwise(ps, d, K, M):
+    # S is filled in place (tail product, then the image block added to it),
+    # which must give the bits of the stacked sum of the plain blocks
+    basis = GmqBasis(ps.points, FracParams(d, 1.2), 0.9)
+    sm = assemble(ps, basis, K=K, M=M)
+    n_int = ps.n_interior
+    a_phi = phi_block_ref(basis, ps.points)
+    tail = tail_matrix_ref(tail_factors_ref(ps.interior, basis.centers, basis.eps,
+                                            basis.beta, basis.params, K, M))
+    assert np.array_equal(sm.a_phi, a_phi)
+    assert np.array_equal(sm.s, np.vstack([frac_lap_block_ref(basis, ps.interior) + tail,
+                                           a_phi[n_int:]]))
+    # lange's infinity norm of the transposed view sums each column in row
+    # order, as abs(A).sum(axis=0) does, so gecon sees the same 1-norm
+    mat = sm.a_phi
+    gecon, lange = get_lapack_funcs(("gecon", "lange"), (mat,))
+    assert lange("I", mat.T) == one_norm_ref(mat)
+    rcond, info = gecon(_factor(mat)[0], one_norm_ref(mat), norm="1")
+    assert info == 0
+    assert condition_estimate(sm) == 1.0 / rcond
+
+
+def _peak_in_n2(fn, n):
+    """fn's result and the peak of the memory it allocated (numpy reports its
+    buffers to tracemalloc), in units of n*n doubles."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak / (8.0 * n * n)
+
+
+@pytest.mark.parametrize("ps, d, K, M, budget", [
+    (clipped_grid(1.0 / 16.0), 2, 32, 64, 9.0),
+    (uniform_interval(600), 1, 48, 96, 3.5),
+], ids=["embedded", "interval"])
+def test_assembly_memory_budget(ps, d, K, M, budget):
+    # assemble returns A_phi and S (2 units) and, at its peak, also holds the
+    # tail factors and their working buffers (8.9 units in 2D, 3.4 in 1D);
+    # the budgets sit just above that, so a temporary put back fails here.
+    # condition_estimate holds only the copy of A_phi that the LU overwrites.
+    basis = GmqBasis(ps.points, FracParams(d, 1.2), 0.9)
+    n = ps.n_total
+    sm, peak = _peak_in_n2(lambda: assemble(ps, basis, K=K, M=M), n)
+    assert peak < budget
+    _, peak = _peak_in_n2(lambda: condition_estimate(sm), n)
+    assert peak < 1.1

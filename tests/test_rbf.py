@@ -9,6 +9,8 @@ from fracrbf.oracles import gmq_profile, gmq_shifted_profile, hypersingular_orac
 from fracrbf.rbf import (GmqBasis, classical_lap_block, frac_lap_block,
                          grad_blocks, phi_block, psi_block, _sq_dist)
 from fracrbf.specialfun import FracParams, coeff_eta, coeff_mu
+from reference import (classical_lap_block_ref, frac_lap_block_ref, grad_blocks_ref,
+                       phi_block_ref, psi_block_ref)
 
 
 def _basis_1d(alpha=1.2, eps=0.9):
@@ -145,3 +147,23 @@ def test_sq_dist_matches_broadcast_bitwise(points, centers):
     r2, _ = _sq_dist(basis, points)
     diff = points[:, None, :] - centers[None, :, :]
     assert np.array_equal(r2, np.sum(diff * diff, axis=2))
+
+
+@pytest.mark.parametrize("d, alpha, points", [
+    (1, 0.5, uniform_interval(200).points),
+    (1, 1.5, uniform_interval(200).points),
+    (2, 0.8, clipped_grid(1.0 / 16.0).points),
+    (2, 1.2, disk_grid(1.0 / 8.0).points),
+], ids=["interval-0.5", "interval-1.5", "embedded-0.8", "lattice-1.2"])
+def test_blocks_match_out_of_place_formulas_bitwise(d, alpha, points):
+    # the blocks update their r^2 buffer in place with the operations of the
+    # plain expressions, in the same order, so no bit may move
+    basis = GmqBasis(points, FracParams(d, alpha), 0.9)
+    x = points[::2]
+    for block, ref in ((phi_block, phi_block_ref), (psi_block, psi_block_ref),
+                       (frac_lap_block, frac_lap_block_ref),
+                       (classical_lap_block, classical_lap_block_ref)):
+        assert np.array_equal(block(basis, x), ref(basis, x)), block.__name__
+    got, want = grad_blocks(basis, x), grad_blocks_ref(basis, x)
+    assert len(got) == len(want) == d
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
