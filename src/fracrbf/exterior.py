@@ -53,8 +53,9 @@ class TailFactors:
     b_alt: np.ndarray | None = None
     c_alt: np.ndarray | None = None
 
-    def assemble(self, out=None):
-        """The tail matrix, written into `out` (rows x centers) when passed."""
+    def assemble(self, out):
+        """The tail matrix, written into the caller's (rows x centers) buffer
+        `out`; the factors are left as they are, since `apply` reuses them."""
         mat = np.matmul(self.b * self.weights[None, :], self.c, out=out)
         if self.b_alt is not None:
             mat += (self.b_alt * self.weights[None, :]) @ self.c_alt
@@ -77,14 +78,10 @@ def _factors_1d(points, centers, eps, beta, alpha, K):
     w = rule.weights * s ** gamma
     x = points[:, 0]
     xc = centers[:, 0]
-    # 1 - x s on the ray y > 1 (b_r, c_r), 1 + x s on the ray y < -1 (b_l, c_l)
-    b_r, c_r, b_l, c_l = (op(1.0, t, out=t) for op in (np.subtract, np.add)
-                          for t in (x[:, None] * s[None, :], xc[None, :] * s[:, None]))
-    for b, c in ((b_r, c_r), (b_l, c_l)):
-        b **= -1.0 - alpha
-        c **= 2
-        c += (s[:, None] * eps) ** 2
-        c **= beta
+    b_r = (1.0 - x[:, None] * s[None, :]) ** (-1.0 - alpha)
+    b_l = (1.0 + x[:, None] * s[None, :]) ** (-1.0 - alpha)
+    c_r = ((s[:, None] * eps) ** 2 + (1.0 - xc[None, :] * s[:, None]) ** 2) ** beta
+    c_l = ((s[:, None] * eps) ** 2 + (1.0 + xc[None, :] * s[:, None]) ** 2) ** beta
     return b_r, c_r, b_l, c_l, w
 
 

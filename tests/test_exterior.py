@@ -16,10 +16,15 @@ def _oracle_profile(d, eps, beta, center):
     return RadialPowerProfile(c, ((1.0, eps * eps, 1.0, beta),))
 
 
+def _assembled(tf):
+    """The tail matrix of `tf`, written into a fresh (rows x centers) buffer."""
+    return tf.assemble(np.empty((tf.b.shape[0], tf.c.shape[1])))
+
+
 def _entry(x_i, x_j, eps, p, K, M=64):
     """One tail-matrix entry: one equation point, one center."""
     basis = GmqBasis(np.atleast_1d(np.asarray(x_j, dtype=float)), p, eps)
-    return tail_factors_at(np.asarray(x_i, dtype=float), basis, K=K, M=M).assemble()[0, 0]
+    return _assembled(tail_factors_at(np.asarray(x_i, dtype=float), basis, K=K, M=M))[0, 0]
 
 
 def test_tail_entry_1d_against_adaptive_quadrature():
@@ -71,7 +76,7 @@ def test_factored_matrix_matches_entries():
     p = FracParams(1, 0.8)
     basis = GmqBasis(ps.points, p, 1.3)
     tf = tail_factors_at(ps.interior, basis, K=16)
-    mat = tf.assemble()
+    mat = _assembled(tf)
     assert mat.shape == (ps.n_interior, ps.n_total)
     for i in (0, 3):
         for j in (0, 5, 7):
@@ -85,7 +90,7 @@ def test_factored_matrix_matches_entries_2d():
     p = FracParams(2, 1.2)
     basis = GmqBasis(ps.points, p, 0.9)
     tf = tail_factors_at(ps.interior, basis, K=12, M=48)
-    mat = tf.assemble()
+    mat = _assembled(tf)
     assert mat.shape == (ps.n_interior, ps.n_total)
     for i in (0, 4):
         for j in (0, 9):
@@ -98,7 +103,7 @@ def test_tail_factors_at_arbitrary_points():
     ps = uniform_interval(8)
     basis = GmqBasis(ps.points, FracParams(1, 0.8), 1.3)
     pts = np.array([[0.11], [-0.62]])
-    mat = tail_factors_at(pts, basis, K=16).assemble()
+    mat = _assembled(tail_factors_at(pts, basis, K=16))
     for i, x in enumerate(pts[:, 0]):
         for j in (1, 6):
             ref = _entry(x, ps.points[j], 1.3, basis.params, K=16)
@@ -160,10 +165,10 @@ def test_tail_factors_and_matrix_match_out_of_place_formulas_bitwise(d, alpha, p
         assert (got is None) == (want is None), name
         assert got is None or np.array_equal(got, want), name
     mat = tail_matrix_ref(ref)
-    assert np.array_equal(tf.assemble(), mat)
+    assert np.array_equal(_assembled(tf), mat)
     # into the leading rows of a larger buffer, as linsys.assemble does
     out = np.full((ps.n_total, ps.n_total), np.nan)
-    tf.assemble(out=out[:ps.n_interior])
+    tf.assemble(out[:ps.n_interior])
     assert np.array_equal(out[:ps.n_interior], mat)
     assert np.all(np.isnan(out[ps.n_interior:]))
     # the product leaves the factors untouched: apply reuses them

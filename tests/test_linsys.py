@@ -30,7 +30,7 @@ def test_assemble_block_structure():
     assert sm.a_phi.shape == (n, n)
     # equation rows = closed-form image + tails, boundary rows = plain phi
     top_ref = (frac_lap_block(basis, ps.interior)
-               + tail_factors_at(ps.interior, basis, K=32).assemble())
+               + tail_matrix_ref(tail_factors_at(ps.interior, basis, K=32)))
     assert np.allclose(sm.s[:n_int], top_ref, atol=1e-15)
     assert np.array_equal(sm.s[n_int:], sm.a_phi[n_int:])
     assert np.allclose(sm.a_phi, phi_block(basis, ps.points), atol=1e-15)
@@ -124,7 +124,10 @@ def test_system_and_norm_match_out_of_place_formulas_bitwise(ps, d, K, M):
     assert np.array_equal(sm.s, np.vstack([frac_lap_block_ref(basis, ps.interior) + tail,
                                            a_phi[n_int:]]))
     # lange's infinity norm of the transposed view sums each column in row
-    # order, as abs(A).sum(axis=0) does, so gecon sees the same 1-norm
+    # order, as abs(A).sum(axis=0) does, so gecon sees the same 1-norm. That
+    # holds for the reference-LAPACK dlange that the OpenBLAS numpy/scipy
+    # wheels ship; a vectorised lange (MKL, Accelerate) may sum in another
+    # order and fail this equality in the last digits
     mat = sm.a_phi
     gecon, lange = get_lapack_funcs(("gecon", "lange"), (mat,))
     assert lange("I", mat.T) == one_norm_ref(mat)
