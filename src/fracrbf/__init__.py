@@ -1,8 +1,8 @@
 """Meshless fractional-Laplacian solver on intervals and disks.
 
 Generalized multiquadric collocation with closed-form operator identities,
-exterior-tail quadrature, steady and time-dependent drivers, and a
-verification oracle based on direct hypersingular integration.
+exterior-tail quadrature, steady and time-dependent drivers; the verify
+suite (`fracrbf.checks`, direct hypersingular integration) loads on demand.
 """
 
 from fracrbf.specialfun import FracParams, gamma_fn, gauss_2f1, coeff_c, coeff_mu, coeff_eta

@@ -18,8 +18,8 @@ from fracrbf.dynamics import (anisotropy_ratio, crank_nicolson_mixed, mixed_oper
                               qg_operators, run_qg, write_snapshots)
 from fracrbf.exterior import GmqProfile, exterior_data_correction
 from fracrbf.geometry import disk_grid, polar_layout, uniform_interval
-from fracrbf.harness import (CHECKS, PRESETS, RunReport, RunRow, mixed_run, rms_error,
-                             solve_row, vortex_run)
+from fracrbf.harness import (PRESETS, RunReport, RunRow, mixed_run, rms_error, solve_row,
+                             vortex_run)
 from fracrbf.oracles import case1, case2
 from fracrbf.rbf import GmqBasis
 from fracrbf.specialfun import FracParams
@@ -285,6 +285,8 @@ class VerifyError(Exception):
 
 
 def _cmd_verify(args):
+    # the suite and its adaptive quadrature load only when verify runs
+    from fracrbf.checks import CHECKS
     for name, check, tol in CHECKS:
         # --seed reaches the checks that draw random cases
         seeded = args.seed is not None and "seed" in inspect.signature(check).parameters

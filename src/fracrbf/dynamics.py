@@ -195,7 +195,7 @@ def qg_operators(ps, basis, K=10, M=64):
     del minus_p
     if basis.params.alpha != 1.0:
         sm = assemble(ps, basis, K=K, M=M)
-        nodal_operator(sm, out=local[:n])
+        nodal_operator(sm, rows=(sm.s[:n],), out=local[:n])
     return QgOperators(local=local, velocity=velocity)
 
 

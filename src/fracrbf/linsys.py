@@ -77,25 +77,21 @@ def condition_estimate(sm):
     return 1.0 / float(rcond)
 
 
-def nodal_operator(sm, rows=None, out=None):
+def nodal_operator(sm, rows, out=None):
     """Square operators on nodal interior values.
 
     Columns 0..n_interior-1 of A_phi^{-1} turn interior nodal values (with
-    zero boundary values) into coefficients; `rows` (default: the equation
-    rows of S) maps coefficients to operator values at the interior points.
-    `rows` may also be a tuple of row blocks: all of them share the one
-    solve for that coefficient map, and their operators are stacked in the
-    order given, into `out` when it is passed. Each block is multiplied on
-    its own, so its rows are bitwise the ones a single-block call gives.
+    zero boundary values) into coefficients; each block of the tuple `rows`
+    maps them to operator values at the interior points. The blocks share
+    that one solve; their operators are stacked in order, into `out` when
+    it is passed, each block multiplied on its own.
     """
     n_int = sm.ps.n_interior
     n = sm.a_phi.shape[0]
     rhs = np.zeros((n, n_int))
     rhs[:n_int, :] = np.eye(n_int)
     coeff_map = sla.lu_solve(_factor(sm.a_phi), rhs)
-    if rows is None:
-        rows = sm.s[:n_int, :]
-    blocks = [np.asarray(w, dtype=float) for w in (rows if isinstance(rows, tuple) else (rows,))]
+    blocks = [np.asarray(w, dtype=float) for w in rows]
     shape = (sum(w.shape[0] for w in blocks), n_int)
     if out is None:
         out = np.empty(shape)

@@ -1,5 +1,5 @@
 """Test-only references: inverse-power and compactly supported profiles for
-`fracrbf.oracles.hypersingular_oracle`, a brute-force exterior tail, and the
+`fracrbf.checks.hypersingular_oracle`, a brute-force exterior tail, and the
 out-of-place forms of the kernel blocks, tail factors, tail product and
 1-norm that the solver computes in place with the same operations.
 The file name keeps pytest from collecting it.
@@ -13,7 +13,7 @@ from scipy import integrate
 
 from fracrbf.exterior import TailFactors
 from fracrbf.geometry import as_points
-from fracrbf.oracles import RadialPowerProfile, _gauss_panels
+from fracrbf.checks import RadialPowerProfile, _gauss_panels
 from fracrbf.quadrature import gauss_legendre_01, periodic_rule
 from fracrbf.rbf import _sq_dist
 from fracrbf.specialfun import FracParams, coeff_c, coeff_mu

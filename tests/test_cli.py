@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from fracrbf import cli
-from fracrbf.harness import CHECKS
+from fracrbf import checks, cli
+from fracrbf.checks import CHECKS
 
 
 def test_usage_error_exits_one():
@@ -249,8 +249,8 @@ def test_verify_seed_reaches_seeded_checks(monkeypatch, capsys):
     def seeded(seed=11):
         seen.append(seed)
         return 0.0
-    monkeypatch.setattr(cli, "CHECKS", (("seeded", seeded, 1e-10),
-                                        ("plain", lambda: 0.0, 1e-10)))
+    monkeypatch.setattr(checks, "CHECKS", (("seeded", seeded, 1e-10),
+                                           ("plain", lambda: 0.0, 1e-10)))
     assert cli.main(["verify", "--seed", "5"]) == 0
     assert cli.main(["verify"]) == 0
     assert seen == [5, 11]

@@ -141,9 +141,10 @@ def _per_stage_rhs(ps, eps, alpha, K, M):
     half = GmqBasis(ps.points, FracParams(2, 1.0), eps)
     sm = assemble(ps, half, K=K, M=M)
     gx, gy = grad_blocks(half, ps.interior)
-    dx, dy = nodal_operator(sm, rows=gx), nodal_operator(sm, rows=gy)
-    diss = nodal_operator(sm if alpha == 1.0 else assemble(
-        ps, GmqBasis(ps.points, FracParams(2, alpha), eps), K=K, M=M))
+    dx, dy = nodal_operator(sm, rows=(gx,)), nodal_operator(sm, rows=(gy,))
+    sm_diss = sm if alpha == 1.0 else assemble(
+        ps, GmqBasis(ps.points, FracParams(2, alpha), eps), K=K, M=M)
+    diss = nodal_operator(sm_diss, rows=(sm_diss.s[:n],))
 
     s_lu = _factor(sm.s)
 

@@ -5,7 +5,7 @@ import pytest
 
 from fracrbf.exterior import GmqProfile, exterior_data_correction, tail_factors_at
 from fracrbf.geometry import clipped_grid, polar_layout, uniform_interval
-from fracrbf.oracles import RadialPowerProfile
+from fracrbf.checks import RadialPowerProfile
 from fracrbf.rbf import GmqBasis
 from fracrbf.specialfun import FracParams
 from reference import tail_factors_ref, tail_matrix_ref, tail_oracle

@@ -3,7 +3,9 @@
 import ast
 import csv
 import math
+import os
 import re
+import subprocess
 import sys
 import weakref
 from pathlib import Path
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracrbf import harness, linsys
+from fracrbf import checks, harness, linsys
 from fracrbf.dynamics import qg_operators
 from fracrbf.geometry import disk_grid
 from fracrbf.harness import (PRESETS, RunReport, RunRow, convergence_rate,
@@ -96,6 +98,17 @@ def test_report_write_files(tmp_path):
     assert "label=demo" in meta and "alpha=1.2" in meta
     assert "timestamp=" in meta and "git_rev=" in meta
     assert (tmp_path / "plot.py").exists()
+
+
+def test_run_meta_records_the_package_checkout(tmp_path, monkeypatch):
+    # git_rev names the checkout fracrbf was imported from, whatever the
+    # caller's working directory
+    package = Path(harness.__file__).parent
+    rev = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=package,
+                         capture_output=True, text=True).stdout.strip() or "unknown"
+    monkeypatch.chdir(tmp_path)
+    RunReport(label="demo").write(tmp_path / "out")
+    assert f"git_rev={rev}\n" in (tmp_path / "out" / "run_meta.txt").read_text()
 
 
 def test_results_csv_excludes_wall_clock(tmp_path):
@@ -230,7 +243,7 @@ def test_no_factor_outlives_its_use(run, n_factors, monkeypatch):
 def test_manufactured_backward_error_holds_at_every_seed():
     # the forward check exceeds its 1e-10 at some seeds, as cond(S) up to
     # 3e7 allows; the backward error of the same solves stays below n*u
-    (check, tol), = [(c, t) for n, c, t in harness.CHECKS
+    (check, tol), = [(c, t) for n, c, t in checks.CHECKS
                      if n == "manufactured-backward-error"]
     assert max(check(seed=seed) for seed in range(100)) <= tol
 
@@ -258,3 +271,18 @@ def test_every_public_name_is_used_in_src():
             if uses == 0:
                 unused.append(f"{path.stem}.{name}")
     assert unused == []
+
+
+def test_run_path_does_not_load_adaptive_quadrature():
+    # scipy.integrate (and scipy.optimize, which it pulls in) serve only the
+    # verify suite; the CLI, the presets and the benchmark must not pay for them
+    probe = ("import sys, fracrbf, fracrbf.cli, fracrbf.harness\n"
+             "print(sorted({'scipy.integrate', 'scipy.optimize'} & sys.modules.keys()))\n"
+             "import fracrbf.checks\n"
+             "print('scipy.integrate' in sys.modules)\n")
+    src = str(Path(harness.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out == ["[]", "True"]

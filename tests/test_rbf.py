@@ -5,7 +5,7 @@ import pytest
 
 from fracrbf import steady
 from fracrbf.geometry import clipped_grid, disk_grid, polar_layout, uniform_interval
-from fracrbf.oracles import gmq_profile, gmq_shifted_profile, hypersingular_oracle
+from fracrbf.checks import gmq_profile, gmq_shifted_profile, hypersingular_oracle
 from fracrbf.rbf import (GmqBasis, classical_lap_block, frac_lap_block,
                          grad_blocks, phi_block, psi_block, _sq_dist)
 from fracrbf.specialfun import FracParams, coeff_eta, coeff_mu
