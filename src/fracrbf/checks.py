@@ -268,7 +268,7 @@ def _manufactured_solves(seed):
     """(S, b = S lam*, lam*, computed lam) per layout; each layout draws
     lam* from a fresh generator seeded with `seed`."""
     for ps, d in ((uniform_interval(10), 1), (uniform_interval(12), 1), (polar_layout(3, 7), 2)):
-        sm = assemble(ps, GmqBasis(ps.points, FracParams(d, 1.2), 1.0), K=32, M=48)
+        sm = assemble(ps, GmqBasis(ps.points, FracParams(d, 1.2), 1.0, K=32, M=48))
         lam_star = np.random.default_rng(seed).standard_normal(ps.n_total)
         b = sm.s @ lam_star
         yield sm.s, b, lam_star, sm.solve(b)

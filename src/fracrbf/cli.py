@@ -154,6 +154,14 @@ def _disk_set(args, default):
     return polar_layout(lvl_l, _pick(args.J, lvl_l))
 
 
+def _disk_problem(args, default_ps, default_eps):
+    """(point set, basis) of evolve and qg; --quad-K/--quad-M set the tail rule."""
+    ps = _disk_set(args, default_ps)
+    return ps, GmqBasis(ps.points, FracParams(2, _pick(args.alpha, 1.0)),
+                        _eps_for(args, ps, default_eps),
+                        K=_pick(args.quad_K, 32), M=_pick(args.quad_M, 64))
+
+
 def _print_report(rep):
     cols = ("N", "E", "rate", "Ehat", "rate", "cond", "seconds")
     print(f"[{rep.label}] " + " ".join(f"{k}={v}" for k, v in sorted(rep.meta.items())))
@@ -196,7 +204,7 @@ def _sweep(args, dim):
             yield ps, test_points_disk()
 
 
-def _forward_row(ps, basis, tp, case, kq, mq):
+def _forward_row(ps, basis, tp, case):
     """Interpolate u at all N points; Ehat is the clipped-operator residual."""
     u_fn, f_fn, g = case
     lam = interpolate(ps, basis, u_fn(ps.points))
@@ -204,16 +212,15 @@ def _forward_row(ps, basis, tp, case, kq, mq):
     if g is not None:
         # nonzero exterior data: the clipped operator approximates f
         # plus the tail of g, exactly as in the collocation rows
-        target = target + exterior_data_correction(g, ps, basis.params,
-                                                   K=kq, M=mq, points=tp)
-    ehat = rms_error(target, forward_frac_lap_clipped(lam, basis, tp, K=kq, M=mq))
+        target = target + exterior_data_correction(g, tp, basis)
+    ehat = rms_error(target, forward_frac_lap_clipped(lam, basis, tp))
     return RunRow(n=ps.n_total, ehat=ehat)
 
 
-def _solution_error_row(ps, basis, tp, case, kq, mq):
+def _solution_error_row(ps, basis, tp, case):
     """Collocation solve; E is the solution error at the measurement points."""
     u_fn, f_fn, g = case
-    row, lam, _ = solve_row(ps, basis, f_fn, g=g, K=kq, M=mq)
+    row, lam, _ = solve_row(ps, basis, f_fn, g=g)
     row.e = rms_error(u_fn(tp), evaluate_interpolant(lam, basis, tp))
     return row
 
@@ -227,8 +234,7 @@ def _cmd_sweep(args, row):
     if unread:
         raise ValueError(f"--dim {dim} --case {kind} does not read {', '.join(unread)}")
     alpha = _pick(args.alpha, 1.2)
-    kq = _pick(args.quad_K, 48)
-    mq = _pick(args.quad_M, 96)
+    kq, mq = _pick(args.quad_K, 48), _pick(args.quad_M, 96)
     case = _case_funcs(args, kind, dim, alpha)
     eps_abs = 1.5 if dim == 1 else 1.0
     # under --eps-factor eps changes with every point set, so the factor is recorded
@@ -237,9 +243,8 @@ def _cmd_sweep(args, row):
     rep = RunReport(label=args.command, meta=dict(
         d=dim, alpha=alpha, case=kind, K=kq, **eps_meta, **(dict(M=mq) if dim == 2 else {})))
     for ps, tp in _sweep(args, dim):
-        eps = _eps_for(args, ps, eps_abs)
-        basis = GmqBasis(ps.points, FracParams(dim, alpha), eps)
-        rep.add(row(ps, basis, tp, case, kq, mq), dim=dim)
+        basis = GmqBasis(ps.points, FracParams(dim, alpha), _eps_for(args, ps, eps_abs), K=kq, M=mq)
+        rep.add(row(ps, basis, tp, case), dim=dim)
     _print_report(rep)
     if args.out is not None:
         print(f"wrote {rep.write(args.out).parent}")
@@ -247,12 +252,9 @@ def _cmd_sweep(args, row):
 
 
 def _cmd_evolve(args):
-    alpha = _pick(args.alpha, 1.0)
-    ps = _disk_set(args, lambda: polar_layout(8, 8))
-    eps = _eps_for(args, ps, 1.0)
-    basis = GmqBasis(ps.points, FracParams(2, alpha), eps)
+    ps, basis = _disk_problem(args, lambda: polar_layout(8, 8), 1.0)
     cfg, u0 = mixed_run(_pick(args.dt, 0.001), _pick(args.t_end, 0.5), _pick(args.chi, 1.0))
-    ops = mixed_operators(ps, basis, K=_pick(args.quad_K, 32), M=_pick(args.quad_M, 64))
+    ops = mixed_operators(ps, basis)
     times, fields = crank_nicolson_mixed(ps, ops, cfg, u0)
     for t, f in zip(times, fields):
         print(f"t={t:8.4f} peak={np.max(np.abs(f)):.6e}")
@@ -263,13 +265,10 @@ def _cmd_evolve(args):
 
 
 def _cmd_qg(args):
-    alpha = _pick(args.alpha, 1.0)
-    ps = _disk_set(args, lambda: disk_grid(0.0625))
-    eps = _eps_for(args, ps, 0.1)
-    basis = GmqBasis(ps.points, FracParams(2, alpha), eps)
+    ps, basis = _disk_problem(args, lambda: disk_grid(0.0625), 0.1)
     cfg, theta0 = vortex_run(_pick(args.dt, 0.01), _pick(args.t_end, 2.0),
                              _pick(args.kappa, 0.001))
-    ops = qg_operators(ps, basis, K=_pick(args.quad_K, 32), M=_pick(args.quad_M, 64))
+    ops = qg_operators(ps, basis)
     times, fields = run_qg(ps, ops, cfg, theta0)
     for t, f in zip(times, fields):
         print(f"t={t:8.4f} peak={np.max(np.abs(f)):.6e} "

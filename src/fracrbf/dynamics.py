@@ -9,7 +9,7 @@ fixed for the whole run.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ import scipy.linalg as sla
 
 from fracrbf.geometry import as_points
 from fracrbf.linsys import _factor, assemble, nodal_operator
-from fracrbf.rbf import GmqBasis, classical_lap_block, grad_blocks
+from fracrbf.rbf import classical_lap_block, grad_blocks
 from fracrbf.specialfun import FracParams
 
 __all__ = [
@@ -107,11 +107,11 @@ def _march(cfg, u, step):
     return np.array(out_t), np.array(out_u)
 
 
-def mixed_operators(ps, basis, K=10, M=64):
+def mixed_operators(ps, basis):
     """The fractional and the classical Laplacian on interior nodal values,
     stacked as one (2n, n) array; one coefficient map serves both, and the
     system is freed before this returns."""
-    sm = assemble(ps, basis, K=K, M=M)
+    sm = assemble(ps, basis)
     n = ps.n_interior
     return nodal_operator(sm, rows=(sm.s[:n], classical_lap_block(basis, ps.interior)))
 
@@ -159,7 +159,7 @@ class QgOperators:
         return self.velocity @ np.asarray(theta, dtype=float)
 
 
-def qg_operators(ps, basis, K=10, M=64):
+def qg_operators(ps, basis):
     """Precompute the two operators the quasi-geostrophic stepper applies:
     the dissipation of basis and the half-Laplacian stream map on its centers.
 
@@ -176,8 +176,8 @@ def qg_operators(ps, basis, K=10, M=64):
     if basis.params.d != 2:
         raise ValueError("the quasi-geostrophic run lives on the disk")
     n = ps.n_interior
-    half = GmqBasis(basis.centers, FracParams(2, 1.0), basis.eps)
-    sm = assemble(ps, half, K=K, M=M)
+    half = replace(basis, params=FracParams(2, 1.0))
+    sm = assemble(ps, half)
     gx, gy = grad_blocks(half, ps.interior)
     local = np.empty((3 * n, n))
     if basis.params.alpha == 1.0:
@@ -194,7 +194,7 @@ def qg_operators(ps, basis, K=10, M=64):
     np.negative(velocity[n:], out=velocity[n:])
     del minus_p
     if basis.params.alpha != 1.0:
-        sm = assemble(ps, basis, K=K, M=M)
+        sm = assemble(ps, basis)
         nodal_operator(sm, rows=(sm.s[:n],), out=local[:n])
     return QgOperators(local=local, velocity=velocity)
 

@@ -112,7 +112,7 @@ def _factors_2d(points, centers, eps, beta, alpha, K, M):
 def _tail_factors(points, centers, eps, beta, p, K, M):
     """Tail factors of the profiles (eps^2+|y-center|^2)^beta, rowed by
     points strictly inside the unit domain."""
-    points = as_points(points, p.d)
+    points, centers = as_points(points, p.d), as_points(centers, p.d)
     if np.any(np.sqrt(np.sum(points * points, axis=1)) >= 1.0):
         raise ValueError("tail rows exist only at points strictly inside the domain")
     if p.d == 1:
@@ -122,15 +122,15 @@ def _tail_factors(points, centers, eps, beta, p, K, M):
     return TailFactors(b, c, w, coeff_c(p))
 
 
-def tail_factors_at(points, basis, K=10, M=64):
-    """Tail factors rowed by arbitrary points strictly inside the unit
-    domain; columns cover all N centers."""
-    return _tail_factors(points, basis.centers, basis.eps, basis.beta, basis.params, K, M)
+def tail_factors_at(points, basis):
+    """Tail factors of basis under its rule, rowed by points strictly inside the domain."""
+    return _tail_factors(points, basis.centers, basis.eps, basis.beta, basis.params,
+                         basis.K, basis.M)
 
 
-def exterior_data_correction(g, ps, p, K=10, M=64, points=None):
-    """Tail values of the exterior datum g at the equation points (or at
-    explicitly given points strictly inside the domain).
+def exterior_data_correction(g, points, basis):
+    """Tail values of the exterior datum g at points strictly inside the
+    domain, under the (d, alpha) and the tail rule of basis.
 
     Same change-of-variable quadrature as the basis tails, generalized to
     the profile's own exponent: the leftover power s^(alpha-1-2*exponent)
@@ -138,8 +138,7 @@ def exterior_data_correction(g, ps, p, K=10, M=64, points=None):
     (all the shipped test problems); otherwise accuracy degrades to
     algebraic in K and a larger K is the remedy.
     """
+    p = basis.params
     if 2.0 * g.exponent >= p.alpha:
         raise ValueError("exterior datum must decay: need 2*exponent < alpha")
-    tf = _tail_factors(ps.interior if points is None else points, as_points(g.center, p.d),
-                       g.eps, g.exponent, p, K, M)
-    return tf.apply(np.ones(1))
+    return _tail_factors(points, g.center, g.eps, g.exponent, p, basis.K, basis.M).apply(np.ones(1))

@@ -137,7 +137,7 @@ def _git_rev():
         return "unknown"
 
 
-def solve_row(ps, basis, f, g=None, K=10, M=64):
+def solve_row(ps, basis, f, g=None):
     """One steady solve of every steady preset and of `fracrbf solve`.
 
     Returns (row, lam, u_nodes): the row carries N and cond(A_phi), and its
@@ -145,8 +145,8 @@ def solve_row(ps, basis, f, g=None, K=10, M=64):
     dropped before condition_estimate factors A_phi, and the system stays
     local, so it is freed before the caller assembles the next one."""
     t0 = time.perf_counter()
-    sm = assemble(ps, basis, K=K, M=M)
-    lam, u_nodes = solve_poisson(sm, basis, f, g=g, K=K, M=M)
+    sm = assemble(ps, basis)
+    lam, u_nodes = solve_poisson(sm, f, g=g)
     seconds = time.perf_counter() - t0
     return RunRow(n=ps.n_total, cond=condition_estimate(sm), seconds=seconds), lam, u_nodes
 
@@ -163,8 +163,8 @@ def _interval_row(n, alpha, eps, K, f_nodes, exact, window=None):
     which is where the clipped operator of the interpolant carries an
     irreducible boundary-layer error."""
     ps = uniform_interval(n + 2)
-    basis = GmqBasis(ps.points, FracParams(1, alpha), eps)
-    row, lam, _ = solve_row(ps, basis, f_nodes, K=K)
+    basis = GmqBasis(ps.points, FracParams(1, alpha), eps, K=K)
+    row, lam, _ = solve_row(ps, basis, f_nodes)
     row.n = n
 
     tp = uniform_interval(n + 1).interior
@@ -172,7 +172,7 @@ def _interval_row(n, alpha, eps, K, f_nodes, exact, window=None):
         tp = tp[np.abs(tp[:, 0]) < window - 1e-12]
     u_tp, f_tp = exact(tp)
     row.e = rms_error(u_tp, evaluate_interpolant(lam, basis, tp))
-    row.ehat = rms_error(f_tp, forward_frac_lap_clipped(lam, basis, tp, K=K))
+    row.ehat = rms_error(f_tp, forward_frac_lap_clipped(lam, basis, tp))
     return row
 
 
@@ -244,8 +244,8 @@ def _disk_table(rep, alpha, layouts, exact, K, M, g=None):
     tp = test_points_disk()
     u_tp, _ = exact(tp)
     for ps, eps in layouts:
-        basis = GmqBasis(ps.points, FracParams(2, alpha), eps)
-        row, lam, _ = solve_row(ps, basis, lambda x: exact(x)[1], g=g, K=K, M=M)
+        basis = GmqBasis(ps.points, FracParams(2, alpha), eps, K=K, M=M)
+        row, lam, _ = solve_row(ps, basis, lambda x: exact(x)[1], g=g)
         row.e = rms_error(u_tp, evaluate_interpolant(lam, basis, tp))
         rep.add(row, dim=2)
     return rep
@@ -288,8 +288,8 @@ def _constant_source(label, ps, alphas, eps, K, M, out, exact=None, **meta):
     if outp is not None:
         outp.mkdir(parents=True, exist_ok=True)
     for alpha in alphas:
-        basis = GmqBasis(ps.points, FracParams(2, alpha), eps)
-        row, _, u_nodes = solve_row(ps, basis, lambda pts: np.ones(len(pts)), K=K, M=M)
+        basis = GmqBasis(ps.points, FracParams(2, alpha), eps, K=K, M=M)
+        row, _, u_nodes = solve_row(ps, basis, lambda pts: np.ones(len(pts)))
         fields = {"solution": u_nodes}
         if exact is not None:
             u = exact(alpha, ps.interior)
@@ -343,12 +343,12 @@ def preset_fig_mixed(alpha=1.0, eps=1.0, dt=0.001, t_end=0.5, K=32, M=64, out=No
     """Mixed local/nonlocal diffusion on the N=73 ring layout for
     chi in {0, 1/2, 1}; emits snapshot fields and a peak-decay summary."""
     ps = polar_layout(8, 8)
-    basis = GmqBasis(ps.points, FracParams(2, alpha), eps)
+    basis = GmqBasis(ps.points, FracParams(2, alpha), eps, K=K, M=M)
     rep = RunReport("fig-mixed", meta=dict(
         d=2, alpha=alpha, eps=eps, eps_mode="absolute", dt=dt, t_end=t_end, K=K, M=M,
         row_order="one row per chi in (0, 0.5, 1); E holds the final peak"))
     outp = Path(out) if out is not None else None
-    ops = mixed_operators(ps, basis, K=K, M=M)
+    ops = mixed_operators(ps, basis)
     peaks = {}
     for chi in (0.0, 0.5, 1.0):
         cfg, u0 = mixed_run(dt, t_end, chi)
@@ -368,12 +368,12 @@ def preset_fig_qg(alpha=1.0, eps=0.1, dt=0.01, t_end=2.0, kappa=0.001,
     """Single-vortex quasi-geostrophic run on the lattice disk grid; emits
     scalar-field snapshots plus the anisotropy-decay summary."""
     ps = disk_grid(grid_h)
-    basis = GmqBasis(ps.points, FracParams(2, alpha), eps)
+    basis = GmqBasis(ps.points, FracParams(2, alpha), eps, K=K, M=M)
     rep = RunReport("fig-qg", meta=dict(d=2, alpha=alpha, eps=eps, eps_mode="absolute", dt=dt,
                                         t_end=t_end, kappa=kappa, grid_h=grid_h, K=K, M=M))
     cfg, theta0 = vortex_run(dt, t_end, kappa)
     t0 = time.perf_counter()
-    times, fields = run_qg(ps, qg_operators(ps, basis, K=K, M=M), cfg, theta0)
+    times, fields = run_qg(ps, qg_operators(ps, basis), cfg, theta0)
     seconds = time.perf_counter() - t0
     ratios = [anisotropy_ratio(ps.interior, f) for f in fields]
     for t, f, r in zip(times, fields, ratios):

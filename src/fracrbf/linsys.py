@@ -36,10 +36,11 @@ def _factor(mat):
 
 @dataclass(frozen=True)
 class SystemMatrices:
-    """Assembled collocation matrices. No factorization is kept: each LU
-    is computed where it is used and dropped right after."""
+    """Assembled collocation matrices and their basis. No factorization is
+    kept: each LU is computed where it is used and dropped right after."""
 
     ps: object
+    basis: object
     a_phi: np.ndarray
     s: np.ndarray
 
@@ -48,17 +49,17 @@ class SystemMatrices:
         return sla.lu_solve(_factor(self.s), np.asarray(rhs, dtype=float))
 
 
-def assemble(ps, basis, K=10, M=64):
+def assemble(ps, basis):
     """Build A_phi and the system S: closed-form images plus exterior tails
     on the equation rows, plain basis values on the zero-value rows."""
     a_phi = phi_block(basis, ps.points)
     s = np.empty_like(a_phi)
     # the tail quadrature's factors set the peak memory, so the image block is
     # built only after the tail product has been written into S and they are gone
-    tail_factors_at(ps.interior, basis, K=K, M=M).assemble(out=s[:ps.n_interior])
+    tail_factors_at(ps.interior, basis).assemble(out=s[:ps.n_interior])
     s[:ps.n_interior] += frac_lap_block(basis, ps.interior)
     s[ps.n_interior:] = a_phi[ps.n_interior:]
-    return SystemMatrices(ps, a_phi, s)
+    return SystemMatrices(ps, basis, a_phi, s)
 
 
 def condition_estimate(sm):

@@ -31,6 +31,8 @@ class GmqBasis:
     centers: np.ndarray
     params: FracParams
     eps: float
+    K: int = 10  # exterior-tail rule of every operator row: K Gauss nodes in s
+    M: int = 64  # and M angles (2D only)
 
     def __post_init__(self):
         if not self.eps > 0.0:

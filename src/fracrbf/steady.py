@@ -36,31 +36,29 @@ def interpolate(ps, basis, samples):
     return lam
 
 
-def forward_frac_lap_clipped(lam, basis, test_points, K=10, M=64):
+def forward_frac_lap_clipped(lam, basis, test_points):
     """Fractional Laplacian of the expansion zero-extended outside the unit
     domain: the full-space image plus the tail of every center over the
     exterior. This is the operator the collocation rows discretize, so its
     residual against f is the quantity the convergence tables track."""
     lam = np.asarray(lam, dtype=float)
-    tail = tail_factors_at(test_points, basis, K=K, M=M)
-    return frac_lap_block(basis, test_points) @ lam + tail.apply(lam)
+    return frac_lap_block(basis, test_points) @ lam + tail_factors_at(test_points, basis).apply(lam)
 
 
-def solve_poisson(sm, basis, f, g=None, K=10, M=64):
-    """Collocation solve of the exterior-value problem on the system sm
-    that linsys.assemble built for basis with the same K and M.
+def solve_poisson(sm, f, g=None):
+    """Collocation solve of the exterior-value problem on the system sm.
 
     Equation rows carry the exact operator image plus the basis tails; the
-    right-hand side gains the tail integral of the exterior datum g, and
-    the zero-value rows pin the expansion to g on the boundary set. g=None
-    means homogeneous exterior data. Returns the coefficients and the
-    expansion values at the equation points.
+    right-hand side gains the tail integral of the exterior datum g under
+    the rule of sm.basis, and the zero-value rows pin the expansion to g on
+    the boundary set. g=None means homogeneous exterior data. Returns the
+    coefficients and the expansion values at the equation points.
     """
     ps = sm.ps
     rhs = np.zeros(ps.n_total)
     rhs[: ps.n_interior] = f(ps.interior)
     if g is not None:
-        rhs[: ps.n_interior] += exterior_data_correction(g, ps, basis.params, K=K, M=M)
+        rhs[: ps.n_interior] += exterior_data_correction(g, ps.interior, sm.basis)
         if ps.n_interior < ps.n_total:
             rhs[ps.n_interior:] = g.value(ps.boundary)
     if not np.all(np.isfinite(rhs)):

@@ -85,7 +85,7 @@ def _mixed_golden():
     """The computation of test_mixed_diffusion_peak_regression: final peak
     per chi of the width-4 Gaussian on polar_layout(8, 8), in E."""
     ps = harness.polar_layout(8, 8)
-    ops = mixed_operators(ps, GmqBasis(ps.points, FracParams(2, 1.0), 1.0), K=32, M=64)
+    ops = mixed_operators(ps, GmqBasis(ps.points, FracParams(2, 1.0), 1.0, K=32, M=64))
     rows = []
     for chi in (0.0, 0.5, 1.0):
         cfg = EvolutionConfig(dt=0.001, t_end=0.5, chi=chi)

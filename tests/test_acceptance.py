@@ -117,8 +117,8 @@ def test_criterion_08_quadrature_and_hypergeometric_exactness():
 def test_criterion_09_time_stepper_orders():
     # trapezoidal self-convergence on the mixed-diffusion disk problem
     ps = polar_layout(8, 8)
-    basis = GmqBasis(ps.points, FracParams(2, 1.0), 1.0)
-    ops = mixed_operators(ps, basis, K=32, M=64)
+    basis = GmqBasis(ps.points, FracParams(2, 1.0), 1.0, K=32, M=64)
+    ops = mixed_operators(ps, basis)
     u0 = lambda pts: np.exp(-4.0 * np.sum(pts * pts, axis=1))
     finals = []
     for dt in (0.004, 0.002, 0.001):
@@ -130,8 +130,8 @@ def test_criterion_09_time_stepper_orders():
 
     # explicit three-stage stepping of a linear fractional decay problem
     ps2 = polar_layout(5, 5)
-    basis2 = GmqBasis(ps2.points, FracParams(2, 1.2), 1.0)
-    sm2 = assemble(ps2, basis2, K=32, M=64)
+    basis2 = GmqBasis(ps2.points, FracParams(2, 1.2), 1.0, K=32, M=64)
+    sm2 = assemble(ps2, basis2)
     a = nodal_operator(sm2, rows=(sm2.s[:ps2.n_interior],))
     op = lambda u: -(a @ u)
     v0 = np.exp(-2.0 * np.sum(ps2.interior * ps2.interior, axis=1))
@@ -151,11 +151,11 @@ def test_criterion_09_time_stepper_orders():
 
 def test_criterion_10_vortex_isotropization_and_stability():
     ps = disk_grid(1.0 / 16.0)
-    basis = GmqBasis(ps.points, FracParams(2, 1.0), 0.1)
+    basis = GmqBasis(ps.points, FracParams(2, 1.0), 0.1, K=32, M=64)
     cfg = EvolutionConfig(dt=0.01, t_end=2.0, kappa=0.001,
                           snapshot_times=tuple(np.round(np.arange(0.25, 2.0, 0.25), 8)))
     theta0 = lambda pts: np.exp(-4.0 * pts[:, 0] ** 2 - 64.0 * pts[:, 1] ** 2)
-    times, fields = run_qg(ps, qg_operators(ps, basis, K=32, M=64), cfg, theta0)
+    times, fields = run_qg(ps, qg_operators(ps, basis), cfg, theta0)
     ratios = [anisotropy_ratio(ps.interior, f) for f in fields]
     peaks = [float(np.max(np.abs(f))) for f in fields]
     toward_one = ratios[-1] < ratios[0] and min(ratios) >= 1.0

@@ -54,8 +54,8 @@ def test_config_rejects_snapshot_steps_that_share_a_name():
 @pytest.fixture(scope="module")
 def disk73():
     ps = polar_layout(8, 8)
-    basis = GmqBasis(ps.points, FracParams(2, 1.0), 1.0)
-    return ps, basis, mixed_operators(ps, basis, K=32, M=64)
+    basis = GmqBasis(ps.points, FracParams(2, 1.0), 1.0, K=32, M=64)
+    return ps, basis, mixed_operators(ps, basis)
 
 
 def test_mixed_diffusion_peak_regression(disk73):
@@ -110,7 +110,7 @@ def _no_advection(ops):
 
 def test_qg_rhs_zero_field_and_pure_decay(disk73):
     ps, basis, _ = disk73
-    ops = qg_operators(ps, basis, K=32, M=64)
+    ops = qg_operators(ps, basis)
     zero = np.zeros(ps.n_interior)
     assert np.allclose(qg_rhs(zero, ops, 0.001), 0.0, atol=1e-14)
 
@@ -125,7 +125,7 @@ def test_qg_advection_vanishes_on_radial_field(disk73):
     # a radial scalar spins without transporting itself: the advective part
     # of the tendency is orders below the dissipative part
     ps, basis, _ = disk73
-    ops = qg_operators(ps, basis, K=32, M=64)
+    ops = qg_operators(ps, basis)
     theta = _gaussian(4.0)(ps.interior)
     with_adv = qg_rhs(theta, ops, 0.001)
     without = qg_rhs(theta, _no_advection(ops), 0.001)
@@ -138,12 +138,12 @@ def _per_stage_rhs(ps, eps, alpha, K, M):
     """The tendency with one vector solve of S per call: theta -> psi through
     the half-Laplacian system, then the derivatives of psi."""
     n = ps.n_interior
-    half = GmqBasis(ps.points, FracParams(2, 1.0), eps)
-    sm = assemble(ps, half, K=K, M=M)
+    half = GmqBasis(ps.points, FracParams(2, 1.0), eps, K=K, M=M)
+    sm = assemble(ps, half)
     gx, gy = grad_blocks(half, ps.interior)
     dx, dy = nodal_operator(sm, rows=(gx,)), nodal_operator(sm, rows=(gy,))
     sm_diss = sm if alpha == 1.0 else assemble(
-        ps, GmqBasis(ps.points, FracParams(2, alpha), eps), K=K, M=M)
+        ps, GmqBasis(ps.points, FracParams(2, alpha), eps, K=K, M=M))
     diss = nodal_operator(sm_diss, rows=(sm_diss.s[:n],))
 
     s_lu = _factor(sm.s)
@@ -164,7 +164,7 @@ def _per_stage_rhs(ps, eps, alpha, K, M):
 def test_qg_rhs_matches_per_stage_solve(h, eps, alpha):
     # the precomputed velocity operator reproduces the per-stage stream solve
     ps = disk_grid(h)
-    ops = qg_operators(ps, GmqBasis(ps.points, FracParams(2, alpha), eps), K=32, M=64)
+    ops = qg_operators(ps, GmqBasis(ps.points, FracParams(2, alpha), eps, K=32, M=64))
     ref = _per_stage_rhs(ps, eps, alpha, K=32, M=64)
     thetas = (vortex_run(0.01, 2.0, 0.001)[1](ps.interior),
               np.random.default_rng(3).standard_normal(ps.n_interior))
@@ -189,7 +189,7 @@ def test_qg_operators_keep_no_system(alpha, monkeypatch):
         return sm
     monkeypatch.setattr(dynamics, "assemble", tracked)
     ps = polar_layout(4, 8)
-    ops = qg_operators(ps, GmqBasis(ps.points, FracParams(2, alpha), 0.5), K=16, M=32)
+    ops = qg_operators(ps, GmqBasis(ps.points, FracParams(2, alpha), 0.5, K=16, M=32))
     assert live_at_assembly == ([0] if alpha == 1.0 else [0, 0])
     assert all(ref() is None for ref in systems)
     n = ps.n_interior
@@ -208,7 +208,7 @@ def test_mixed_operators_keep_no_system(monkeypatch):
         return sm
     monkeypatch.setattr(dynamics, "assemble", tracked)
     ps = polar_layout(4, 8)
-    ops = mixed_operators(ps, GmqBasis(ps.points, FracParams(2, 1.0), 0.5), K=16, M=32)
+    ops = mixed_operators(ps, GmqBasis(ps.points, FracParams(2, 1.0), 0.5, K=16, M=32))
     assert len(systems) == 1 and systems[0]() is None
     assert ops.shape == (2 * ps.n_interior, ps.n_interior)
 
@@ -229,10 +229,10 @@ def test_fig_mixed_solves_one_coefficient_map(monkeypatch):
 
 def test_qg_blowup_guard():
     ps = polar_layout(4, 8)
-    basis = GmqBasis(ps.points, FracParams(2, 1.0), 0.5)
+    basis = GmqBasis(ps.points, FracParams(2, 1.0), 0.5, K=16, M=32)
     cfg = EvolutionConfig(dt=2.0, t_end=40.0, kappa=0.001)
     with pytest.raises(FloatingPointError):
-        run_qg(ps, qg_operators(ps, basis, K=16, M=32), cfg, _gaussian(4.0))
+        run_qg(ps, qg_operators(ps, basis), cfg, _gaussian(4.0))
 
 
 def test_qg_requires_disk_basis():

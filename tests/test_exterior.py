@@ -23,8 +23,8 @@ def _assembled(tf):
 
 def _entry(x_i, x_j, eps, p, K, M=64):
     """One tail-matrix entry: one equation point, one center."""
-    basis = GmqBasis(np.atleast_1d(np.asarray(x_j, dtype=float)), p, eps)
-    return _assembled(tail_factors_at(np.asarray(x_i, dtype=float), basis, K=K, M=M))[0, 0]
+    basis = GmqBasis(np.atleast_1d(np.asarray(x_j, dtype=float)), p, eps, K=K, M=M)
+    return _assembled(tail_factors_at(np.asarray(x_i, dtype=float), basis))[0, 0]
 
 
 def test_tail_entry_1d_against_adaptive_quadrature():
@@ -74,8 +74,8 @@ def _assert_apply_matches_assemble(tf, mat):
 def test_factored_matrix_matches_entries():
     ps = uniform_interval(8)
     p = FracParams(1, 0.8)
-    basis = GmqBasis(ps.points, p, 1.3)
-    tf = tail_factors_at(ps.interior, basis, K=16)
+    basis = GmqBasis(ps.points, p, 1.3, K=16)
+    tf = tail_factors_at(ps.interior, basis)
     mat = _assembled(tf)
     assert mat.shape == (ps.n_interior, ps.n_total)
     for i in (0, 3):
@@ -88,8 +88,8 @@ def test_factored_matrix_matches_entries():
 def test_factored_matrix_matches_entries_2d():
     ps = polar_layout(3, 5)
     p = FracParams(2, 1.2)
-    basis = GmqBasis(ps.points, p, 0.9)
-    tf = tail_factors_at(ps.interior, basis, K=12, M=48)
+    basis = GmqBasis(ps.points, p, 0.9, K=12, M=48)
+    tf = tail_factors_at(ps.interior, basis)
     mat = _assembled(tf)
     assert mat.shape == (ps.n_interior, ps.n_total)
     for i in (0, 4):
@@ -101,9 +101,9 @@ def test_factored_matrix_matches_entries_2d():
 
 def test_tail_factors_at_arbitrary_points():
     ps = uniform_interval(8)
-    basis = GmqBasis(ps.points, FracParams(1, 0.8), 1.3)
+    basis = GmqBasis(ps.points, FracParams(1, 0.8), 1.3, K=16)
     pts = np.array([[0.11], [-0.62]])
-    mat = _assembled(tail_factors_at(pts, basis, K=16))
+    mat = _assembled(tail_factors_at(pts, basis))
     for i, x in enumerate(pts[:, 0]):
         for j in (1, 6):
             ref = _entry(x, ps.points[j], 1.3, basis.params, K=16)
@@ -116,7 +116,7 @@ def test_exterior_correction_against_adaptive_quadrature():
     ps = polar_layout(3, 7)
     p = FracParams(2, 1.0)
     g = GmqProfile(np.zeros(2), 1.0, -1.5)
-    vals = exterior_data_correction(g, ps, p, K=32, M=96)
+    vals = exterior_data_correction(g, ps.interior, GmqBasis(ps.points, p, 1.0, K=32, M=96))
     assert vals.shape == (ps.n_interior,)
     prof = _oracle_profile(2, 1.0, -1.5, [0.0, 0.0])
     for i in (0, 5, 12):
@@ -129,10 +129,11 @@ def test_exterior_correction_amplitude_and_points_kwarg():
     p = FracParams(1, 1.2)
     g1 = GmqProfile(np.zeros(1), 1.0, -1.2)
     pts = np.array([[0.2], [0.4]])
-    c = exterior_data_correction(g1, ps, p, K=24, points=pts)
+    c = exterior_data_correction(g1, pts, GmqBasis(ps.points, p, 1.0, K=24))
     assert c.shape == (2,)
     with pytest.raises(ValueError):
-        exterior_data_correction(GmqProfile(np.zeros(1), 1.0, 0.7), ps, p)
+        exterior_data_correction(GmqProfile(np.zeros(1), 1.0, 0.7), ps.interior,
+                                 GmqBasis(ps.points, p, 1.0))
 
 
 def test_gmq_profile_values():
@@ -156,8 +157,8 @@ _FACTOR_FIELDS = ("b", "c", "weights", "b_alt", "c_alt")
 def test_tail_factors_and_matrix_match_out_of_place_formulas_bitwise(d, alpha, ps, K, M):
     # factors and product are built in place with the operations of the
     # plain expressions, in the same order, so no bit may move
-    basis = GmqBasis(ps.points, FracParams(d, alpha), 0.9)
-    tf = tail_factors_at(ps.interior, basis, K=K, M=M)
+    basis = GmqBasis(ps.points, FracParams(d, alpha), 0.9, K=K, M=M)
+    tf = tail_factors_at(ps.interior, basis)
     ref = tail_factors_ref(ps.interior, basis.centers, basis.eps, basis.beta, basis.params, K, M)
     assert tf.scale == ref.scale
     for name in _FACTOR_FIELDS:

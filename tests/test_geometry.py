@@ -115,10 +115,10 @@ def test_as_points(x, d, shape):
     if d == 1:
         # every consumer of 1D points reads flat, scalar and column input alike
         col = pts.copy()
-        basis = GmqBasis(np.array([-0.5, 0.0, 0.6]), FracParams(1, 1.2), 0.9)
+        basis = GmqBasis(np.array([-0.5, 0.0, 0.6]), FracParams(1, 1.2), 0.9, K=8)
         g = GmqProfile(np.zeros(1), 1.0, -1.0)
         assert np.array_equal(phi_block(basis, x), phi_block(basis, col))
-        assert np.array_equal(tail_matrix_ref(tail_factors_at(x, basis, K=8)),
-                              tail_matrix_ref(tail_factors_at(col, basis, K=8)))
+        assert np.array_equal(tail_matrix_ref(tail_factors_at(x, basis)),
+                              tail_matrix_ref(tail_factors_at(col, basis)))
         assert np.array_equal(g.value(x), g.value(col))
         assert np.array_equal(np.ravel(case1(1, 1.2, x)), np.ravel(case1(1, 1.2, col)))

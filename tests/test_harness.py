@@ -215,7 +215,7 @@ def test_steady_presets_free_each_system(run, monkeypatch):
 
 def _lattice_qg_operators(h, alpha, eps):
     ps = disk_grid(h)
-    return qg_operators(ps, GmqBasis(ps.points, FracParams(2, alpha), eps), K=32, M=64)
+    return qg_operators(ps, GmqBasis(ps.points, FracParams(2, alpha), eps, K=32, M=64))
 
 
 @pytest.mark.parametrize("run, n_factors", [

@@ -19,8 +19,8 @@ from reference import (frac_lap_block_ref, one_norm_ref, phi_block_ref, tail_fac
 
 def _system_1d(n=10, alpha=1.2, eps=1.0, K=32):
     ps = uniform_interval(n)
-    basis = GmqBasis(ps.points, FracParams(1, alpha), eps)
-    return ps, basis, assemble(ps, basis, K=K)
+    basis = GmqBasis(ps.points, FracParams(1, alpha), eps, K=K)
+    return ps, basis, assemble(ps, basis)
 
 
 def test_assemble_block_structure():
@@ -30,7 +30,7 @@ def test_assemble_block_structure():
     assert sm.a_phi.shape == (n, n)
     # equation rows = closed-form image + tails, boundary rows = plain phi
     top_ref = (frac_lap_block(basis, ps.interior)
-               + tail_matrix_ref(tail_factors_at(ps.interior, basis, K=32)))
+               + tail_matrix_ref(tail_factors_at(ps.interior, basis)))
     assert np.allclose(sm.s[:n_int], top_ref, atol=1e-15)
     assert np.array_equal(sm.s[n_int:], sm.a_phi[n_int:])
     assert np.allclose(sm.a_phi, phi_block(basis, ps.points), atol=1e-15)
@@ -47,8 +47,8 @@ def test_manufactured_coefficients_1d():
 
 def test_manufactured_coefficients_2d():
     ps = polar_layout(3, 7)
-    basis = GmqBasis(ps.points, FracParams(2, 1.2), 1.0)
-    sm = assemble(ps, basis, K=32, M=48)
+    basis = GmqBasis(ps.points, FracParams(2, 1.2), 1.0, K=32, M=48)
+    sm = assemble(ps, basis)
     rng = np.random.default_rng(7)
     lam_star = rng.standard_normal(ps.n_total)
     lam = sm.solve(sm.s @ lam_star)
@@ -69,7 +69,7 @@ def test_lu_solve_plain_matrix_and_singularity():
 def test_nodal_values_reads_top_block():
     # solve_poisson's nodal values are the expansion at the equation points
     ps, basis, sm = _system_1d(n=8)
-    lam, u_nodes = solve_poisson(sm, basis, lambda pts: np.cos(pts[:, 0]), K=32)
+    lam, u_nodes = solve_poisson(sm, lambda pts: np.cos(pts[:, 0]))
     ref = phi_block(basis, ps.interior) @ lam
     assert u_nodes.shape == (ps.n_interior,)
     assert np.allclose(u_nodes, ref, atol=1e-14)
@@ -114,8 +114,8 @@ def test_nodal_operator_custom_rows():
 def test_system_and_norm_match_out_of_place_formulas_bitwise(ps, d, K, M):
     # S is filled in place (tail product, then the image block added to it),
     # which must give the bits of the stacked sum of the plain blocks
-    basis = GmqBasis(ps.points, FracParams(d, 1.2), 0.9)
-    sm = assemble(ps, basis, K=K, M=M)
+    basis = GmqBasis(ps.points, FracParams(d, 1.2), 0.9, K=K, M=M)
+    sm = assemble(ps, basis)
     n_int = ps.n_interior
     a_phi = phi_block_ref(basis, ps.points)
     tail = tail_matrix_ref(tail_factors_ref(ps.interior, basis.centers, basis.eps,
@@ -161,9 +161,9 @@ def test_assembly_memory_budget(ps, d, K, M, budget):
     # tail factors and their working buffers (8.9 units in 2D, 3.4 in 1D);
     # the budgets sit just above that, so a temporary put back fails here.
     # condition_estimate holds only the copy of A_phi that the LU overwrites.
-    basis = GmqBasis(ps.points, FracParams(d, 1.2), 0.9)
+    basis = GmqBasis(ps.points, FracParams(d, 1.2), 0.9, K=K, M=M)
     n = ps.n_total
-    sm, peak = _peak_in_n2(lambda: assemble(ps, basis, K=K, M=M), n)
+    sm, peak = _peak_in_n2(lambda: assemble(ps, basis), n)
     assert peak < budget
     _, peak = _peak_in_n2(lambda: condition_estimate(sm), n)
     assert peak < 1.1

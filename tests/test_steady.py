@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fracrbf.exterior import GmqProfile
+from fracrbf.exterior import GmqProfile, exterior_data_correction
 from fracrbf.geometry import polar_layout, uniform_interval
 from fracrbf.linsys import assemble
 from fracrbf.oracles import case1, case2
@@ -49,11 +49,11 @@ def test_clipped_forward_matches_equation_rows():
     # at the collocation points the clipped operator must agree with the
     # assembled equation rows exactly (same quadrature, same algebra)
     ps = uniform_interval(9)
-    basis = GmqBasis(ps.points, FracParams(1, 1.2), 1.2)
-    sm = assemble(ps, basis, K=20)
+    basis = GmqBasis(ps.points, FracParams(1, 1.2), 1.2, K=20)
+    sm = assemble(ps, basis)
     rng = np.random.default_rng(2)
     lam = rng.standard_normal(ps.n_total)
-    got = forward_frac_lap_clipped(lam, basis, ps.interior, K=20)
+    got = forward_frac_lap_clipped(lam, basis, ps.interior)
     ref = sm.s[: ps.n_interior] @ lam
     assert np.allclose(got, ref, rtol=1e-13)
 
@@ -62,9 +62,9 @@ def test_solve_poisson_homogeneous_compact_case():
     # zero exterior data: the nodal solution tracks the closed-form field
     ps = uniform_interval(18)
     alpha = 1.2
-    basis = GmqBasis(ps.points, FracParams(1, alpha), 1.5)
+    basis = GmqBasis(ps.points, FracParams(1, alpha), 1.5, K=48)
     f = lambda pts: case2(1, alpha, 2.0, pts)[1]
-    lam, nodal = solve_poisson(assemble(ps, basis, K=48), basis, f, K=48)
+    lam, nodal = solve_poisson(assemble(ps, basis), f)
     exact = case2(1, alpha, 2.0, ps.interior, f_required=False)[0]
     err = np.linalg.norm(nodal - exact) / np.linalg.norm(exact)
     assert err <= 1e-4
@@ -79,10 +79,10 @@ def test_solve_poisson_exterior_data_disk():
     # smooth benchmark with nonzero exterior data g = u restricted outside
     ps = polar_layout(5, 11)
     alpha = 1.0
-    basis = GmqBasis(ps.points, FracParams(2, alpha), 1.5)
+    basis = GmqBasis(ps.points, FracParams(2, alpha), 1.5, K=48, M=96)
     g = GmqProfile(np.zeros(2), 1.0, -1.5)
     f = lambda pts: case1(2, alpha, pts)[1]
-    lam, nodal = solve_poisson(assemble(ps, basis, K=48, M=96), basis, f, g=g, K=48, M=96)
+    lam, nodal = solve_poisson(assemble(ps, basis), f, g=g)
     exact = case1(2, alpha, ps.interior, f_required=False)[0]
     err = np.linalg.norm(nodal - exact) / np.linalg.norm(exact)
     assert err <= 1e-3
@@ -90,21 +90,42 @@ def test_solve_poisson_exterior_data_disk():
 
 def test_solve_poisson_pins_boundary_rows_to_g():
     ps = polar_layout(3, 7)
-    basis = GmqBasis(ps.points, FracParams(2, 1.0), 1.2)
+    basis = GmqBasis(ps.points, FracParams(2, 1.0), 1.2, K=24, M=48)
     g = GmqProfile(np.zeros(2), 1.0, -1.5)
-    sm = assemble(ps, basis, K=24, M=48)
+    sm = assemble(ps, basis)
     f = lambda pts: np.ones(pts.shape[0])
-    lam, _ = solve_poisson(sm, basis, f, g=g, K=24, M=48)
+    lam, _ = solve_poisson(sm, f, g=g)
     got_boundary = phi_block(basis, ps.boundary) @ lam
     assert np.allclose(got_boundary, g.value(ps.boundary), rtol=1e-8)
 
 
+def test_solve_poisson_exterior_data_uses_the_system_rule():
+    # the datum's tail on the right-hand side takes the (K, M) that the
+    # assembled tail took, read from the system's basis
+    ps = polar_layout(3, 7)
+    basis = GmqBasis(ps.points, FracParams(2, 1.0), 1.2, K=24, M=48)
+    g = GmqProfile(np.zeros(2), 1.0, -1.5)
+    f = lambda pts: np.ones(pts.shape[0])
+    sm = assemble(ps, basis)
+    lam, _ = solve_poisson(sm, f, g=g)
+
+    def solve_with(rule_basis):
+        rhs = np.zeros(ps.n_total)
+        rhs[:ps.n_interior] = f(ps.interior)
+        rhs[:ps.n_interior] += exterior_data_correction(g, ps.interior, rule_basis)
+        rhs[ps.n_interior:] = g.value(ps.boundary)
+        return sm.solve(rhs)
+    assert np.array_equal(lam, solve_with(basis))
+    # the default rule gives other bits, so the check above tells the rules apart
+    assert not np.array_equal(lam, solve_with(GmqBasis(ps.points, basis.params, basis.eps)))
+
+
 def test_solve_poisson_rejects_nonfinite_rhs():
     ps = uniform_interval(8)
-    basis = GmqBasis(ps.points, FracParams(1, 1.2), 1.0)
+    basis = GmqBasis(ps.points, FracParams(1, 1.2), 1.0, K=16)
     f = lambda pts: np.full(pts.shape[0], np.inf)
     with pytest.raises(ValueError):
-        solve_poisson(assemble(ps, basis, K=16), basis, f, K=16)
+        solve_poisson(assemble(ps, basis), f)
 
 
 def test_measurement_grids():
