@@ -17,7 +17,7 @@ import scipy.linalg as sla
 
 from fracrbf.geometry import as_points
 from fracrbf.linsys import _factor, assemble, nodal_operator
-from fracrbf.rbf import classical_lap_block, grad_blocks
+from fracrbf.rbf import classical_lap_block, grad_blocks, phi_block
 from fracrbf.specialfun import FracParams
 
 __all__ = [
@@ -186,7 +186,7 @@ def qg_operators(ps, basis):
         nodal_operator(sm, rows=(gx, gy), out=local[n:])
     del gx, gy
     # (A_top S^{-1})[:, :n] = -P, so u1 = -dy P theta = dy (-P) theta
-    minus_p = sla.lu_solve(_factor(sm.s), sm.a_phi[:n].T, trans=1).T[:, :n]
+    minus_p = sla.lu_solve(_factor(sm.s), phi_block(half, ps.interior).T, trans=1).T[:, :n]
     del sm
     velocity = np.empty((2 * n, n))
     np.matmul(local[2 * n:], minus_p, out=velocity[:n])

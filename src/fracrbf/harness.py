@@ -141,9 +141,10 @@ def solve_row(ps, basis, f, g=None):
     """One steady solve of every steady preset and of `fracrbf solve`.
 
     Returns (row, lam, u_nodes): the row carries N and cond(A_phi), and its
-    seconds cover assemble, right-hand side and solve. The LU of S is
-    dropped before condition_estimate factors A_phi, and the system stays
-    local, so it is freed before the caller assembles the next one."""
+    seconds cover assemble, right-hand side and solve. The system holds S
+    alone; the LU of S is dropped before condition_estimate evaluates A_phi
+    and factors it in place, and the system stays local, so it is freed
+    before the caller assembles the next one."""
     t0 = time.perf_counter()
     sm = assemble(ps, basis)
     lam, u_nodes = solve_poisson(sm, f, g=g)

@@ -24,11 +24,12 @@ __all__ = [
 ]
 
 
-def _factor(mat):
-    """LU with partial pivoting; an exactly zero pivot means singular."""
+def _factor(mat, overwrite=False):
+    """LU with partial pivoting; an exactly zero pivot means singular.
+    overwrite=True lets LAPACK factor an F-contiguous mat in place."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = sla.lu_factor(mat, check_finite=False)
+        lu, piv = sla.lu_factor(mat, overwrite_a=overwrite, check_finite=False)
     if np.any(np.diag(lu) == 0.0):
         raise np.linalg.LinAlgError("exactly singular matrix (zero pivot)")
     return lu, piv
@@ -36,12 +37,12 @@ def _factor(mat):
 
 @dataclass(frozen=True)
 class SystemMatrices:
-    """Assembled collocation matrices and their basis. No factorization is
-    kept: each LU is computed where it is used and dropped right after."""
+    """The collocation system S and the point set and basis it was assembled
+    from. Neither A_phi nor any factorization is kept: A_phi is evaluated in
+    the rows a caller needs, and each LU is dropped right after its use."""
 
     ps: object
     basis: object
-    a_phi: np.ndarray
     s: np.ndarray
 
     def solve(self, rhs):
@@ -50,26 +51,31 @@ class SystemMatrices:
 
 
 def assemble(ps, basis):
-    """Build A_phi and the system S: closed-form images plus exterior tails
-    on the equation rows, plain basis values on the zero-value rows."""
-    a_phi = phi_block(basis, ps.points)
-    s = np.empty_like(a_phi)
+    """Build the system S: closed-form images plus exterior tails on the
+    equation rows, plain basis values on the zero-value rows. The basis must
+    be centered at the point set, which makes A_phi symmetric."""
+    if not np.array_equal(basis.centers, ps.points):
+        raise ValueError("the basis must be centered at the point set")
+    s = np.empty((ps.n_total, ps.n_total))
     # the tail quadrature's factors set the peak memory, so the image block is
     # built only after the tail product has been written into S and they are gone
     tail_factors_at(ps.interior, basis).assemble(out=s[:ps.n_interior])
     s[:ps.n_interior] += frac_lap_block(basis, ps.interior)
-    s[ps.n_interior:] = a_phi[ps.n_interior:]
-    return SystemMatrices(ps, basis, a_phi, s)
+    s[ps.n_interior:] = phi_block(basis, ps.boundary)
+    return SystemMatrices(ps, basis, s)
 
 
 def condition_estimate(sm):
     """1-norm condition estimate of the interpolation matrix A_phi
-    (Hager-Higham style through the LAPACK reciprocal-condition routine);
-    the 1-norm comes from `lange` on the transposed view, with no N x N copy."""
-    mat = sm.a_phi
-    lu, _ = _factor(mat)
-    gecon, lange = get_lapack_funcs(("gecon", "lange"), (mat,))
-    anorm = float(lange("I", mat.T))
+    (Hager-Higham style through the LAPACK reciprocal-condition routine).
+    A_phi is evaluated afresh; its 1-norm comes from `lange` on the
+    transposed view before the LU overwrites it."""
+    a = phi_block(sm.basis, sm.ps.points)
+    gecon, lange = get_lapack_funcs(("gecon", "lange"), (a,))
+    anorm = float(lange("I", a.T))
+    # A_phi is bitwise symmetric (assemble checks the centers), so the
+    # F-contiguous view a.T is A_phi itself and LAPACK factors it in place
+    lu, _ = _factor(a.T, overwrite=True)
     rcond, info = gecon(lu, anorm, norm="1")
     if info != 0:
         raise np.linalg.LinAlgError("condition estimation failed")
@@ -88,10 +94,10 @@ def nodal_operator(sm, rows, out=None):
     it is passed, each block multiplied on its own.
     """
     n_int = sm.ps.n_interior
-    n = sm.a_phi.shape[0]
-    rhs = np.zeros((n, n_int))
+    rhs = np.zeros((sm.ps.n_total, n_int))
     rhs[:n_int, :] = np.eye(n_int)
-    coeff_map = sla.lu_solve(_factor(sm.a_phi), rhs)
+    a = phi_block(sm.basis, sm.ps.points)  # factored in place, as in condition_estimate
+    coeff_map = sla.lu_solve(_factor(a.T, overwrite=True), rhs)
     blocks = [np.asarray(w, dtype=float) for w in rows]
     shape = (sum(w.shape[0] for w in blocks), n_int)
     if out is None:

@@ -6,6 +6,7 @@ available in closed form, which is what removes every volume quadrature
 from the interior of the domain.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,10 @@ class GmqBasis:
     def __post_init__(self):
         if not self.eps > 0.0:
             raise ValueError("shape parameter eps must be positive")
+        for name in ("K", "M"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"tail rule {name} must be an integer >= 1, got {value!r}")
         object.__setattr__(self, "centers", as_points(self.centers, self.params.d))
 
     @property

@@ -64,7 +64,7 @@ def solve_poisson(sm, f, g=None):
     if not np.all(np.isfinite(rhs)):
         raise ValueError("right-hand side must be finite at the collocation points")
     lam = sm.solve(rhs)
-    return lam, sm.a_phi[: ps.n_interior] @ lam
+    return lam, phi_block(sm.basis, ps.interior) @ lam
 
 
 def evaluate_interpolant(lam, basis, points):

@@ -17,7 +17,7 @@ from fracrbf.dynamics import (EvolutionConfig, QgOperators, anisotropy_ratio,
 from fracrbf.geometry import disk_grid, polar_layout
 from fracrbf.harness import preset_fig_mixed, vortex_run
 from fracrbf.linsys import _factor, assemble, nodal_operator
-from fracrbf.rbf import GmqBasis, grad_blocks
+from fracrbf.rbf import GmqBasis, grad_blocks, phi_block
 from fracrbf.specialfun import FracParams
 
 
@@ -152,7 +152,7 @@ def _per_stage_rhs(ps, eps, alpha, K, M):
         out = -kappa * (diss @ theta)
         if advect:
             lam = sla.lu_solve(s_lu, np.concatenate([-theta, np.zeros(ps.n_total - n)]))
-            psi = sm.a_phi[:n] @ lam
+            psi = phi_block(half, ps.interior) @ lam
             u1, u2 = -(dy @ psi), dx @ psi
             out = out - (u1 * (dx @ theta) + u2 * (dy @ theta))
         return out

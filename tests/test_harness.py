@@ -228,9 +228,9 @@ def test_no_factor_outlives_its_use(run, n_factors, monkeypatch):
     factors, live_at_factor = [], []
     factor = linsys._factor
 
-    def tracked(mat):
+    def tracked(mat, **kwargs):
         live_at_factor.append(sum(ref() is not None for ref in factors))
-        lu, piv = factor(mat)
+        lu, piv = factor(mat, **kwargs)
         factors.append(weakref.ref(lu))
         return lu, piv
     for name, mod in list(sys.modules.items()):

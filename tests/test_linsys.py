@@ -1,5 +1,6 @@
 """Dense system assembly, LU solve, conditioning, and reduced operators."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,8 @@ from scipy.linalg import get_lapack_funcs
 
 from fracrbf.exterior import tail_factors_at
 from fracrbf.geometry import clipped_grid, polar_layout, uniform_interval
-from fracrbf.linsys import _factor, assemble, condition_estimate, nodal_operator
+from fracrbf.linsys import (SystemMatrices, _factor, assemble, condition_estimate,
+                            nodal_operator)
 from fracrbf.rbf import GmqBasis, classical_lap_block, frac_lap_block, phi_block
 from fracrbf.specialfun import FracParams
 from fracrbf.steady import solve_poisson
@@ -27,13 +29,14 @@ def test_assemble_block_structure():
     ps, basis, sm = _system_1d()
     n, n_int = ps.n_total, ps.n_interior
     assert sm.s.shape == (n, n)
-    assert sm.a_phi.shape == (n, n)
+    a_phi = phi_block(basis, ps.points)
+    assert a_phi.shape == (n, n)
     # equation rows = closed-form image + tails, boundary rows = plain phi
     top_ref = (frac_lap_block(basis, ps.interior)
                + tail_matrix_ref(tail_factors_at(ps.interior, basis)))
     assert np.allclose(sm.s[:n_int], top_ref, atol=1e-15)
-    assert np.array_equal(sm.s[n_int:], sm.a_phi[n_int:])
-    assert np.allclose(sm.a_phi, phi_block(basis, ps.points), atol=1e-15)
+    assert np.array_equal(sm.s[n_int:], a_phi[n_int:])
+    assert np.allclose(a_phi, phi_block(basis, ps.points), atol=1e-15)
 
 
 def test_manufactured_coefficients_1d():
@@ -78,7 +81,7 @@ def test_nodal_values_reads_top_block():
 def test_condition_estimate_tracks_true_condition():
     ps, basis, sm = _system_1d(n=9, eps=0.8)
     est = condition_estimate(sm)
-    true = np.linalg.cond(sm.a_phi, 1)
+    true = np.linalg.cond(phi_block(basis, ps.points), 1)
     assert est == pytest.approx(true, rel=0.5)
 
 
@@ -91,7 +94,7 @@ def test_nodal_operator_reproduces_equation_rows():
     rng = np.random.default_rng(5)
     v = rng.standard_normal(ps.n_interior)
     samples = np.concatenate([v, np.zeros(ps.n_total - ps.n_interior)])
-    lam = np.linalg.solve(sm.a_phi, samples)
+    lam = np.linalg.solve(phi_block(basis, ps.points), samples)
     ref = sm.s[: ps.n_interior] @ lam
     assert np.allclose(a @ v, ref, rtol=1e-8, atol=1e-12)
 
@@ -103,7 +106,7 @@ def test_nodal_operator_custom_rows():
     rng = np.random.default_rng(6)
     v = rng.standard_normal(ps.n_interior)
     samples = np.concatenate([v, np.zeros(2)])
-    lam = np.linalg.solve(sm.a_phi, samples)
+    lam = np.linalg.solve(phi_block(basis, ps.points), samples)
     assert np.allclose(a @ v, rows @ lam, rtol=1e-8, atol=1e-12)
 
 
@@ -120,7 +123,7 @@ def test_system_and_norm_match_out_of_place_formulas_bitwise(ps, d, K, M):
     a_phi = phi_block_ref(basis, ps.points)
     tail = tail_matrix_ref(tail_factors_ref(ps.interior, basis.centers, basis.eps,
                                             basis.beta, basis.params, K, M))
-    assert np.array_equal(sm.a_phi, a_phi)
+    assert np.array_equal(phi_block(basis, ps.points), a_phi)
     assert np.array_equal(sm.s, np.vstack([frac_lap_block_ref(basis, ps.interior) + tail,
                                            a_phi[n_int:]]))
     # lange's infinity norm of the transposed view sums each column in row
@@ -128,7 +131,7 @@ def test_system_and_norm_match_out_of_place_formulas_bitwise(ps, d, K, M):
     # holds for the reference-LAPACK dlange that the OpenBLAS numpy/scipy
     # wheels ship; a vectorised lange (MKL, Accelerate) may sum in another
     # order and fail this equality in the last digits
-    mat = sm.a_phi
+    mat = phi_block(basis, ps.points)
     gecon, lange = get_lapack_funcs(("gecon", "lange"), (mat,))
     assert lange("I", mat.T) == one_norm_ref(mat)
     rcond, info = gecon(_factor(mat)[0], one_norm_ref(mat), norm="1")
@@ -153,17 +156,53 @@ def _peak_in_n2(fn, n):
 
 
 @pytest.mark.parametrize("ps, d, K, M, budget", [
-    (clipped_grid(1.0 / 16.0), 2, 32, 64, 9.0),
-    (uniform_interval(600), 1, 48, 96, 3.5),
+    (clipped_grid(1.0 / 16.0), 2, 32, 64, 8.0),
+    (uniform_interval(600), 1, 48, 96, 2.5),
 ], ids=["embedded", "interval"])
 def test_assembly_memory_budget(ps, d, K, M, budget):
-    # assemble returns A_phi and S (2 units) and, at its peak, also holds the
-    # tail factors and their working buffers (8.9 units in 2D, 3.4 in 1D);
-    # the budgets sit just above that, so a temporary put back fails here.
-    # condition_estimate holds only the copy of A_phi that the LU overwrites.
+    # assemble returns S alone (1 unit) and, at its peak, also holds the tail
+    # factors and their working buffers (7.9 units in 2D, 2.4 in 1D); the
+    # budgets sit just above that, so a temporary put back fails here.
+    # solve_poisson holds only the copy of S that the LU overwrites, and
+    # condition_estimate only the fresh A_phi, which its LU overwrites in place.
     basis = GmqBasis(ps.points, FracParams(d, 1.2), 0.9, K=K, M=M)
     n = ps.n_total
     sm, peak = _peak_in_n2(lambda: assemble(ps, basis), n)
     assert peak < budget
+    _, peak = _peak_in_n2(lambda: solve_poisson(sm, lambda x: np.ones(len(x))), n)
+    assert peak < 1.1
     _, peak = _peak_in_n2(lambda: condition_estimate(sm), n)
     assert peak < 1.1
+
+
+def test_system_keeps_only_s():
+    assert [f.name for f in dataclasses.fields(SystemMatrices)] == ["ps", "basis", "s"]
+
+
+def test_assemble_rejects_basis_off_the_point_set():
+    # the in-place LU of A_phi factors its transpose, which is A_phi only
+    # when the basis is centered at the point set
+    ps = uniform_interval(8)
+    shifted = GmqBasis(ps.points + 0.01, FracParams(1, 1.2), 1.0)
+    with pytest.raises(ValueError, match="centered"):
+        assemble(ps, shifted)
+    subset = GmqBasis(ps.points[:-1], FracParams(1, 1.2), 1.0)
+    with pytest.raises(ValueError, match="centered"):
+        assemble(ps, subset)
+
+
+@pytest.mark.parametrize("ps, d, alpha", [
+    (uniform_interval(120), 1, 0.8),
+    (uniform_interval(120), 1, 1.6),
+    (clipped_grid(1.0 / 16.0), 2, 1.2),
+], ids=["interval-0.8", "interval-1.6", "embedded-1.2"])
+def test_in_place_factor_of_transposed_a_phi_is_bitwise_lu_factor(ps, d, alpha):
+    # A_phi is bitwise symmetric, so the F-contiguous view a.T is A_phi
+    # itself and getrf factors it in place into the bits lu_factor gives
+    a = phi_block(GmqBasis(ps.points, FracParams(d, alpha), 0.9), ps.points)
+    assert np.array_equal(a, a.T)
+    lu_ref, piv_ref = sla.lu_factor(a.copy())
+    lu, piv = _factor(a.T, overwrite=True)
+    assert np.shares_memory(lu, a)
+    assert np.array_equal(lu, lu_ref)
+    assert np.array_equal(piv, piv_ref)

@@ -35,6 +35,25 @@ def test_basis_validation():
     assert b.beta == pytest.approx((0.8 - 2.0) / 2.0)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("rule", [dict(K=10.7), dict(K=0), dict(K=True), dict(K="10"),
+                                  dict(M=64.0), dict(M=0), dict(M=-3), dict(M=False)],
+                         ids=lambda r: f"{next(iter(r))}={next(iter(r.values()))!r}")
+def test_basis_rejects_a_bad_tail_rule(d, rule):
+    # a non-integer rule fails late in 2D (np.repeat) and is truncated
+    # silently in 1D (int(K) Gauss nodes), so it is refused when built
+    ps = polar_layout(3, 5) if d == 2 else uniform_interval(6)
+    with pytest.raises(ValueError, match="tail rule"):
+        GmqBasis(ps.points, FracParams(d, 1.2), 1.0, **rule)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_basis_accepts_numpy_integer_tail_rule(d):
+    ps = polar_layout(3, 5) if d == 2 else uniform_interval(6)
+    basis = GmqBasis(ps.points, FracParams(d, 1.2), 1.0, K=np.int64(12), M=np.int32(1))
+    assert basis.K == 12 and basis.M == 1
+
+
 def test_phi_psi_point_values():
     b = _basis_1d()
     # (eps^2 + r^2)^beta with beta = (1.2-1)/2 = 0.1 at r = 0.5
