@@ -6,7 +6,7 @@ suite (`fracrbf.checks`, direct hypersingular integration) loads on demand.
 """
 
 from fracrbf.specialfun import FracParams, gamma_fn, gauss_2f1, coeff_c, coeff_mu, coeff_eta
-from fracrbf.quadrature import QuadRule1D, PeriodicRule, gauss_legendre_01, periodic_rule
+from fracrbf.quadrature import gauss_legendre_01, periodic_rule
 from fracrbf.geometry import PointSet, uniform_interval, polar_layout, disk_grid
 from fracrbf.rbf import GmqBasis
 from fracrbf.linsys import assemble, condition_estimate, nodal_operator

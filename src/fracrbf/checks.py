@@ -95,16 +95,10 @@ def gmq_profile(d, alpha, eps, center=None):
     return RadialPowerProfile(c, ((1.0, eps * eps, 1.0, (alpha - d) / 2.0),))
 
 
-def gmq_shifted_profile(d, alpha, eps, center=None):
-    """Alternative-path profile (eps^2 + |y-c|^2)^((alpha-2-d)/2)."""
-    c = np.zeros(d) if center is None else np.asarray(center, dtype=float)
-    return RadialPowerProfile(c, ((1.0, eps * eps, 1.0, (alpha - 2.0 - d) / 2.0),))
-
-
 # ---------------------------------------------------------------------------
 # composite Gauss panels and spherical means
 
-_GAUSS32 = gauss_legendre_01(32)
+_NODES32, _WEIGHTS32 = gauss_legendre_01(32)
 
 
 def _gauss_panels(f, edges):
@@ -112,8 +106,8 @@ def _gauss_panels(f, edges):
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
     width = hi - lo
-    x = (lo[:, None] + width[:, None] * _GAUSS32.nodes[None, :]).ravel()
-    w = (width[:, None] * _GAUSS32.weights[None, :]).ravel()
+    x = (lo[:, None] + width[:, None] * _NODES32[None, :]).ravel()
+    w = (width[:, None] * _WEIGHTS32[None, :]).ravel()
     return float(np.dot(f(x), w))
 
 
@@ -211,9 +205,9 @@ def _gauss_gap():
     """Worst absolute error of the K-point Gauss rule on x^m, m < 2K."""
     worst = 0.0
     for k in (1, 2, 4, 8, 16, 32):
-        rule = gauss_legendre_01(k)
+        nodes, weights = gauss_legendre_01(k)
         degs = np.arange(2 * k)
-        vals = rule.weights @ np.power.outer(rule.nodes, degs)
+        vals = weights @ np.power.outer(nodes, degs)
         worst = max(worst, float(np.max(np.abs(vals - 1.0 / (degs + 1.0)))))
     return worst
 
@@ -260,8 +254,9 @@ def _closed_form_gap():
 
 
 def _shifted_exponent_gap():
-    """The shifted-exponent profile's image is eta1 w^p + eta2 w^(p-1)."""
-    return _identity_gap(gmq_shifted_profile, coeff_eta)
+    """The shifted-exponent profile, the basis profile at alpha-2, has the
+    image eta1 w^p + eta2 w^(p-1)."""
+    return _identity_gap(lambda d, alpha, eps: gmq_profile(d, alpha - 2.0, eps), coeff_eta)
 
 
 def _manufactured_solves(seed):

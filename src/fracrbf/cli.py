@@ -207,7 +207,7 @@ def _sweep(args, dim):
 def _forward_row(ps, basis, tp, case):
     """Interpolate u at all N points; Ehat is the clipped-operator residual."""
     u_fn, f_fn, g = case
-    lam = interpolate(ps, basis, u_fn(ps.points))
+    lam = interpolate(basis, u_fn(ps.points))
     target = f_fn(tp)
     if g is not None:
         # nonzero exterior data: the clipped operator approximates f

@@ -72,27 +72,26 @@ class TailFactors:
 
 def _factors_1d(points, centers, eps, beta, alpha, K):
     """Factor pieces of int_{|y|>1} (eps^2+(y-c)^2)^beta |x-y|^(-1-alpha) dy."""
-    rule = gauss_legendre_01(K)
-    s = rule.nodes
+    s, weights = gauss_legendre_01(K)
     gamma = alpha - 1.0 - 2.0 * beta
-    w = rule.weights * s ** gamma
+    w = weights * s ** gamma
     x = points[:, 0]
     xc = centers[:, 0]
-    b_r = (1.0 - x[:, None] * s[None, :]) ** (-1.0 - alpha)
-    b_l = (1.0 + x[:, None] * s[None, :]) ** (-1.0 - alpha)
-    c_r = ((s[:, None] * eps) ** 2 + (1.0 - xc[None, :] * s[:, None]) ** 2) ** beta
-    c_l = ((s[:, None] * eps) ** 2 + (1.0 + xc[None, :] * s[:, None]) ** 2) ** beta
-    return b_r, c_r, b_l, c_l, w
+    def ray(sign):
+        """b and c of the ray toward sign*infinity: (1 - sign*x*s)^(-1-alpha)."""
+        return ((1.0 - sign * x[:, None] * s[None, :]) ** (-1.0 - alpha),
+                ((s[:, None] * eps) ** 2 + (1.0 - sign * xc[None, :] * s[:, None]) ** 2) ** beta)
+    return (*ray(1.0), *ray(-1.0), w)
 
 
 def _factors_2d(points, centers, eps, beta, alpha, K, M):
     """Same split for the disk: nodes are the (s_k, theta_m) tensor grid."""
-    rule = gauss_legendre_01(K)
-    ang = periodic_rule(M)
-    s = np.repeat(rule.nodes, M)
+    nodes, weights = gauss_legendre_01(K)
+    angles, ang_weight = periodic_rule(M)
+    s = np.repeat(nodes, M)
     gamma = alpha - 1.0 - 2.0 * beta
-    w = np.repeat(rule.weights, M) * s ** gamma * ang.weight
-    theta = np.tile(ang.angles, K)
+    w = np.repeat(weights, M) * s ** gamma * ang_weight
+    theta = np.tile(angles, K)
     sig = np.column_stack([np.cos(theta), np.sin(theta)])
     # |sigma - s x|^2 for evaluation points and centers, in two buffers
     def sqd(pts):

@@ -133,7 +133,7 @@ def _git_rev():
         out = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=Path(__file__).parent,
                              capture_output=True, text=True, timeout=10)
         return out.stdout.strip() or "unknown"
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         return "unknown"
 
 
@@ -211,9 +211,9 @@ def _scaled_rhs(alpha, xs):
     if np.any(inside):
         _, out[inside] = case2_scaled(1, alpha, alpha, 2.0, xs[inside])
     if np.any(np.logical_not(inside)):
-        rule = gauss_legendre_01(200)
-        t = -np.pi / 2.0 + np.pi * rule.nodes
-        w = np.pi * rule.weights * 0.5 * np.cos(t) * np.cos(t) ** (2.0 * alpha)
+        nodes, weights = gauss_legendre_01(200)
+        t = -np.pi / 2.0 + np.pi * nodes
+        w = np.pi * weights * 0.5 * np.cos(t) * np.cos(t) ** (2.0 * alpha)
         y = 0.5 * np.sin(t)
         c = coeff_c(FracParams(1, alpha))
         xe = xs[np.logical_not(inside)]

@@ -35,6 +35,15 @@ def _factor(mat, overwrite=False):
     return lu, piv
 
 
+def _phi_factor(basis):
+    """(LU, 1-norm) of A_phi, evaluated afresh: the one place A_phi is factored.
+    A_phi is bitwise symmetric, so its F-contiguous view a.T is A_phi itself and
+    LAPACK factors it in place, into the bits of lu_factor, once `lange` has read it."""
+    a = phi_block(basis, basis.centers)
+    anorm = float(get_lapack_funcs("lange", (a,))("I", a.T))
+    return _factor(a.T, overwrite=True), anorm
+
+
 @dataclass(frozen=True)
 class SystemMatrices:
     """The collocation system S and the point set and basis it was assembled
@@ -67,16 +76,9 @@ def assemble(ps, basis):
 
 def condition_estimate(sm):
     """1-norm condition estimate of the interpolation matrix A_phi
-    (Hager-Higham style through the LAPACK reciprocal-condition routine).
-    A_phi is evaluated afresh; its 1-norm comes from `lange` on the
-    transposed view before the LU overwrites it."""
-    a = phi_block(sm.basis, sm.ps.points)
-    gecon, lange = get_lapack_funcs(("gecon", "lange"), (a,))
-    anorm = float(lange("I", a.T))
-    # A_phi is bitwise symmetric (assemble checks the centers), so the
-    # F-contiguous view a.T is A_phi itself and LAPACK factors it in place
-    lu, _ = _factor(a.T, overwrite=True)
-    rcond, info = gecon(lu, anorm, norm="1")
+    (Hager-Higham style through the LAPACK reciprocal-condition routine)."""
+    (lu, _), anorm = _phi_factor(sm.basis)
+    rcond, info = get_lapack_funcs("gecon", (lu,))(lu, anorm, norm="1")
     if info != 0:
         raise np.linalg.LinAlgError("condition estimation failed")
     if rcond == 0.0 or not np.isfinite(rcond):
@@ -96,8 +98,7 @@ def nodal_operator(sm, rows, out=None):
     n_int = sm.ps.n_interior
     rhs = np.zeros((sm.ps.n_total, n_int))
     rhs[:n_int, :] = np.eye(n_int)
-    a = phi_block(sm.basis, sm.ps.points)  # factored in place, as in condition_estimate
-    coeff_map = sla.lu_solve(_factor(a.T, overwrite=True), rhs)
+    coeff_map = sla.lu_solve(_phi_factor(sm.basis)[0], rhs)
     blocks = [np.asarray(w, dtype=float) for w in rows]
     shape = (sum(w.shape[0] for w in blocks), n_int)
     if out is None:

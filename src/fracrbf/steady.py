@@ -7,7 +7,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from fracrbf.exterior import exterior_data_correction, tail_factors_at
-from fracrbf.linsys import _factor
+from fracrbf.linsys import _phi_factor
 from fracrbf.rbf import frac_lap_block, phi_block
 
 __all__ = [
@@ -21,14 +21,14 @@ __all__ = [
 _RESIDUAL_WARN = 1e-6
 
 
-def interpolate(ps, basis, samples):
-    """Expansion coefficients matching the samples at all N points."""
+def interpolate(basis, samples):
+    """Expansion coefficients matching the samples at the N centers; the LU is
+    dropped before A_phi is evaluated again for the residual check."""
     samples = np.asarray(samples, dtype=float)
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
-    a_phi = phi_block(basis, ps.points)
-    lam = sla.lu_solve(_factor(a_phi), samples)
-    resid = np.max(np.abs(a_phi @ lam - samples))
+    lam = sla.lu_solve(_phi_factor(basis)[0], samples)
+    resid = np.max(np.abs(phi_block(basis, basis.centers) @ lam - samples))
     scale = max(np.max(np.abs(samples)), 1.0)
     if resid / scale > _RESIDUAL_WARN:
         warnings.warn(f"interpolation residual {resid:.2e} exceeds {_RESIDUAL_WARN:.0e}; "

@@ -34,7 +34,6 @@ import scipy
 from fracrbf import exterior, harness
 from fracrbf.dynamics import EvolutionConfig, crank_nicolson_mixed, mixed_operators
 from fracrbf.geometry import PointSet
-from fracrbf.quadrature import QuadRule1D
 from fracrbf.rbf import GmqBasis
 from fracrbf.specialfun import FracParams
 
@@ -67,8 +66,8 @@ def _jittered(seed):
         return jittered
 
     def rule(K):
-        r = gauss(K)
-        return QuadRule1D(r.nodes, _jitter(r.weights, rng))
+        nodes, weights = gauss(K)
+        return nodes, _jitter(weights, rng)
 
     for name, fn in layouts.items():
         setattr(harness, name, layout(fn))

@@ -1,7 +1,8 @@
 """Test-only references: inverse-power and compactly supported profiles for
 `fracrbf.checks.hypersingular_oracle`, a brute-force exterior tail, and the
 out-of-place forms of the kernel blocks, tail factors, tail product and
-1-norm that the solver computes in place with the same operations.
+1-norm that the solver computes in place with the same operations, and the
+Gauss rule with its recurrence written out twice.
 The file name keeps pytest from collecting it.
 """
 
@@ -202,24 +203,64 @@ def grad_blocks_ref(basis, x):
             for k in range(basis.params.d)]
 
 
+def gauss_legendre_01_ref(K):
+    """The Gauss rule on (0,1) as (nodes, weights), with the Legendre
+    recurrence written out twice, once in the Newton loop and once for the
+    weights: the form `quadrature.gauss_legendre_01` had before it shared one
+    recurrence between them."""
+    K = int(K)
+    if not 1 <= K <= 512:
+        raise ValueError("Gauss rule order must satisfy 1 <= K <= 512")
+
+    # initial guesses: Chebyshev points with the standard O(1/K) correction
+    k = np.arange(K)
+    x = np.cos(np.pi * (k + 0.75) / (K + 0.5))
+
+    for _ in range(100):
+        # evaluate P_K and P_{K-1} by the recurrence
+        p_prev = np.ones_like(x)
+        p = x.copy()
+        for n in range(1, K):
+            p_prev, p = p, ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
+        dp = K * (x * p - p_prev) / (x * x - 1.0)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
+    else:
+        raise RuntimeError("Gauss-Legendre node iteration failed to converge")
+
+    # recompute derivative at the converged nodes for the weights
+    p_prev = np.ones_like(x)
+    p = x.copy()
+    for n in range(1, K):
+        p_prev, p = p, ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
+    dp = K * (x * p - p_prev) / (x * x - 1.0)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+
+    order = np.argsort(x)
+    x, w = x[order], w[order]
+    return (x + 1.0) / 2.0, w / 2.0
+
+
 def tail_factors_ref(points, centers, eps, beta, p, K, M):
     """The factors `exterior._tail_factors` builds, from the same arguments."""
     points, centers = as_points(points, p.d), as_points(centers, p.d)
-    rule = gauss_legendre_01(K)
+    nodes, weights = gauss_legendre_01(K)
     gamma = p.alpha - 1.0 - 2.0 * beta
     if p.d == 1:
-        s = rule.nodes
-        w = rule.weights * s ** gamma
+        s = nodes
+        w = weights * s ** gamma
         x, xc = points[:, 0], centers[:, 0]
         b_r = (1.0 - x[:, None] * s[None, :]) ** (-1.0 - p.alpha)
         b_l = (1.0 + x[:, None] * s[None, :]) ** (-1.0 - p.alpha)
         c_r = ((s[:, None] * eps) ** 2 + (1.0 - xc[None, :] * s[:, None]) ** 2) ** beta
         c_l = ((s[:, None] * eps) ** 2 + (1.0 + xc[None, :] * s[:, None]) ** 2) ** beta
         return TailFactors(b_r, c_r, w, coeff_c(p), b_alt=b_l, c_alt=c_l)
-    ang = periodic_rule(M)
-    s = np.repeat(rule.nodes, M)
-    w = np.repeat(rule.weights, M) * s ** gamma * ang.weight
-    theta = np.tile(ang.angles, K)
+    angles, ang_weight = periodic_rule(M)
+    s = np.repeat(nodes, M)
+    w = np.repeat(weights, M) * s ** gamma * ang_weight
+    theta = np.tile(angles, K)
     sig = np.column_stack([np.cos(theta), np.sin(theta)])
 
     def sqd(pts):

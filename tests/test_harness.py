@@ -111,6 +111,16 @@ def test_run_meta_records_the_package_checkout(tmp_path, monkeypatch):
     assert f"git_rev={rev}\n" in (tmp_path / "out" / "run_meta.txt").read_text()
 
 
+def test_git_rev_survives_a_git_timeout(tmp_path, monkeypatch):
+    # a git call that hits its timeout leaves the revision unknown instead of
+    # failing the report
+    def timeout(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+    monkeypatch.setattr(harness.subprocess, "run", timeout)
+    RunReport(label="demo").write(tmp_path)
+    assert "git_rev=unknown\n" in (tmp_path / "run_meta.txt").read_text()
+
+
 def test_results_csv_excludes_wall_clock(tmp_path):
     # seconds live in timings.csv only, so results.csv is bit-stable
     rep = RunReport(label="demo")

@@ -14,7 +14,7 @@ from fracrbf.linsys import (SystemMatrices, _factor, assemble, condition_estimat
                             nodal_operator)
 from fracrbf.rbf import GmqBasis, classical_lap_block, frac_lap_block, phi_block
 from fracrbf.specialfun import FracParams
-from fracrbf.steady import solve_poisson
+from fracrbf.steady import interpolate, solve_poisson
 from reference import (frac_lap_block_ref, one_norm_ref, phi_block_ref, tail_factors_ref,
                        tail_matrix_ref)
 
@@ -36,7 +36,7 @@ def test_assemble_block_structure():
                + tail_matrix_ref(tail_factors_at(ps.interior, basis)))
     assert np.allclose(sm.s[:n_int], top_ref, atol=1e-15)
     assert np.array_equal(sm.s[n_int:], a_phi[n_int:])
-    assert np.allclose(a_phi, phi_block(basis, ps.points), atol=1e-15)
+    assert np.array_equal(a_phi, phi_block_ref(basis, ps.points))
 
 
 def test_manufactured_coefficients_1d():
@@ -172,6 +172,19 @@ def test_assembly_memory_budget(ps, d, K, M, budget):
     _, peak = _peak_in_n2(lambda: solve_poisson(sm, lambda x: np.ones(len(x))), n)
     assert peak < 1.1
     _, peak = _peak_in_n2(lambda: condition_estimate(sm), n)
+    assert peak < 1.1
+
+
+@pytest.mark.parametrize("ps, d", [
+    (clipped_grid(1.0 / 16.0), 2),
+    (uniform_interval(600), 1),
+], ids=["embedded", "interval"])
+def test_interpolate_memory_budget(ps, d):
+    # A_phi is evaluated and factored in place, and its LU is dropped before
+    # A_phi is evaluated again for the residual: one N x N array at a time
+    basis = GmqBasis(ps.points, FracParams(d, 1.2), 4.0 * ps.spacing)
+    samples = np.cos(ps.points[:, 0])
+    _, peak = _peak_in_n2(lambda: interpolate(basis, samples), ps.n_total)
     assert peak < 1.1
 
 

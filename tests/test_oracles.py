@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fracrbf.checks import (RadialPowerProfile, gmq_profile, gmq_shifted_profile,
-                            hypersingular_oracle)
+from fracrbf.checks import RadialPowerProfile, gmq_profile, hypersingular_oracle
 from fracrbf.oracles import case1, case2, case2_scaled
 from reference import inverse_power_profile, tail_oracle, truncated_profile
 

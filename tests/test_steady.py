@@ -17,7 +17,7 @@ def test_interpolate_reproduces_samples():
     ps = uniform_interval(10)
     basis = GmqBasis(ps.points, FracParams(1, 1.2), 1.0)
     samples = np.sin(2.0 * ps.points[:, 0])
-    lam = interpolate(ps, basis, samples)
+    lam = interpolate(basis, samples)
     got = evaluate_interpolant(lam, basis, ps.points)
     assert np.allclose(got, samples, atol=1e-10)
 
@@ -27,12 +27,12 @@ def test_interpolate_guards():
     basis = GmqBasis(ps.points, FracParams(1, 1.2), 1.0)
     bad = np.full(ps.n_total, np.nan)
     with pytest.raises(ValueError):
-        interpolate(ps, basis, bad)
+        interpolate(basis, bad)
     # exactly repeated centers make the interpolation matrix singular
     dup = np.zeros((3, 1))
     basis_dup = GmqBasis(dup, FracParams(1, 1.2), 1.0)
     with pytest.raises(np.linalg.LinAlgError):
-        interpolate(ps, basis_dup, np.zeros(ps.n_total)[:3])
+        interpolate(basis_dup, np.zeros(3))
 
 
 def test_forward_frac_lap_sums_center_images():
