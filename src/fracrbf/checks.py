@@ -261,12 +261,14 @@ def _shifted_exponent_gap():
 
 def _manufactured_solves(seed):
     """(S, b = S lam*, lam*, computed lam) per layout; each layout draws
-    lam* from a fresh generator seeded with `seed`."""
+    lam* from a fresh generator seeded with `seed`. The solve factors S in
+    its own buffer, so the S yielded is a copy taken before it."""
     for ps, d in ((uniform_interval(10), 1), (uniform_interval(12), 1), (polar_layout(3, 7), 2)):
         sm = assemble(ps, GmqBasis(ps.points, FracParams(d, 1.2), 1.0, K=32, M=48))
         lam_star = np.random.default_rng(seed).standard_normal(ps.n_total)
-        b = sm.s @ lam_star
-        yield sm.s, b, lam_star, sm.solve(b)
+        s = sm.s.copy()
+        b = s @ lam_star
+        yield s, b, lam_star, sm.solve(b)
 
 
 def _manufactured_gap(seed=11):

@@ -185,7 +185,8 @@ def qg_operators(ps, basis):
     else:
         nodal_operator(sm, rows=(gx, gy), out=local[n:])
     del gx, gy
-    # (A_top S^{-1})[:, :n] = -P, so u1 = -dy P theta = dy (-P) theta
+    # (A_top S^{-1})[:, :n] = -P, so u1 = -dy P theta = dy (-P) theta; S is
+    # factored in its own buffer, after its equation rows were read above
     minus_p = sla.lu_solve(_factor(sm.s), phi_block(half, ps.interior).T, trans=1).T[:, :n]
     del sm
     velocity = np.empty((2 * n, n))

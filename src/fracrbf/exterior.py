@@ -40,7 +40,12 @@ class GmqProfile:
         return (self.eps ** 2 + r2) ** self.exponent
 
 
-@dataclass(frozen=True)
+# points per block in which _factors_2d fills b and c: elementwise work in
+# blocks has the bits of the whole-array expressions
+_ROWS = 128
+
+
+@dataclass
 class TailFactors:
     """Factored tail matrix. 1D: scale*(b @ diag(weights) @ c + b_alt @
     diag(weights) @ c_alt); 2D: scale*(b @ diag(weights) @ c) with the
@@ -55,10 +60,13 @@ class TailFactors:
 
     def assemble(self, out):
         """The tail matrix, written into the caller's (rows x centers) buffer
-        `out`; the factors are left as they are, since `apply` reuses them."""
-        mat = np.matmul(self.b * self.weights[None, :], self.c, out=out)
+        `out`. It consumes the factors: b (and b_alt) are weighted in place,
+        with the bits of the out-of-place product, and `weights` is set to
+        None, so a later `apply` or `assemble` fails instead of weighting twice."""
+        w, self.weights = self.weights, None
+        mat = np.matmul(np.multiply(self.b, w, out=self.b), self.c, out=out)
         if self.b_alt is not None:
-            mat += (self.b_alt * self.weights[None, :]) @ self.c_alt
+            mat += np.multiply(self.b_alt, w, out=self.b_alt) @ self.c_alt
         return np.multiply(mat, self.scale, out=mat)
 
     def apply(self, v):
@@ -92,14 +100,22 @@ def _factors_2d(points, centers, eps, beta, alpha, K, M):
     gamma = alpha - 1.0 - 2.0 * beta
     w = np.repeat(weights, M) * s ** gamma * ang_weight
     theta = np.tile(angles, K)
-    sig = np.column_stack([np.cos(theta), np.sin(theta)])
-    # |sigma - s x|^2 for evaluation points and centers, in two buffers
+    sig = (np.cos(theta), np.sin(theta))
+
     def sqd(pts):
-        d = [pts[:, k, None] * s[None, :] for k in range(2)]
-        for k in range(2):
-            np.subtract(sig[None, :, k], d[k], out=d[k])
-            d[k] *= d[k]
-        return np.add(d[0], d[1], out=d[0])
+        """|sigma - s x|^2, one (points x nodes) array filled _ROWS points at a
+        time, so the second coordinate's term needs only a block-sized buffer"""
+        out = np.empty((pts.shape[0], s.size))
+        tmp = np.empty((min(_ROWS, pts.shape[0]), s.size))
+        for i in range(0, pts.shape[0], _ROWS):
+            block = out[i:i + _ROWS]
+            d = (block, tmp[:block.shape[0]])
+            for dk, xk, sig_k in zip(d, pts[i:i + _ROWS].T, sig):
+                np.multiply(xk[:, None], s[None, :], out=dk)
+                np.subtract(sig_k[None, :], dk, out=dk)
+                dk *= dk
+            np.add(d[0], d[1], out=block)
+        return out
     b = sqd(points)
     b **= -(alpha / 2.0 + 1.0)
     c = sqd(centers)

@@ -141,10 +141,11 @@ def solve_row(ps, basis, f, g=None):
     """One steady solve of every steady preset and of `fracrbf solve`.
 
     Returns (row, lam, u_nodes): the row carries N and cond(A_phi), and its
-    seconds cover assemble, right-hand side and solve. The system holds S
-    alone; the LU of S is dropped before condition_estimate evaluates A_phi
-    and factors it in place, and the system stays local, so it is freed
-    before the caller assembles the next one."""
+    seconds cover assemble, right-hand side and solve. The solve factors S
+    in S's own buffer and consumes it, so S and its LU are gone before
+    condition_estimate evaluates A_phi and factors it in place: no stage
+    after assembly holds two N x N arrays, and the peak is the tail product
+    inside assemble."""
     t0 = time.perf_counter()
     sm = assemble(ps, basis)
     lam, u_nodes = solve_poisson(sm, f, g=g)

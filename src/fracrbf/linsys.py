@@ -24,12 +24,36 @@ __all__ = [
 ]
 
 
-def _factor(mat, overwrite=False):
-    """LU with partial pivoting; an exactly zero pivot means singular.
-    overwrite=True lets LAPACK factor an F-contiguous mat in place."""
+# side of the square tiles that _factor swaps to transpose a C-order matrix
+# in place: the one temporary is a tile, and 64 ran about as fast as any other
+_TILE = 64
+
+
+def _transpose_in_place(a):
+    """Transpose the square C-contiguous array a in its own buffer, tile by tile."""
+    n = a.shape[0]
+    for i in range(0, n, _TILE):
+        diag = a[i:i + _TILE, i:i + _TILE]
+        diag[...] = diag.T.copy()
+        for j in range(i + _TILE, n, _TILE):
+            upper, lower = a[i:i + _TILE, j:j + _TILE], a[j:j + _TILE, i:i + _TILE]
+            swap = upper.copy()
+            upper[...] = lower.T
+            lower[...] = swap.T
+
+
+def _factor(a):
+    """LU with partial pivoting of the square float64 a, in a's own buffer;
+    an exactly zero pivot means singular. An F-contiguous a goes straight to
+    LAPACK; a C-contiguous one is transposed in place first, so a.T is the
+    same matrix in F order. Only data moves, so the LU has the bits that
+    lu_factor gives on a copy. a holds the LU afterwards."""
+    if not a.flags.f_contiguous:
+        _transpose_in_place(a)
+        a = a.T
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = sla.lu_factor(mat, overwrite_a=overwrite, check_finite=False)
+        lu, piv = sla.lu_factor(a, overwrite_a=True, check_finite=False)
     if np.any(np.diag(lu) == 0.0):
         raise np.linalg.LinAlgError("exactly singular matrix (zero pivot)")
     return lu, piv
@@ -38,25 +62,30 @@ def _factor(mat, overwrite=False):
 def _phi_factor(basis):
     """(LU, 1-norm) of A_phi, evaluated afresh: the one place A_phi is factored.
     A_phi is bitwise symmetric, so its F-contiguous view a.T is A_phi itself and
-    LAPACK factors it in place, into the bits of lu_factor, once `lange` has read it."""
+    is factored in place, once `lange` has read it."""
     a = phi_block(basis, basis.centers)
     anorm = float(get_lapack_funcs("lange", (a,))("I", a.T))
-    return _factor(a.T, overwrite=True), anorm
+    return _factor(a.T), anorm
 
 
-@dataclass(frozen=True)
+@dataclass
 class SystemMatrices:
     """The collocation system S and the point set and basis it was assembled
     from. Neither A_phi nor any factorization is kept: A_phi is evaluated in
-    the rows a caller needs, and each LU is dropped right after its use."""
+    the rows a caller needs, and each LU is dropped right after its use.
+    `solve` factors S in its own buffer and sets `s` to None, so a system
+    solves once; read any rows of S before that."""
 
     ps: object
     basis: object
-    s: np.ndarray
+    s: np.ndarray | None
 
     def solve(self, rhs):
-        """S^{-1} rhs through an LU of S that is dropped on return."""
-        return sla.lu_solve(_factor(self.s), np.asarray(rhs, dtype=float))
+        """S^{-1} rhs through an LU of S made in S's buffer; consumes S."""
+        if self.s is None:
+            raise ValueError("S was consumed by an earlier solve")
+        s, self.s = self.s, None
+        return sla.lu_solve(_factor(s), np.asarray(rhs, dtype=float))
 
 
 def assemble(ps, basis):

@@ -5,6 +5,10 @@ import pytest
 
 from fracrbf import checks, cli
 from fracrbf.checks import CHECKS
+from fracrbf.geometry import polar_layout, uniform_interval
+from fracrbf.linsys import assemble
+from fracrbf.rbf import GmqBasis
+from fracrbf.specialfun import FracParams
 
 
 def test_usage_error_exits_one():
@@ -241,6 +245,18 @@ def test_verify_passes(capsys):
     for name, _, _ in CHECKS:
         assert sum(line.startswith(f"ok {name} ") for line in lines) == 1
     assert "FAIL" not in out
+
+
+def test_manufactured_solves_yield_s_not_its_lu():
+    # the solve factors S in its own buffer, so the backward error must be
+    # taken against a copy of S made before it
+    layouts = ((uniform_interval(10), 1), (uniform_interval(12), 1), (polar_layout(3, 7), 2))
+    solves = list(checks._manufactured_solves(11))
+    assert len(solves) == len(layouts)
+    for (ps, d), (s, b, lam_star, _) in zip(layouts, solves):
+        fresh = assemble(ps, GmqBasis(ps.points, FracParams(d, 1.2), 1.0, K=32, M=48)).s
+        assert np.array_equal(s, fresh)
+        assert np.array_equal(b, fresh @ lam_star)
 
 
 def test_verify_seed_reaches_seeded_checks(monkeypatch, capsys):

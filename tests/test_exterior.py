@@ -65,8 +65,8 @@ def test_tail_rows_need_one_column_per_dimension():
 
 
 def _assert_apply_matches_assemble(tf, mat):
-    # the matrix-free product agrees with the assembled matrix up to the
-    # rounding of a sum of |mat| |v| terms
+    # the matrix-free product of unassembled factors agrees with the
+    # assembled matrix up to the rounding of a sum of |mat| |v| terms
     v = np.random.default_rng(4).standard_normal(mat.shape[1])
     assert np.all(np.abs(tf.apply(v) - mat @ v) <= 1e-13 * (np.abs(mat) @ np.abs(v)))
 
@@ -82,7 +82,7 @@ def test_factored_matrix_matches_entries():
         for j in (0, 5, 7):
             ref = _entry(ps.interior[i], ps.points[j], 1.3, p, K=16)
             assert mat[i, j] == pytest.approx(ref, rel=1e-13)
-    _assert_apply_matches_assemble(tf, mat)
+    _assert_apply_matches_assemble(tail_factors_at(ps.interior, basis), mat)
 
 
 def test_factored_matrix_matches_entries_2d():
@@ -96,7 +96,7 @@ def test_factored_matrix_matches_entries_2d():
         for j in (0, 9):
             ref = _entry(ps.interior[i], ps.points[j], 0.9, p, K=12, M=48)
             assert mat[i, j] == pytest.approx(ref, rel=1e-13)
-    _assert_apply_matches_assemble(tf, mat)
+    _assert_apply_matches_assemble(tail_factors_at(ps.interior, basis), mat)
 
 
 def test_tail_factors_at_arbitrary_points():
@@ -167,12 +167,29 @@ def test_tail_factors_and_matrix_match_out_of_place_formulas_bitwise(d, alpha, p
         assert got is None or np.array_equal(got, want), name
     mat = tail_matrix_ref(ref)
     assert np.array_equal(_assembled(tf), mat)
-    # into the leading rows of a larger buffer, as linsys.assemble does
+    # into the leading rows of a larger buffer, as linsys.assemble does;
+    # assemble consumes its factors, so this takes a fresh set
+    tf = tail_factors_at(ps.interior, basis)
     out = np.full((ps.n_total, ps.n_total), np.nan)
     tf.assemble(out[:ps.n_interior])
     assert np.array_equal(out[:ps.n_interior], mat)
     assert np.all(np.isnan(out[ps.n_interior:]))
-    # the product leaves the factors untouched: apply reuses them
-    for name in _FACTOR_FIELDS:
+    # the product weights b in place, with the bits of the out-of-place
+    # scaling, leaves c as it was and drops the weights
+    assert np.array_equal(tf.b, ref.b * ref.weights)
+    assert tf.b_alt is None or np.array_equal(tf.b_alt, ref.b_alt * ref.weights)
+    for name in ("c", "c_alt"):
         got, want = getattr(tf, name), getattr(ref, name)
         assert got is None or np.array_equal(got, want), name
+    assert tf.weights is None
+
+
+def test_assembled_factors_refuse_reuse():
+    # a second product would weight b twice, so it fails instead
+    ps = polar_layout(3, 5)
+    tf = tail_factors_at(ps.interior, GmqBasis(ps.points, FracParams(2, 1.2), 0.9, K=12, M=48))
+    _assembled(tf)
+    with pytest.raises(TypeError):
+        tf.apply(np.ones(ps.n_total))
+    with pytest.raises(TypeError):
+        _assembled(tf)

@@ -149,7 +149,7 @@ def test_preset_table2_frozen_rows():
     expect = [
         (0.010472334562950047, 0.14241864260425896, 2947.4735597553567),
         (0.00797341830885559, 0.02669109844379767, 290390.6321256796),
-        (0.00045374595909822735, 0.0008604432235049976, 2084009949.2349632),
+        (0.00045374595909822735, 0.0008604432238776503, 2084009949.2349632),
         (2.0366260709462887e-06, 1.9047687790985556e-06, 6.4687264996550024e+16),
     ]
     for row, (e, ehat, cond) in zip(rep.rows, expect):

@@ -10,7 +10,8 @@ from scipy.linalg import get_lapack_funcs
 
 from fracrbf.exterior import tail_factors_at
 from fracrbf.geometry import clipped_grid, polar_layout, uniform_interval
-from fracrbf.linsys import (SystemMatrices, _factor, assemble, condition_estimate,
+from fracrbf.harness import solve_row
+from fracrbf.linsys import (_TILE, SystemMatrices, _factor, assemble, condition_estimate,
                             nodal_operator)
 from fracrbf.rbf import GmqBasis, classical_lap_block, frac_lap_block, phi_block
 from fracrbf.specialfun import FracParams
@@ -63,7 +64,8 @@ def test_lu_solve_plain_matrix_and_singularity():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((6, 6))
     x = rng.standard_normal(6)
-    got = sla.lu_solve(_factor(a), a @ x)
+    b = a @ x  # before _factor overwrites a with its LU
+    got = sla.lu_solve(_factor(a), b)
     assert np.allclose(got, x, rtol=1e-10)
     with pytest.raises(np.linalg.LinAlgError):
         _factor(np.zeros((3, 3)))
@@ -133,8 +135,9 @@ def test_system_and_norm_match_out_of_place_formulas_bitwise(ps, d, K, M):
     # order and fail this equality in the last digits
     mat = phi_block(basis, ps.points)
     gecon, lange = get_lapack_funcs(("gecon", "lange"), (mat,))
-    assert lange("I", mat.T) == one_norm_ref(mat)
-    rcond, info = gecon(_factor(mat)[0], one_norm_ref(mat), norm="1")
+    anorm = one_norm_ref(mat)  # before _factor overwrites mat with its LU
+    assert lange("I", mat.T) == anorm
+    rcond, info = gecon(_factor(mat)[0], anorm, norm="1")
     assert info == 0
     assert condition_estimate(sm) == 1.0 / rcond
 
@@ -156,23 +159,29 @@ def _peak_in_n2(fn, n):
 
 
 @pytest.mark.parametrize("ps, d, K, M, budget", [
-    (clipped_grid(1.0 / 16.0), 2, 32, 64, 8.0),
+    (clipped_grid(1.0 / 16.0), 2, 32, 64, 5.8),
     (uniform_interval(600), 1, 48, 96, 2.5),
 ], ids=["embedded", "interval"])
 def test_assembly_memory_budget(ps, d, K, M, budget):
     # assemble returns S alone (1 unit) and, at its peak, also holds the tail
-    # factors and their working buffers (7.9 units in 2D, 2.4 in 1D); the
-    # budgets sit just above that, so a temporary put back fails here.
-    # solve_poisson holds only the copy of S that the LU overwrites, and
-    # condition_estimate only the fresh A_phi, which its LU overwrites in place.
+    # factors b and c, built in blocks, while their product is written into
+    # S (5.73 units in 2D, 2.32 in 1D, where the second half's product is a
+    # temporary); the budgets sit just above that, so a temporary put back
+    # fails here. solve_poisson factors S in its own buffer and holds only
+    # the interior rows of A_phi for the nodal values, and condition_estimate
+    # only the fresh A_phi, which its LU overwrites in place.
     basis = GmqBasis(ps.points, FracParams(d, 1.2), 0.9, K=K, M=M)
     n = ps.n_total
-    sm, peak = _peak_in_n2(lambda: assemble(ps, basis), n)
-    assert peak < budget
+    sm, assemble_peak = _peak_in_n2(lambda: assemble(ps, basis), n)
+    assert assemble_peak < budget
     _, peak = _peak_in_n2(lambda: solve_poisson(sm, lambda x: np.ones(len(x))), n)
-    assert peak < 1.1
+    assert peak < ps.n_interior / n + 0.02
     _, peak = _peak_in_n2(lambda: condition_estimate(sm), n)
     assert peak < 1.1
+    # so no stage after assembly stacks on S: a whole steady solve peaks where
+    # assemble does, up to the few hundred bytes of its Python objects
+    _, peak = _peak_in_n2(lambda: solve_row(ps, basis, lambda x: np.ones(len(x))), n)
+    assert peak <= assemble_peak + 1e-3
 
 
 @pytest.mark.parametrize("ps, d", [
@@ -190,6 +199,31 @@ def test_interpolate_memory_budget(ps, d):
 
 def test_system_keeps_only_s():
     assert [f.name for f in dataclasses.fields(SystemMatrices)] == ["ps", "basis", "s"]
+
+
+def test_solve_consumes_the_system():
+    # the LU is made in S's buffer, so S is dropped and a second solve fails
+    ps, basis, sm = _system_1d(n=8)
+    s = sm.s
+    rhs = np.ones(ps.n_total)
+    lam = sm.solve(rhs)
+    assert sm.s is None
+    assert np.array_equal(lam, sla.lu_solve(sla.lu_factor(assemble(ps, basis).s), rhs))
+    assert np.array_equal(s.T, sla.lu_factor(assemble(ps, basis).s)[0])
+    with pytest.raises(ValueError, match="consumed"):
+        sm.solve(rhs)
+
+
+@pytest.mark.parametrize("n", [1, 2, _TILE - 5, _TILE, 2 * _TILE + 3])
+def test_factor_of_c_order_matrix_is_in_place_and_bitwise_lu_factor(n):
+    # the tiled in-place transpose moves data only, so getrf on the F-order
+    # view gives the bits of lu_factor on a copy, for every tile remainder
+    a = np.random.default_rng(n).standard_normal((n, n))
+    lu_ref, piv_ref = sla.lu_factor(a.copy())
+    lu, piv = _factor(a)
+    assert np.shares_memory(lu, a)
+    assert np.array_equal(lu, lu_ref)
+    assert np.array_equal(piv, piv_ref)
 
 
 def test_assemble_rejects_basis_off_the_point_set():
@@ -215,7 +249,7 @@ def test_in_place_factor_of_transposed_a_phi_is_bitwise_lu_factor(ps, d, alpha):
     a = phi_block(GmqBasis(ps.points, FracParams(d, alpha), 0.9), ps.points)
     assert np.array_equal(a, a.T)
     lu_ref, piv_ref = sla.lu_factor(a.copy())
-    lu, piv = _factor(a.T, overwrite=True)
+    lu, piv = _factor(a.T)
     assert np.shares_memory(lu, a)
     assert np.array_equal(lu, lu_ref)
     assert np.array_equal(piv, piv_ref)

@@ -106,15 +106,15 @@ def test_solve_poisson_exterior_data_uses_the_system_rule():
     basis = GmqBasis(ps.points, FracParams(2, 1.0), 1.2, K=24, M=48)
     g = GmqProfile(np.zeros(2), 1.0, -1.5)
     f = lambda pts: np.ones(pts.shape[0])
-    sm = assemble(ps, basis)
-    lam, _ = solve_poisson(sm, f, g=g)
+    lam, _ = solve_poisson(assemble(ps, basis), f, g=g)
 
     def solve_with(rule_basis):
+        # a solve consumes its system, so each one assembles its own
         rhs = np.zeros(ps.n_total)
         rhs[:ps.n_interior] = f(ps.interior)
         rhs[:ps.n_interior] += exterior_data_correction(g, ps.interior, rule_basis)
         rhs[ps.n_interior:] = g.value(ps.boundary)
-        return sm.solve(rhs)
+        return assemble(ps, basis).solve(rhs)
     assert np.array_equal(lam, solve_with(basis))
     # the default rule gives other bits, so the check above tells the rules apart
     assert not np.array_equal(lam, solve_with(GmqBasis(ps.points, basis.params, basis.eps)))
