@@ -220,7 +220,7 @@ def _forward_row(ps, basis, tp, case):
 def _solution_error_row(ps, basis, tp, case):
     """Collocation solve; E is the solution error at the measurement points."""
     u_fn, f_fn, g = case
-    row, lam, _ = solve_row(ps, basis, f_fn, g=g)
+    row, lam = solve_row(ps, basis, f_fn, g=g)
     row.e = rms_error(u_fn(tp), evaluate_interpolant(lam, basis, tp))
     return row
 
@@ -244,7 +244,7 @@ def _cmd_sweep(args, row):
         d=dim, alpha=alpha, case=kind, K=kq, **eps_meta, **(dict(M=mq) if dim == 2 else {})))
     for ps, tp in _sweep(args, dim):
         basis = GmqBasis(ps.points, FracParams(dim, alpha), _eps_for(args, ps, eps_abs), K=kq, M=mq)
-        rep.add(row(ps, basis, tp, case), dim=dim)
+        rep.add(row(ps, basis, tp, case))
     _print_report(rep)
     if args.out is not None:
         print(f"wrote {rep.write(args.out).parent}")

@@ -37,13 +37,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Time grid and model knobs shared by the steppers."""
+    """Time grid and model knobs shared by the steppers.
+
+    `snapshots` = k splits the run into k equal intervals and records the
+    state at each of their ends: step round(j * n_steps / k), j = 0..k. A
+    snapshot that falls exactly half way between two steps is recorded at
+    the even one (Python's round): with n_steps 5 and k 2 the middle
+    snapshot is step 2, not step 3.
+    """
 
     dt: float
     t_end: float
     chi: float = 1.0
     kappa: float = 0.0
-    snapshot_times: tuple = ()
+    snapshots: int = 1
 
     def __post_init__(self):
         if not self.dt > 0.0:
@@ -54,9 +61,10 @@ class EvolutionConfig:
             raise ValueError("chi must lie in [0, 1]")
         if self.kappa < 0.0:
             raise ValueError("kappa must be nonnegative")
-        object.__setattr__(
-            self, "snapshot_times", tuple(float(t) for t in self.snapshot_times))
-        stamps = [_stamp(k * self.dt) for k in self.snapshot_steps()]
+        k = self.snapshots
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise ValueError("snapshots must be an integer >= 1")
+        stamps = [_stamp(step * self.dt) for step in self.snapshot_steps()]
         if len(set(stamps)) < len(stamps):
             raise ValueError("snapshot times that agree to six decimals would share a file")
 
@@ -68,15 +76,10 @@ class EvolutionConfig:
         return max(n, 0)
 
     def snapshot_steps(self):
-        """Requested snapshot times as step indices; the initial and final
-        states are always recorded."""
-        idx = {0, self.n_steps}
-        for t in self.snapshot_times:
-            k = int(round(t / self.dt))
-            if not 0 <= k <= self.n_steps:
-                raise ValueError("snapshot time outside [0, t_end]")
-            idx.add(k)
-        return sorted(idx)
+        """The distinct step indices of the snapshots, the initial and the
+        final state included."""
+        n, k = self.n_steps, self.snapshots
+        return sorted({round(j * n / k) for j in range(k + 1)})
 
 
 def _stamp(t):
@@ -111,9 +114,9 @@ def mixed_operators(ps, basis):
     """The fractional and the classical Laplacian on interior nodal values,
     stacked as one (2n, n) array; one coefficient map serves both, and the
     system is freed before this returns."""
-    sm = assemble(ps, basis)
+    s = assemble(ps, basis).s
     n = ps.n_interior
-    return nodal_operator(sm, rows=(sm.s[:n], classical_lap_block(basis, ps.interior)))
+    return nodal_operator(ps, basis, rows=(s[:n], classical_lap_block(basis, ps.interior)))
 
 
 def crank_nicolson_mixed(ps, ops, cfg, u0):
@@ -177,26 +180,26 @@ def qg_operators(ps, basis):
         raise ValueError("the quasi-geostrophic run lives on the disk")
     n = ps.n_interior
     half = replace(basis, params=FracParams(2, 1.0))
-    sm = assemble(ps, half)
+    s = assemble(ps, half).s
     gx, gy = grad_blocks(half, ps.interior)
     local = np.empty((3 * n, n))
     if basis.params.alpha == 1.0:
-        nodal_operator(sm, rows=(sm.s[:n], gx, gy), out=local)
+        nodal_operator(ps, half, rows=(s[:n], gx, gy), out=local)
     else:
-        nodal_operator(sm, rows=(gx, gy), out=local[n:])
+        nodal_operator(ps, half, rows=(gx, gy), out=local[n:])
     del gx, gy
     # (A_top S^{-1})[:, :n] = -P, so u1 = -dy P theta = dy (-P) theta; S is
     # factored in its own buffer, after its equation rows were read above
-    minus_p = sla.lu_solve(_factor(sm.s), phi_block(half, ps.interior).T, trans=1).T[:, :n]
-    del sm
+    minus_p = sla.lu_solve(_factor(s), phi_block(half, ps.interior).T, trans=1).T[:, :n]
+    del s
     velocity = np.empty((2 * n, n))
     np.matmul(local[2 * n:], minus_p, out=velocity[:n])
     np.matmul(local[n:2 * n], minus_p, out=velocity[n:])
     np.negative(velocity[n:], out=velocity[n:])
     del minus_p
     if basis.params.alpha != 1.0:
-        sm = assemble(ps, basis)
-        nodal_operator(sm, rows=(sm.s[:n],), out=local[:n])
+        s = assemble(ps, basis).s
+        nodal_operator(ps, basis, rows=(s[:n],), out=local[:n])
     return QgOperators(local=local, velocity=velocity)
 
 

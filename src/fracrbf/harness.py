@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fracrbf.dynamics import (EvolutionConfig, anisotropy_ratio, crank_nicolson_mixed,
+from fracrbf.dynamics import (EvolutionConfig, _stamp, anisotropy_ratio, crank_nicolson_mixed,
                               mixed_operators, qg_operators, run_qg, write_field,
                               write_snapshots)
 from fracrbf.exterior import GmqProfile
@@ -88,10 +88,11 @@ class RunReport:
     rows: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def add(self, row, dim=1):
-        """Append a row, deriving rates from the previous one."""
+    def add(self, row):
+        """Append a row, deriving rates from the previous one, per axis of
+        the dimension meta["d"] (1 when unset)."""
         if self.rows:
-            prev = self.rows[-1]
+            prev, dim = self.rows[-1], self.meta.get("d", 1)
             if row.e is not None and prev.e is not None:
                 row.rate_e = convergence_rate(prev.e, row.e, prev.n, row.n, dim)
             if row.ehat is not None and prev.ehat is not None:
@@ -140,17 +141,13 @@ def _git_rev():
 def solve_row(ps, basis, f, g=None):
     """One steady solve of every steady preset and of `fracrbf solve`.
 
-    Returns (row, lam, u_nodes): the row carries N and cond(A_phi), and its
-    seconds cover assemble, right-hand side and solve. The solve factors S
-    in S's own buffer and consumes it, so S and its LU are gone before
-    condition_estimate evaluates A_phi and factors it in place: no stage
-    after assembly holds two N x N arrays, and the peak is the tail product
-    inside assemble."""
+    Returns (row, lam): the row carries N and cond(A_phi), and its seconds
+    cover assemble, right-hand side and solve. The solve consumes S, so
+    A_phi for the condition estimate is evaluated only after S is gone."""
     t0 = time.perf_counter()
-    sm = assemble(ps, basis)
-    lam, u_nodes = solve_poisson(sm, f, g=g)
+    lam = solve_poisson(assemble(ps, basis), f, g=g)
     seconds = time.perf_counter() - t0
-    return RunRow(n=ps.n_total, cond=condition_estimate(sm), seconds=seconds), lam, u_nodes
+    return RunRow(n=ps.n_total, cond=condition_estimate(basis), seconds=seconds), lam
 
 
 # 1D convergence tables --------------------------------------------------------
@@ -166,7 +163,7 @@ def _interval_row(n, alpha, eps, K, f_nodes, exact, window=None):
     irreducible boundary-layer error."""
     ps = uniform_interval(n + 2)
     basis = GmqBasis(ps.points, FracParams(1, alpha), eps, K=K)
-    row, lam, _ = solve_row(ps, basis, f_nodes)
+    row, lam = solve_row(ps, basis, f_nodes)
     row.n = n
 
     tp = uniform_interval(n + 1).interior
@@ -247,9 +244,9 @@ def _disk_table(rep, alpha, layouts, exact, K, M, g=None):
     u_tp, _ = exact(tp)
     for ps, eps in layouts:
         basis = GmqBasis(ps.points, FracParams(2, alpha), eps, K=K, M=M)
-        row, lam, _ = solve_row(ps, basis, lambda x: exact(x)[1], g=g)
+        row, lam = solve_row(ps, basis, lambda x: exact(x)[1], g=g)
         row.e = rms_error(u_tp, evaluate_interpolant(lam, basis, tp))
-        rep.add(row, dim=2)
+        rep.add(row)
     return rep
 
 
@@ -291,13 +288,14 @@ def _constant_source(label, ps, alphas, eps, K, M, out, exact=None, **meta):
         outp.mkdir(parents=True, exist_ok=True)
     for alpha in alphas:
         basis = GmqBasis(ps.points, FracParams(2, alpha), eps, K=K, M=M)
-        row, _, u_nodes = solve_row(ps, basis, lambda pts: np.ones(len(pts)))
+        row, lam = solve_row(ps, basis, lambda pts: np.ones(len(pts)))
+        u_nodes = evaluate_interpolant(lam, basis, ps.interior)
         fields = {"solution": u_nodes}
         if exact is not None:
             u = exact(alpha, ps.interior)
             row.e = rms_error(u, u_nodes)
             fields["error"] = np.abs(u_nodes - u)
-        rep.add(row, dim=2)
+        rep.add(row)
         if outp is not None:
             for name, values in fields.items():
                 write_field(outp / f"{name}_alpha{alpha}.csv", ps.interior, values)
@@ -327,17 +325,15 @@ def preset_fig_square(alphas=(0.4, 0.8, 1.2, 1.6), eps=0.05, grid_h=0.03125,
 
 def mixed_run(dt, t_end, chi):
     """(config, initial field) of the mixed-diffusion runs, fig-mixed and
-    `fracrbf evolve`: snapshots at four evenly spaced interior times."""
-    cfg = EvolutionConfig(dt=dt, t_end=t_end, chi=chi,
-                          snapshot_times=tuple(np.round(np.linspace(0.0, t_end, 6)[1:-1], 12)))
+    `fracrbf evolve`: snapshots at every fifth of the run."""
+    cfg = EvolutionConfig(dt=dt, t_end=t_end, chi=chi, snapshots=5)
     return cfg, lambda pts: np.exp(-16.0 * pts[:, 0] ** 2 - 4.0 * pts[:, 1] ** 2)
 
 
 def vortex_run(dt, t_end, kappa):
     """(config, initial scalar) of the single-vortex runs, fig-qg and
-    `fracrbf qg`: snapshots at every eighth of t_end."""
-    cfg = EvolutionConfig(dt=dt, t_end=t_end, kappa=kappa,
-                          snapshot_times=tuple(np.round(np.arange(1, 8) * t_end / 8.0, 12)))
+    `fracrbf qg`: snapshots at every eighth of the run."""
+    cfg = EvolutionConfig(dt=dt, t_end=t_end, kappa=kappa, snapshots=8)
     return cfg, lambda pts: np.exp(-4.0 * pts[:, 0] ** 2 - 64.0 * pts[:, 1] ** 2)
 
 
@@ -358,7 +354,7 @@ def preset_fig_mixed(alpha=1.0, eps=1.0, dt=0.001, t_end=0.5, K=32, M=64, out=No
         times, fields = crank_nicolson_mixed(ps, ops, cfg, u0)
         seconds = time.perf_counter() - t0
         peaks[chi] = float(np.max(np.abs(fields[-1])))
-        rep.add(RunRow(n=ps.n_total, e=peaks[chi], seconds=seconds), dim=2)
+        rep.add(RunRow(n=ps.n_total, e=peaks[chi], seconds=seconds))
         if outp is not None:
             write_snapshots(outp, ps, times, fields, prefix=f"mixed_chi{chi}")
     rep.meta["final_peaks"] = ",".join(f"{c}:{peaks[c]:.6e}" for c in sorted(peaks))
@@ -380,7 +376,7 @@ def preset_fig_qg(alpha=1.0, eps=0.1, dt=0.01, t_end=2.0, kappa=0.001,
     ratios = [anisotropy_ratio(ps.interior, f) for f in fields]
     for t, f, r in zip(times, fields, ratios):
         rep.add(RunRow(n=ps.n_total, e=float(np.max(np.abs(f))), ehat=r,
-                       seconds=seconds if t == times[-1] else 0.0), dim=2)
+                       seconds=seconds if t == times[-1] else 0.0))
     rep.meta["columns_note"] = "E column holds max|theta|, Ehat column the anisotropy ratio"
     if out is not None:
         write_snapshots(out, ps, times, fields)
@@ -388,7 +384,7 @@ def preset_fig_qg(alpha=1.0, eps=0.1, dt=0.01, t_end=2.0, kappa=0.001,
             w = csv.writer(fh)
             w.writerow(["time", "peak", "ratio"])
             for t, f, r in zip(times, fields, ratios):
-                w.writerow([f"{t:.6f}", repr(float(np.max(np.abs(f)))), repr(r)])
+                w.writerow([_stamp(t), repr(float(np.max(np.abs(f)))), repr(r)])
     return rep
 
 

@@ -103,10 +103,10 @@ def assemble(ps, basis):
     return SystemMatrices(ps, basis, s)
 
 
-def condition_estimate(sm):
-    """1-norm condition estimate of the interpolation matrix A_phi
+def condition_estimate(basis):
+    """1-norm condition estimate of the interpolation matrix A_phi of basis
     (Hager-Higham style through the LAPACK reciprocal-condition routine)."""
-    (lu, _), anorm = _phi_factor(sm.basis)
+    (lu, _), anorm = _phi_factor(basis)
     rcond, info = get_lapack_funcs("gecon", (lu,))(lu, anorm, norm="1")
     if info != 0:
         raise np.linalg.LinAlgError("condition estimation failed")
@@ -115,19 +115,19 @@ def condition_estimate(sm):
     return 1.0 / float(rcond)
 
 
-def nodal_operator(sm, rows, out=None):
-    """Square operators on nodal interior values.
+def nodal_operator(ps, basis, rows, out=None):
+    """Square operators on nodal interior values of the point set ps.
 
-    Columns 0..n_interior-1 of A_phi^{-1} turn interior nodal values (with
-    zero boundary values) into coefficients; each block of the tuple `rows`
-    maps them to operator values at the interior points. The blocks share
-    that one solve; their operators are stacked in order, into `out` when
-    it is passed, each block multiplied on its own.
+    Columns 0..n_interior-1 of the inverse of basis's A_phi turn interior
+    nodal values (with zero boundary values) into coefficients; each block
+    of the tuple `rows` maps them to operator values at the interior points.
+    The blocks share that one solve; their operators are stacked in order,
+    into `out` when it is passed, each block multiplied on its own.
     """
-    n_int = sm.ps.n_interior
-    rhs = np.zeros((sm.ps.n_total, n_int))
+    n_int = ps.n_interior
+    rhs = np.zeros((ps.n_total, n_int))
     rhs[:n_int, :] = np.eye(n_int)
-    coeff_map = sla.lu_solve(_phi_factor(sm.basis)[0], rhs)
+    coeff_map = sla.lu_solve(_phi_factor(basis)[0], rhs)
     blocks = [np.asarray(w, dtype=float) for w in rows]
     shape = (sum(w.shape[0] for w in blocks), n_int)
     if out is None:

@@ -1,6 +1,6 @@
 """Closed-form reference solutions: the (u, f) pairs that the presets and
-the CLI measure errors against. `fracrbf.checks` checks them by direct
-hypersingular integration."""
+the CLI measure errors against, as arrays of one value per point.
+`fracrbf.checks` checks them by direct hypersingular integration."""
 
 import math
 
@@ -31,13 +31,13 @@ def case1(d, alpha, x, f_required=True):
     r2 = _radii2(x, d)
     u = (1.0 + r2) ** (-(d + 1.0) / 2.0)
     if not f_required:
-        return _match_shape(u, x), None
+        return u, None
     if np.any(r2 >= 1.0):
         raise ValueError("closed-form forcing of case 1 needs |x| < 1")
     pref = gamma_fn(d + alpha) / gamma_fn(d)
     f = pref * ((1.0 + r2) ** (-(d + alpha) / 2.0)
                 * gauss_2f1((d + alpha) / 2.0, -(alpha + 1.0) / 2.0, d / 2.0, r2 / (1.0 + r2)))
-    return _match_shape(u, x), _match_shape(f, x)
+    return u, f
 
 
 def case2(d, alpha, p, x, f_required=True):
@@ -52,13 +52,13 @@ def case2(d, alpha, p, x, f_required=True):
     r2 = _radii2(x, d)
     u = np.where(r2 < 1.0, np.abs(1.0 - r2) ** p, 0.0)
     if not f_required:
-        return _match_shape(u, x), None
+        return u, None
     if np.any(r2 >= 1.0):
         raise ValueError("closed-form forcing of case 2 needs |x| < 1")
     pref = (2.0 ** alpha * gamma_fn((alpha + d) / 2.0) * gamma_fn(p + 1.0)
             / (gamma_fn(d / 2.0) * gamma_fn(arg)))
     f = pref * gauss_2f1((alpha + d) / 2.0, -p + alpha / 2.0, d / 2.0, r2)
-    return _match_shape(u, x), _match_shape(f, x)
+    return u, f
 
 
 def case2_scaled(d, alpha, p, scale, x):
@@ -71,12 +71,4 @@ def case2_scaled(d, alpha, p, scale, x):
     if scale <= 0.0:
         raise ValueError("scale must be positive")
     u, f = case2(d, alpha, p, as_points(x, d) * scale)
-    return (_match_shape(np.atleast_1d(u), x),
-            _match_shape(scale ** alpha * np.atleast_1d(f), x))
-
-
-def _match_shape(values, x):
-    values = np.atleast_1d(values)
-    if np.ndim(x) == 0 or (np.ndim(x) == 1 and values.shape[0] == 1):
-        return float(values[0])
-    return values
+    return u, scale ** alpha * f

@@ -52,7 +52,7 @@ def solve_poisson(sm, f, g=None):
     right-hand side gains the tail integral of the exterior datum g under
     the rule of sm.basis, and the zero-value rows pin the expansion to g on
     the boundary set. g=None means homogeneous exterior data. Returns the
-    coefficients and the expansion values at the equation points.
+    coefficients; evaluate_interpolant turns them into field values.
     """
     ps = sm.ps
     rhs = np.zeros(ps.n_total)
@@ -63,8 +63,7 @@ def solve_poisson(sm, f, g=None):
             rhs[ps.n_interior:] = g.value(ps.boundary)
     if not np.all(np.isfinite(rhs)):
         raise ValueError("right-hand side must be finite at the collocation points")
-    lam = sm.solve(rhs)
-    return lam, phi_block(sm.basis, ps.interior) @ lam
+    return sm.solve(rhs)
 
 
 def evaluate_interpolant(lam, basis, points):

@@ -34,13 +34,18 @@ def test_config_validation():
             EvolutionConfig(**bad)
     with pytest.raises(ValueError):
         EvolutionConfig(dt=0.3, t_end=1.0).n_steps
-    with pytest.raises(ValueError):
-        EvolutionConfig(dt=0.1, t_end=1.0, snapshot_times=(2.0,)).snapshot_steps()
 
 
 def test_snapshot_steps_include_ends():
-    cfg = EvolutionConfig(dt=0.001, t_end=0.5, snapshot_times=(0.1, 0.25))
-    assert cfg.snapshot_steps() == [0, 100, 250, 500]
+    assert EvolutionConfig(dt=0.001, t_end=0.5).snapshot_steps() == [0, 500]
+    cfg = EvolutionConfig(dt=0.001, t_end=0.5, snapshots=5)
+    assert cfg.snapshot_steps() == [0, 100, 200, 300, 400, 500]
+
+
+@pytest.mark.parametrize("snapshots", [0, 1.5, True])
+def test_config_rejects_a_snapshot_count_that_is_not_a_positive_integer(snapshots):
+    with pytest.raises(ValueError, match="snapshots"):
+        EvolutionConfig(dt=0.001, t_end=0.5, snapshots=snapshots)
 
 
 def test_config_rejects_snapshot_steps_that_share_a_name():
@@ -78,8 +83,7 @@ def test_mixed_diffusion_peak_regression(disk73):
 
 def test_mixed_diffusion_norm_decays(disk73):
     ps, _, ops = disk73
-    cfg = EvolutionConfig(dt=0.02, t_end=0.2, chi=1.0,
-                          snapshot_times=(0.04, 0.08, 0.12, 0.16))
+    cfg = EvolutionConfig(dt=0.02, t_end=0.2, chi=1.0, snapshots=5)
     _, fields = crank_nicolson_mixed(ps, ops, cfg, _gaussian(4.0))
     norms = np.linalg.norm(fields, axis=1)
     assert np.all(np.diff(norms) < 0.0)
@@ -114,8 +118,7 @@ def test_qg_rhs_zero_field_and_pure_decay(disk73):
     zero = np.zeros(ps.n_interior)
     assert np.allclose(qg_rhs(zero, ops, 0.001), 0.0, atol=1e-14)
 
-    cfg = EvolutionConfig(dt=0.01, t_end=0.2, kappa=0.01,
-                          snapshot_times=(0.05, 0.1, 0.15))
+    cfg = EvolutionConfig(dt=0.01, t_end=0.2, kappa=0.01, snapshots=4)
     _, fields = run_qg(ps, _no_advection(ops), cfg, _gaussian(4.0))
     peaks = np.max(np.abs(fields), axis=1)
     assert np.all(np.diff(peaks) < 0.0)
@@ -141,10 +144,10 @@ def _per_stage_rhs(ps, eps, alpha, K, M):
     half = GmqBasis(ps.points, FracParams(2, 1.0), eps, K=K, M=M)
     sm = assemble(ps, half)
     gx, gy = grad_blocks(half, ps.interior)
-    dx, dy = nodal_operator(sm, rows=(gx,)), nodal_operator(sm, rows=(gy,))
+    dx, dy = nodal_operator(ps, half, rows=(gx,)), nodal_operator(ps, half, rows=(gy,))
     sm_diss = sm if alpha == 1.0 else assemble(
         ps, GmqBasis(ps.points, FracParams(2, alpha), eps, K=K, M=M))
-    diss = nodal_operator(sm_diss, rows=(sm_diss.s[:n],))
+    diss = nodal_operator(ps, sm_diss.basis, rows=(sm_diss.s[:n],))
 
     s_lu = _factor(sm.s)
 

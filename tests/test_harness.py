@@ -77,6 +77,14 @@ def test_report_add_derives_rates():
     assert rep.rows[1].rate_ehat == pytest.approx(1.0)
 
 
+def test_report_rates_are_per_axis_in_its_dimension():
+    # meta["d"] = 2: a fourfold N is a twofold resolution per axis
+    rep = RunReport(label="demo", meta=dict(d=2))
+    rep.add(RunRow(n=10, e=0.4))
+    rep.add(RunRow(n=40, e=0.1))
+    assert rep.rows[1].rate_e == pytest.approx(2.0)
+
+
 def test_report_write_files(tmp_path):
     rep = RunReport(label="demo", meta=dict(alpha=1.2, eps=1.5))
     rep.add(RunRow(n=4, e=0.25, ehat=0.5, cond=100.0, seconds=0.123456))

@@ -15,7 +15,7 @@ from fracrbf.linsys import (_TILE, SystemMatrices, _factor, assemble, condition_
                             nodal_operator)
 from fracrbf.rbf import GmqBasis, classical_lap_block, frac_lap_block, phi_block
 from fracrbf.specialfun import FracParams
-from fracrbf.steady import interpolate, solve_poisson
+from fracrbf.steady import evaluate_interpolant, interpolate, solve_poisson
 from reference import (frac_lap_block_ref, one_norm_ref, phi_block_ref, tail_factors_ref,
                        tail_matrix_ref)
 
@@ -72,9 +72,10 @@ def test_lu_solve_plain_matrix_and_singularity():
 
 
 def test_nodal_values_reads_top_block():
-    # solve_poisson's nodal values are the expansion at the equation points
+    # the nodal values of a solve are the expansion at the equation points
     ps, basis, sm = _system_1d(n=8)
-    lam, u_nodes = solve_poisson(sm, lambda pts: np.cos(pts[:, 0]))
+    lam = solve_poisson(sm, lambda pts: np.cos(pts[:, 0]))
+    u_nodes = evaluate_interpolant(lam, basis, ps.interior)
     ref = phi_block(basis, ps.interior) @ lam
     assert u_nodes.shape == (ps.n_interior,)
     assert np.allclose(u_nodes, ref, atol=1e-14)
@@ -82,16 +83,26 @@ def test_nodal_values_reads_top_block():
 
 def test_condition_estimate_tracks_true_condition():
     ps, basis, sm = _system_1d(n=9, eps=0.8)
-    est = condition_estimate(sm)
+    est = condition_estimate(basis)
     true = np.linalg.cond(phi_block(basis, ps.points), 1)
     assert est == pytest.approx(true, rel=0.5)
+
+
+def test_condition_estimate_reads_the_basis_alone():
+    # the estimate needs no assembled system: on its own it gives the cond
+    # that a steady solve on the same basis reports
+    ps = polar_layout(3, 7)
+    basis = GmqBasis(ps.points, FracParams(2, 1.2), 1.0, K=16, M=32)
+    est = condition_estimate(basis)
+    row, _ = solve_row(ps, basis, lambda x: np.ones(len(x)))
+    assert est == row.cond
 
 
 def test_nodal_operator_reproduces_equation_rows():
     # for any interior nodal vector v, the operator must equal: extend v by
     # zero boundary values, fit coefficients, apply the equation rows
     ps, basis, sm = _system_1d(n=9)
-    a = nodal_operator(sm, rows=(sm.s[:ps.n_interior],))
+    a = nodal_operator(ps, basis, rows=(sm.s[:ps.n_interior],))
     assert a.shape == (ps.n_interior, ps.n_interior)
     rng = np.random.default_rng(5)
     v = rng.standard_normal(ps.n_interior)
@@ -104,7 +115,7 @@ def test_nodal_operator_reproduces_equation_rows():
 def test_nodal_operator_custom_rows():
     ps, basis, sm = _system_1d(n=9)
     rows = classical_lap_block(basis, ps.interior)
-    a = nodal_operator(sm, rows=(rows,))
+    a = nodal_operator(ps, basis, rows=(rows,))
     rng = np.random.default_rng(6)
     v = rng.standard_normal(ps.n_interior)
     samples = np.concatenate([v, np.zeros(2)])
@@ -139,7 +150,7 @@ def test_system_and_norm_match_out_of_place_formulas_bitwise(ps, d, K, M):
     assert lange("I", mat.T) == anorm
     rcond, info = gecon(_factor(mat)[0], anorm, norm="1")
     assert info == 0
-    assert condition_estimate(sm) == 1.0 / rcond
+    assert condition_estimate(basis) == 1.0 / rcond
 
 
 def _peak_in_n2(fn, n):
@@ -168,15 +179,15 @@ def test_assembly_memory_budget(ps, d, K, M, budget):
     # S (5.73 units in 2D, 2.32 in 1D, where the second half's product is a
     # temporary); the budgets sit just above that, so a temporary put back
     # fails here. solve_poisson factors S in its own buffer and holds only
-    # the interior rows of A_phi for the nodal values, and condition_estimate
-    # only the fresh A_phi, which its LU overwrites in place.
+    # its right-hand side, and condition_estimate only the fresh A_phi, which
+    # its LU overwrites in place.
     basis = GmqBasis(ps.points, FracParams(d, 1.2), 0.9, K=K, M=M)
     n = ps.n_total
     sm, assemble_peak = _peak_in_n2(lambda: assemble(ps, basis), n)
     assert assemble_peak < budget
     _, peak = _peak_in_n2(lambda: solve_poisson(sm, lambda x: np.ones(len(x))), n)
     assert peak < ps.n_interior / n + 0.02
-    _, peak = _peak_in_n2(lambda: condition_estimate(sm), n)
+    _, peak = _peak_in_n2(lambda: condition_estimate(basis), n)
     assert peak < 1.1
     # so no stage after assembly stacks on S: a whole steady solve peaks where
     # assemble does, up to the few hundred bytes of its Python objects

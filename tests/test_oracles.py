@@ -92,6 +92,14 @@ def test_case2_hat_profile_values():
     assert u_only[1] == 0.0
 
 
+def test_cases_return_arrays_on_one_point():
+    for u, f in (case1(1, 1.2, 0.3), case2(1, 1.2, 1.0, 0.3),
+                 case2(2, 1.2, 1.0, np.array([0.1, 0.2])),
+                 case2_scaled(1, 1.2, 1.0, 2.0, np.array([0.1]))):
+        assert isinstance(u, np.ndarray) and isinstance(f, np.ndarray)
+        assert u.shape == f.shape == (1,)
+
+
 def test_case2_rejects_boundary_forcing():
     with pytest.raises(ValueError):
         case2(1, 1.2, 1.0, np.array([1.0]))
