@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from fracrbf.dynamics import (anisotropy_ratio, crank_nicolson_mixed, mixed_operators,
-                              qg_operators, run_qg, write_snapshots)
+                              qg_operators, run_qg)
 from fracrbf.exterior import GmqProfile, exterior_data_correction
 from fracrbf.geometry import disk_grid, polar_layout, uniform_interval
-from fracrbf.harness import (PRESETS, RunReport, RunRow, mixed_run, rms_error, solve_row,
-                             vortex_run)
+from fracrbf.harness import (PRESETS, RunReport, RunRow, mixed_run, rms_error, snapshot_files,
+                             solve_row, vortex_run, write_files)
 from fracrbf.oracles import case1, case2
 from fracrbf.rbf import GmqBasis
 from fracrbf.specialfun import FracParams
@@ -259,7 +259,7 @@ def _cmd_evolve(args):
     for t, f in zip(times, fields):
         print(f"t={t:8.4f} peak={np.max(np.abs(f)):.6e}")
     if args.out is not None:
-        write_snapshots(args.out, ps, times, fields, prefix="mixed")
+        write_files(args.out, snapshot_files(ps, times, fields, prefix="mixed"))
         print(f"wrote {args.out}")
     return 0
 
@@ -274,7 +274,7 @@ def _cmd_qg(args):
         print(f"t={t:8.4f} peak={np.max(np.abs(f)):.6e} "
               f"anisotropy={anisotropy_ratio(ps.interior, f):.4f}")
     if args.out is not None:
-        write_snapshots(args.out, ps, times, fields)
+        write_files(args.out, snapshot_files(ps, times, fields))
         print(f"wrote {args.out}")
     return 0
 
@@ -300,11 +300,7 @@ def _cmd_verify(args):
 def _cmd_preset(args):
     fn = PRESETS[args.name]
     params = inspect.signature(fn).parameters
-    # every preset writes its report to out; those with an out parameter
-    # write their field and snapshot files there too
-    out = _pick(args.out, str(Path("runs") / args.name))
-    kwargs = {"out": out} if "out" in params else {}
-    unmatched = []
+    kwargs, unmatched = {}, []
     for flag, val in vars(args).items():
         if val is None or flag in ("command", "func", "name", "config", "out"):
             continue
@@ -317,7 +313,7 @@ def _cmd_preset(args):
         raise ValueError(f"preset {args.name} has no parameter for {', '.join(unmatched)}")
     rep = fn(**kwargs)
     _print_report(rep)
-    path = rep.write(out)
+    path = rep.write(_pick(args.out, Path("runs") / args.name))
     print(f"wrote {path.parent}")
     return 0
 

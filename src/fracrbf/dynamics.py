@@ -8,15 +8,14 @@ so boundary rows never enter the time loop and the implicit matrix is
 fixed for the whole run.
 """
 
-import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
 
 from fracrbf.geometry import as_points
 from fracrbf.linsys import _factor, assemble, nodal_operator
+from fracrbf.quadrature import integer_order
 from fracrbf.rbf import classical_lap_block, grad_blocks, phi_block
 from fracrbf.specialfun import FracParams
 
@@ -29,8 +28,6 @@ __all__ = [
     "qg_operators",
     "qg_rhs",
     "run_qg",
-    "write_field",
-    "write_snapshots",
     "anisotropy_ratio",
 ]
 
@@ -61,9 +58,7 @@ class EvolutionConfig:
             raise ValueError("chi must lie in [0, 1]")
         if self.kappa < 0.0:
             raise ValueError("kappa must be nonnegative")
-        k = self.snapshots
-        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            raise ValueError("snapshots must be an integer >= 1")
+        object.__setattr__(self, "snapshots", integer_order(self.snapshots, "snapshots"))
         stamps = [_stamp(step * self.dt) for step in self.snapshot_steps()]
         if len(set(stamps)) < len(stamps):
             raise ValueError("snapshot times that agree to six decimals would share a file")
@@ -236,39 +231,6 @@ def run_qg(ps, ops, cfg, theta0):
         return th
 
     return _march(cfg, theta, step)
-
-
-def write_field(path, points, values):
-    """One x1,x2,value CSV row per point; floats are written via repr for
-    bit-stable reruns."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "value"])
-        for row, v in zip(points, values):
-            writer.writerow([repr(float(row[0])), repr(float(row[1])), repr(float(v))])
-
-
-def write_snapshots(out_dir, ps, times, fields, prefix="field"):
-    """One x1,x2,value CSV per snapshot time plus a manifest listing them.
-
-    Boundary nodes are appended with their zero value so every file is a
-    complete field.
-    """
-    names = [f"{prefix}_t{_stamp(t)}.csv" for t in times]
-    if len(set(names)) < len(names):
-        raise ValueError("snapshot times that agree to six decimals would share a file")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    pad = ps.n_total - ps.n_interior
-    for name, u in zip(names, fields):
-        full = np.concatenate([np.asarray(u, dtype=float), np.zeros(pad)])
-        write_field(out / name, ps.points, full)
-    with open(out / f"{prefix}_manifest.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "file"])
-        for t, name in zip(times, names):
-            writer.writerow([_stamp(t), name])
-    return names
 
 
 def anisotropy_ratio(points, values):

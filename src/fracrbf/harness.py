@@ -1,10 +1,12 @@
 """Benchmark harness: error metrics, rate tables, timed preset runs that
 reproduce the published convergence experiments, CSV and plot emission.
 
-Output layout per run directory: results.csv holds the numbers that must
-be bit-stable across reruns (N, E, rate, Ehat, rate, cond); wall-clock
-goes to timings.csv; run_meta.txt records the configuration, timestamp
-and git revision; plot.py is a self-contained viewer for the data files.
+Presets write nothing; RunReport.write fills a run directory. results.csv
+holds the numbers that must be bit-stable across reruns (N, E, rate, Ehat,
+rate, cond); wall-clock goes to timings.csv; run_meta.txt records the
+configuration, timestamp and git revision; plot.py is a self-contained
+viewer for the data files. A preset's field, snapshot and summary files
+ride in the report's `files` and are written beside them.
 """
 
 import csv
@@ -17,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from fracrbf.dynamics import (EvolutionConfig, _stamp, anisotropy_ratio, crank_nicolson_mixed,
-                              mixed_operators, qg_operators, run_qg, write_field,
-                              write_snapshots)
+                              mixed_operators, qg_operators, run_qg)
 from fracrbf.exterior import GmqProfile
 from fracrbf.geometry import as_points, clipped_grid, disk_grid, polar_layout, uniform_interval
 from fracrbf.linsys import assemble, condition_estimate
@@ -34,6 +35,8 @@ __all__ = [
     "convergence_rate",
     "RunRow",
     "RunReport",
+    "write_files",
+    "snapshot_files",
     "solve_row",
     "preset_table2",
     "preset_table3",
@@ -84,9 +87,13 @@ class RunRow:
 
 @dataclass
 class RunReport:
+    """A preset's rows and configuration, plus `files`: any further CSV it
+    produces, as file name -> (header, rows), formatted only when written."""
+
     label: str
     rows: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    files: dict = field(default_factory=dict)
 
     def add(self, row):
         """Append a row, deriving rates from the previous one, per axis of
@@ -100,19 +107,15 @@ class RunReport:
         self.rows.append(row)
 
     def write(self, out_dir):
+        """Fill out_dir with the run's files; returns the path of results.csv."""
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "results.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["N", "E", "rate", "Ehat", "rate", "cond"])
-            for r in self.rows:
-                w.writerow([r.n] + [_cell(v) for v in
-                                    (r.e, r.rate_e, r.ehat, r.rate_ehat, r.cond)])
-        with open(out / "timings.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["N", "seconds"])
-            for r in self.rows:
-                w.writerow([r.n, f"{r.seconds:.3f}"])
+        write_files(out, {
+            "results.csv": (["N", "E", "rate", "Ehat", "rate", "cond"],
+                            [[str(r.n)] + ["" if v is None else v for v in
+                                           (r.e, r.rate_e, r.ehat, r.rate_ehat, r.cond)]
+                             for r in self.rows]),
+            "timings.csv": (["N", "seconds"], [[str(r.n), f"{r.seconds:.3f}"] for r in self.rows]),
+            **self.files})
         with open(out / "run_meta.txt", "w") as fh:
             fh.write(f"label={self.label}\n")
             for k in sorted(self.meta):
@@ -123,10 +126,41 @@ class RunReport:
         return out / "results.csv"
 
 
-def _cell(v):
-    if v is None:
-        return ""
-    return repr(float(v))
+def write_files(out_dir, files):
+    """Write each name -> (header, rows) of files as one CSV in out_dir. A
+    string cell is written as is, any other as repr(float(cell)), so every
+    float round-trips and reruns are bit-stable."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in files.items():
+        with open(out / name, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            for row in rows:
+                w.writerow([c if isinstance(c, str) else repr(float(c)) for c in row])
+
+
+def _field_file(points, values):
+    """(header, rows) of a field file: one x1,x2,value row per point."""
+    return ["x1", "x2", "value"], np.column_stack([points, values])
+
+
+def snapshot_files(ps, times, fields, prefix="field"):
+    """One field file per snapshot time plus a manifest listing them, as
+    name -> (header, rows) in time order, the manifest last.
+
+    Boundary nodes are appended with their zero value so every file is a
+    complete field.
+    """
+    names = [f"{prefix}_t{_stamp(t)}.csv" for t in times]
+    if len(set(names)) < len(names):
+        raise ValueError("snapshot times that agree to six decimals would share a file")
+    pad = np.zeros(ps.n_total - ps.n_interior)
+    files = {name: _field_file(ps.points, np.concatenate([u, pad]))
+             for name, u in zip(names, fields)}
+    files[f"{prefix}_manifest.csv"] = (["time", "file"],
+                                       [[_stamp(t), name] for t, name in zip(times, names)])
+    return files
 
 
 def _git_rev():
@@ -215,8 +249,8 @@ def _scaled_rhs(alpha, xs):
         y = 0.5 * np.sin(t)
         c = coeff_c(FracParams(1, alpha))
         xe = xs[np.logical_not(inside)]
-        out[np.logical_not(inside)] = [-c * np.sum(w / np.abs(x - y) ** (1.0 + alpha))
-                                       for x in xe]
+        out[np.logical_not(inside)] = -c * np.sum(w / np.abs(xe[:, None] - y) ** (1.0 + alpha),
+                                                  axis=1)
     return out
 
 
@@ -276,16 +310,13 @@ def preset_table6(alpha=1.2, K=32, M=64, hs=(0.5, 0.25, 0.125, 0.0625, 0.03125))
 # figure presets ---------------------------------------------------------------
 
 
-def _constant_source(label, ps, alphas, eps, K, M, out, exact=None, **meta):
-    """One f=1 solve per alpha on a fixed point set; writes the nodal
+def _constant_source(label, ps, alphas, eps, K, M, exact=None, **meta):
+    """One f=1 solve per alpha on a fixed point set; files the nodal
     solution field per alpha and, when exact(alpha, x) is given, E and the
     pointwise-error field."""
     rep = RunReport(label, meta=dict(d=2, eps=eps, eps_mode="absolute", case="f=1",
                                      K=K, M=M, alphas=",".join(str(a) for a in alphas),
                                      row_order="one row per alpha, listed order", **meta))
-    outp = Path(out) if out is not None else None
-    if outp is not None:
-        outp.mkdir(parents=True, exist_ok=True)
     for alpha in alphas:
         basis = GmqBasis(ps.points, FracParams(2, alpha), eps, K=K, M=M)
         row, lam = solve_row(ps, basis, lambda pts: np.ones(len(pts)))
@@ -296,9 +327,8 @@ def _constant_source(label, ps, alphas, eps, K, M, out, exact=None, **meta):
             row.e = rms_error(u, u_nodes)
             fields["error"] = np.abs(u_nodes - u)
         rep.add(row)
-        if outp is not None:
-            for name, values in fields.items():
-                write_field(outp / f"{name}_alpha{alpha}.csv", ps.interior, values)
+        for name, values in fields.items():
+            rep.files[f"{name}_alpha{alpha}.csv"] = _field_file(ps.interior, values)
     return rep
 
 
@@ -308,19 +338,19 @@ def _disk_exact(alpha, pts):
     return (1.0 - np.sum(pts ** 2, axis=1)) ** (alpha / 2.0) / scale
 
 
-def preset_fig_disk(alphas=(0.4, 0.8, 1.2, 1.6), eps=0.8, K=48, M=96, out=None):
+def preset_fig_disk(alphas=(0.4, 0.8, 1.2, 1.6), eps=0.8, K=48, M=96):
     """Constant-source solve on the ring layout with N=111; emits solution
     and pointwise-error fields per alpha."""
-    return _constant_source("fig-disk", polar_layout(10, 10), alphas, eps, K, M, out,
+    return _constant_source("fig-disk", polar_layout(10, 10), alphas, eps, K, M,
                             exact=_disk_exact)
 
 
 def preset_fig_square(alphas=(0.4, 0.8, 1.2, 1.6), eps=0.05, grid_h=0.03125,
-                      K=32, M=64, out=None):
+                      K=32, M=64):
     """Constant-source solve on the square embedded in the disk; only the
     solution profile is emitted (no closed form exists here)."""
     ps = clipped_grid(grid_h)
-    return _constant_source("fig-square", ps, alphas, eps, K, M, out, grid_h=grid_h)
+    return _constant_source("fig-square", ps, alphas, eps, K, M, grid_h=grid_h)
 
 
 def mixed_run(dt, t_end, chi):
@@ -337,7 +367,7 @@ def vortex_run(dt, t_end, kappa):
     return cfg, lambda pts: np.exp(-4.0 * pts[:, 0] ** 2 - 64.0 * pts[:, 1] ** 2)
 
 
-def preset_fig_mixed(alpha=1.0, eps=1.0, dt=0.001, t_end=0.5, K=32, M=64, out=None):
+def preset_fig_mixed(alpha=1.0, eps=1.0, dt=0.001, t_end=0.5, K=32, M=64):
     """Mixed local/nonlocal diffusion on the N=73 ring layout for
     chi in {0, 1/2, 1}; emits snapshot fields and a peak-decay summary."""
     ps = polar_layout(8, 8)
@@ -345,7 +375,6 @@ def preset_fig_mixed(alpha=1.0, eps=1.0, dt=0.001, t_end=0.5, K=32, M=64, out=No
     rep = RunReport("fig-mixed", meta=dict(
         d=2, alpha=alpha, eps=eps, eps_mode="absolute", dt=dt, t_end=t_end, K=K, M=M,
         row_order="one row per chi in (0, 0.5, 1); E holds the final peak"))
-    outp = Path(out) if out is not None else None
     ops = mixed_operators(ps, basis)
     peaks = {}
     for chi in (0.0, 0.5, 1.0):
@@ -355,14 +384,13 @@ def preset_fig_mixed(alpha=1.0, eps=1.0, dt=0.001, t_end=0.5, K=32, M=64, out=No
         seconds = time.perf_counter() - t0
         peaks[chi] = float(np.max(np.abs(fields[-1])))
         rep.add(RunRow(n=ps.n_total, e=peaks[chi], seconds=seconds))
-        if outp is not None:
-            write_snapshots(outp, ps, times, fields, prefix=f"mixed_chi{chi}")
+        rep.files.update(snapshot_files(ps, times, fields, prefix=f"mixed_chi{chi}"))
     rep.meta["final_peaks"] = ",".join(f"{c}:{peaks[c]:.6e}" for c in sorted(peaks))
     return rep
 
 
 def preset_fig_qg(alpha=1.0, eps=0.1, dt=0.01, t_end=2.0, kappa=0.001,
-                  grid_h=0.0625, K=32, M=64, out=None):
+                  grid_h=0.0625, K=32, M=64):
     """Single-vortex quasi-geostrophic run on the lattice disk grid; emits
     scalar-field snapshots plus the anisotropy-decay summary."""
     ps = disk_grid(grid_h)
@@ -378,13 +406,9 @@ def preset_fig_qg(alpha=1.0, eps=0.1, dt=0.01, t_end=2.0, kappa=0.001,
         rep.add(RunRow(n=ps.n_total, e=float(np.max(np.abs(f))), ehat=r,
                        seconds=seconds if t == times[-1] else 0.0))
     rep.meta["columns_note"] = "E column holds max|theta|, Ehat column the anisotropy ratio"
-    if out is not None:
-        write_snapshots(out, ps, times, fields)
-        with open(Path(out) / "anisotropy.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time", "peak", "ratio"])
-            for t, f, r in zip(times, fields, ratios):
-                w.writerow([_stamp(t), repr(float(np.max(np.abs(f)))), repr(r)])
+    rep.files.update(snapshot_files(ps, times, fields))
+    rep.files["anisotropy.csv"] = (["time", "peak", "ratio"],
+                                   [[_stamp(t), r.e, r.ehat] for t, r in zip(times, rep.rows)])
     return rep
 
 

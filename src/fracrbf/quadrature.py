@@ -5,9 +5,19 @@ variable, and the equispaced rectangle rule on (0, 2pi) for the angular
 variable of the 2D tail.
 """
 
+import numbers
+
 import numpy as np
 
-__all__ = ["gauss_legendre_01", "periodic_rule"]
+__all__ = ["integer_order", "gauss_legendre_01", "periodic_rule"]
+
+
+def integer_order(value, what):
+    """value as an int when it is an integer >= 1, numpy integers included;
+    a bool, a float or a smaller integer raises ValueError naming what."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _legendre(x, K):
@@ -28,8 +38,8 @@ def gauss_legendre_01(K):
     machine precision for every K up to the supported limit of 512.
     Exact for polynomials of degree <= 2K-1.
     """
-    K = int(K)
-    if not 1 <= K <= 512:
+    K = integer_order(K, "Gauss rule order")
+    if K > 512:
         raise ValueError("Gauss rule order must satisfy 1 <= K <= 512")
 
     # initial guesses: Chebyshev points with the standard O(1/K) correction
@@ -56,7 +66,5 @@ def gauss_legendre_01(K):
 def periodic_rule(M):
     """Rectangle rule on (0, 2pi): (angles, weight), M equispaced angles
     starting at 0 and their uniform weight."""
-    M = int(M)
-    if M < 1:
-        raise ValueError("periodic rule needs at least one angle")
+    M = integer_order(M, "periodic rule angle count")
     return 2.0 * np.pi * np.arange(M) / M, 2.0 * np.pi / M

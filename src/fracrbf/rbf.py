@@ -6,13 +6,13 @@ available in closed form, which is what removes every volume quadrature
 from the interior of the domain.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from fracrbf.geometry import as_points
+from fracrbf.quadrature import integer_order
 from fracrbf.specialfun import FracParams, coeff_mu
 
 __all__ = [
@@ -39,9 +39,7 @@ class GmqBasis:
         if not self.eps > 0.0:
             raise ValueError("shape parameter eps must be positive")
         for name in ("K", "M"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"tail rule {name} must be an integer >= 1, got {value!r}")
+            integer_order(getattr(self, name), f"tail rule {name}")
         object.__setattr__(self, "centers", as_points(self.centers, self.params.d))
 
     @property

@@ -1,17 +1,21 @@
 """Test-only references: inverse-power and compactly supported profiles for
 `fracrbf.checks.hypersingular_oracle`, a brute-force exterior tail, and the
 out-of-place forms of the kernel blocks, tail factors, tail product and
-1-norm that the solver computes in place with the same operations, and the
-Gauss rule with its recurrence written out twice.
+1-norm that the solver computes in place with the same operations, the
+Gauss rule with its recurrence written out twice, and the field, snapshot
+and anisotropy file writers that each wrote its own CSV.
 The file name keeps pytest from collecting it.
 """
 
+import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate
 
+from fracrbf.dynamics import _stamp
 from fracrbf.exterior import TailFactors
 from fracrbf.geometry import as_points
 from fracrbf.checks import RadialPowerProfile, _gauss_panels
@@ -284,3 +288,45 @@ def tail_matrix_ref(tf):
 def one_norm_ref(mat):
     """Largest absolute column sum."""
     return float(np.max(np.abs(mat).sum(axis=0)))
+
+
+def write_field_ref(path, points, values):
+    """One x1,x2,value CSV row per point; floats are written via repr for
+    bit-stable reruns."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "value"])
+        for row, v in zip(points, values):
+            writer.writerow([repr(float(row[0])), repr(float(row[1])), repr(float(v))])
+
+
+def write_snapshots_ref(out_dir, ps, times, fields, prefix="field"):
+    """One x1,x2,value CSV per snapshot time plus a manifest listing them.
+
+    Boundary nodes are appended with their zero value so every file is a
+    complete field.
+    """
+    names = [f"{prefix}_t{_stamp(t)}.csv" for t in times]
+    if len(set(names)) < len(names):
+        raise ValueError("snapshot times that agree to six decimals would share a file")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    pad = ps.n_total - ps.n_interior
+    for name, u in zip(names, fields):
+        full = np.concatenate([np.asarray(u, dtype=float), np.zeros(pad)])
+        write_field_ref(out / name, ps.points, full)
+    with open(out / f"{prefix}_manifest.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "file"])
+        for t, name in zip(times, names):
+            writer.writerow([_stamp(t), name])
+    return names
+
+
+def write_anisotropy_ref(out, times, fields, ratios):
+    """anisotropy.csv of the single-vortex run: time, max|theta|, ratio."""
+    with open(Path(out) / "anisotropy.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["time", "peak", "ratio"])
+        for t, f, r in zip(times, fields, ratios):
+            w.writerow([_stamp(t), repr(float(np.max(np.abs(f)))), repr(r)])

@@ -1,7 +1,6 @@
 """Time steppers: trapezoidal mixed diffusion, SSP-RK3 transport, and the
 vortex diagnostics."""
 
-import csv
 import dataclasses
 import math
 import weakref
@@ -13,7 +12,7 @@ import scipy.linalg as sla
 from fracrbf import dynamics
 from fracrbf.dynamics import (EvolutionConfig, QgOperators, anisotropy_ratio,
                               crank_nicolson_mixed, mixed_operators, qg_operators,
-                              qg_rhs, run_qg, ssp_rk3_step, write_snapshots)
+                              qg_rhs, run_qg, ssp_rk3_step)
 from fracrbf.geometry import disk_grid, polar_layout
 from fracrbf.harness import preset_fig_mixed, vortex_run
 from fracrbf.linsys import _factor, assemble, nodal_operator
@@ -46,6 +45,13 @@ def test_snapshot_steps_include_ends():
 def test_config_rejects_a_snapshot_count_that_is_not_a_positive_integer(snapshots):
     with pytest.raises(ValueError, match="snapshots"):
         EvolutionConfig(dt=0.001, t_end=0.5, snapshots=snapshots)
+
+
+def test_config_accepts_a_numpy_integer_snapshot_count():
+    # the count follows the order rule of the tail quadrature, which takes numpy integers
+    cfg = EvolutionConfig(dt=0.001, t_end=0.5, snapshots=np.int64(5))
+    assert cfg.snapshots == 5
+    assert cfg.snapshot_steps() == [0, 100, 200, 300, 400, 500]
 
 
 def test_config_rejects_snapshot_steps_that_share_a_name():
@@ -244,36 +250,6 @@ def test_qg_requires_disk_basis():
     basis = GmqBasis(ps.points, FracParams(1, 1.2), 1.0)
     with pytest.raises(ValueError):
         qg_operators(ps, basis)
-
-
-def test_snapshot_files(tmp_path):
-    ps = polar_layout(3, 5)
-    times = np.array([0.0, 0.25])
-    fields = np.vstack([np.arange(ps.n_interior, dtype=float),
-                        np.arange(ps.n_interior, dtype=float) * 2.0])
-    names = write_snapshots(tmp_path, ps, times, fields, prefix="theta")
-    assert names == ["theta_t0.000000.csv", "theta_t0.250000.csv"]
-    with open(tmp_path / "theta_manifest.csv") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["time", "file"]
-    assert [r[1] for r in rows[1:]] == names
-    with open(tmp_path / names[1]) as fh:
-        body = list(csv.reader(fh))
-    assert body[0] == ["x1", "x2", "value"]
-    assert len(body) == ps.n_total + 1
-    vals = np.array([float(r[2]) for r in body[1:]])
-    # interior values first, zero-padded boundary after
-    assert np.array_equal(vals[: ps.n_interior], fields[1])
-    assert np.all(vals[ps.n_interior:] == 0.0)
-
-
-def test_snapshot_names_must_differ(tmp_path):
-    # 0 and 1e-7 both print as t0.000000; the second file would overwrite the first
-    ps = polar_layout(3, 5)
-    fields = np.zeros((2, ps.n_interior))
-    with pytest.raises(ValueError):
-        write_snapshots(tmp_path / "out", ps, np.array([0.0, 1e-7]), fields)
-    assert not (tmp_path / "out").exists()
 
 
 def test_anisotropy_ratio_synthetic():

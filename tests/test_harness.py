@@ -15,13 +15,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracrbf import checks, harness, linsys
-from fracrbf.dynamics import qg_operators
-from fracrbf.geometry import disk_grid
+from fracrbf.dynamics import anisotropy_ratio, qg_operators
+from fracrbf.geometry import disk_grid, polar_layout
 from fracrbf.harness import (PRESETS, RunReport, RunRow, convergence_rate,
                              preset_fig_disk, preset_table2, preset_table3,
-                             preset_table4, preset_table5, preset_table6, rms_error)
+                             preset_table4, preset_table5, preset_table6, rms_error,
+                             snapshot_files, write_files)
 from fracrbf.rbf import GmqBasis
 from fracrbf.specialfun import FracParams
+from reference import write_anisotropy_ref, write_snapshots_ref
 
 
 def test_rms_error_examples():
@@ -106,6 +108,77 @@ def test_report_write_files(tmp_path):
     assert "label=demo" in meta and "alpha=1.2" in meta
     assert "timestamp=" in meta and "git_rev=" in meta
     assert (tmp_path / "plot.py").exists()
+
+
+def test_snapshot_files(tmp_path):
+    ps = polar_layout(3, 5)
+    times = np.array([0.0, 0.25])
+    fields = np.vstack([np.arange(ps.n_interior, dtype=float),
+                        np.arange(ps.n_interior, dtype=float) * 2.0])
+    files = snapshot_files(ps, times, fields, prefix="theta")
+    write_files(tmp_path, files)
+    names = list(files)[:-1]
+    assert list(files) == names + ["theta_manifest.csv"]
+    assert names == ["theta_t0.000000.csv", "theta_t0.250000.csv"]
+    with open(tmp_path / "theta_manifest.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["time", "file"]
+    assert [r[1] for r in rows[1:]] == names
+    with open(tmp_path / names[1]) as fh:
+        body = list(csv.reader(fh))
+    assert body[0] == ["x1", "x2", "value"]
+    assert len(body) == ps.n_total + 1
+    vals = np.array([float(r[2]) for r in body[1:]])
+    # interior values first, zero-padded boundary after
+    assert np.array_equal(vals[: ps.n_interior], fields[1])
+    assert np.all(vals[ps.n_interior:] == 0.0)
+
+
+def test_snapshot_names_must_differ(tmp_path):
+    # 0 and 1e-7 both print as t0.000000; the second file would overwrite the first
+    ps = polar_layout(3, 5)
+    fields = np.zeros((2, ps.n_interior))
+    with pytest.raises(ValueError):
+        write_files(tmp_path / "out", snapshot_files(ps, np.array([0.0, 1e-7]), fields))
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_files_match_the_reference_writers(tmp_path, monkeypatch):
+    # a short mixed and a short qg run: every file the report writes beside
+    # results.csv has the bytes of the writers that wrote each file itself
+    runs = []
+
+    def recorded(stepper):
+        def run(ps, ops, cfg, u0):
+            times, fields = stepper(ps, ops, cfg, u0)
+            runs.append((ps, times, fields))
+            return times, fields
+        return run
+    monkeypatch.setattr(harness, "crank_nicolson_mixed", recorded(harness.crank_nicolson_mixed))
+    monkeypatch.setattr(harness, "run_qg", recorded(harness.run_qg))
+    harness.preset_fig_mixed(dt=0.01, t_end=0.05).write(tmp_path / "new")
+    for chi, (ps, times, fields) in zip((0.0, 0.5, 1.0), runs):
+        write_snapshots_ref(tmp_path / "ref", ps, times, fields, prefix=f"mixed_chi{chi}")
+    harness.preset_fig_qg(grid_h=0.25, dt=0.01, t_end=0.08).write(tmp_path / "new")
+    ps, times, fields = runs[3]
+    write_snapshots_ref(tmp_path / "ref", ps, times, fields)
+    write_anisotropy_ref(tmp_path / "ref", times, fields,
+                         [anisotropy_ratio(ps.interior, f) for f in fields])
+    ref = sorted(p.name for p in (tmp_path / "ref").iterdir())
+    assert len(ref) == 3 * (6 + 1) + 9 + 1 + 1
+    assert sorted(p.name for p in (tmp_path / "new").iterdir()) == sorted(
+        ref + ["results.csv", "timings.csv", "run_meta.txt", "plot.py"])
+    for name in ref:
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
+def test_field_preset_writes_nothing_from_python(tmp_path, monkeypatch):
+    # the fields ride in the report; only RunReport.write fills a directory
+    monkeypatch.chdir(tmp_path)
+    rep = preset_fig_disk(alphas=(0.4, 1.2))
+    assert list(tmp_path.iterdir()) == []
+    assert sorted(rep.files) == ["error_alpha0.4.csv", "error_alpha1.2.csv",
+                                 "solution_alpha0.4.csv", "solution_alpha1.2.csv"]
 
 
 def test_run_meta_records_the_package_checkout(tmp_path, monkeypatch):

@@ -82,3 +82,18 @@ def test_periodic_rule_trig_exactness():
 def test_periodic_rule_guard():
     with pytest.raises(ValueError):
         periodic_rule(0)
+
+
+@pytest.mark.parametrize("rule, order", [(gauss_legendre_01, 10.7), (periodic_rule, 6.9),
+                                         (gauss_legendre_01, True), (periodic_rule, np.float64(6.0))])
+def test_rules_reject_an_order_that_is_not_an_integer(rule, order):
+    # int() used to truncate the order silently: 10.7 built a 10-node rule
+    with pytest.raises(ValueError, match="must be an integer"):
+        rule(order)
+
+
+def test_rules_accept_numpy_integer_orders():
+    for got, want in zip(gauss_legendre_01(np.int64(10)), gauss_legendre_01(10)):
+        assert np.array_equal(got, want)
+    for got, want in zip(periodic_rule(np.int32(6)), periodic_rule(6)):
+        assert np.array_equal(got, want)
