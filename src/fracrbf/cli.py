@@ -14,17 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from fracrbf.dynamics import (anisotropy_ratio, crank_nicolson_mixed, mixed_operators,
-                              qg_operators, run_qg)
+from fracrbf.dynamics import mixed_operators
 from fracrbf.exterior import GmqProfile, exterior_data_correction
 from fracrbf.geometry import disk_grid, polar_layout, uniform_interval
 from fracrbf.harness import (PRESETS, RunReport, RunRow, mixed_run, rms_error, snapshot_files,
-                             solve_row, vortex_run, write_files)
+                             solve_row, test_points_disk, vortex_run, write_files)
 from fracrbf.oracles import case1, case2
 from fracrbf.rbf import GmqBasis
 from fracrbf.specialfun import FracParams
-from fracrbf.steady import (evaluate_interpolant, forward_frac_lap_clipped, interpolate,
-                            test_points_disk)
+from fracrbf.steady import evaluate_interpolant, forward_frac_lap_clipped, interpolate
 
 __all__ = ["main"]
 
@@ -253,9 +251,8 @@ def _cmd_sweep(args, row):
 
 def _cmd_evolve(args):
     ps, basis = _disk_problem(args, lambda: polar_layout(8, 8), 1.0)
-    cfg, u0 = mixed_run(_pick(args.dt, 0.001), _pick(args.t_end, 0.5), _pick(args.chi, 1.0))
-    ops = mixed_operators(ps, basis)
-    times, fields = crank_nicolson_mixed(ps, ops, cfg, u0)
+    times, fields, _ = mixed_run(ps, mixed_operators(ps, basis), _pick(args.dt, 0.001),
+                                 _pick(args.t_end, 0.5), _pick(args.chi, 1.0))
     for t, f in zip(times, fields):
         print(f"t={t:8.4f} peak={np.max(np.abs(f)):.6e}")
     if args.out is not None:
@@ -266,13 +263,10 @@ def _cmd_evolve(args):
 
 def _cmd_qg(args):
     ps, basis = _disk_problem(args, lambda: disk_grid(0.0625), 0.1)
-    cfg, theta0 = vortex_run(_pick(args.dt, 0.01), _pick(args.t_end, 2.0),
-                             _pick(args.kappa, 0.001))
-    ops = qg_operators(ps, basis)
-    times, fields = run_qg(ps, ops, cfg, theta0)
-    for t, f in zip(times, fields):
-        print(f"t={t:8.4f} peak={np.max(np.abs(f)):.6e} "
-              f"anisotropy={anisotropy_ratio(ps.interior, f):.4f}")
+    times, fields, ratios, _ = vortex_run(ps, basis, _pick(args.dt, 0.01), _pick(args.t_end, 2.0),
+                                          _pick(args.kappa, 0.001))
+    for t, f, r in zip(times, fields, ratios):
+        print(f"t={t:8.4f} peak={np.max(np.abs(f)):.6e} anisotropy={r:.4f}")
     if args.out is not None:
         write_files(args.out, snapshot_files(ps, times, fields))
         print(f"wrote {args.out}")

@@ -2,10 +2,10 @@
 local/nonlocal diffusion model and the Shu-Osher SSP-RK3 scheme for the
 quasi-geostrophic system.
 
-Every stepper works on interior nodal values only. Zero exterior data is
-enforced structurally through the reduced operators from nodal_operator,
-so boundary rows never enter the time loop and the implicit matrix is
-fixed for the whole run.
+Every stepper takes and returns interior nodal values only. Zero exterior
+data is enforced structurally through the reduced operators from
+nodal_operator, so boundary rows never enter the time loop and the
+implicit matrix is fixed for the whole run.
 """
 
 from dataclasses import dataclass, replace
@@ -34,7 +34,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Time grid and model knobs shared by the steppers.
+    """The time grid of a run: n_steps steps of dt up to t_end.
 
     `snapshots` = k splits the run into k equal intervals and records the
     state at each of their ends: step round(j * n_steps / k), j = 0..k. A
@@ -45,30 +45,21 @@ class EvolutionConfig:
 
     dt: float
     t_end: float
-    chi: float = 1.0
-    kappa: float = 0.0
     snapshots: int = 1
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be nonnegative")
-        if not 0.0 <= self.chi <= 1.0:
-            raise ValueError("chi must lie in [0, 1]")
-        if self.kappa < 0.0:
-            raise ValueError("kappa must be nonnegative")
+        # written so that NaN fails every comparison
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
+        if not (self.t_end >= 0.0 and self.t_end / self.dt < np.inf):
+            raise ValueError("t_end must be nonnegative, with a finite step count t_end/dt")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-6 * max(self.dt, self.t_end):
+            raise ValueError("t_end must be a whole number of steps")
         object.__setattr__(self, "snapshots", integer_order(self.snapshots, "snapshots"))
-        stamps = [_stamp(step * self.dt) for step in self.snapshot_steps()]
-        if len(set(stamps)) < len(stamps):
-            raise ValueError("snapshot times that agree to six decimals would share a file")
 
     @property
     def n_steps(self):
-        n = int(round(self.t_end / self.dt))
-        if abs(n * self.dt - self.t_end) > 1e-6 * max(self.dt, self.t_end):
-            raise ValueError("t_end must be a whole number of steps")
-        return max(n, 0)
+        return int(round(self.t_end / self.dt))
 
     def snapshot_steps(self):
         """The distinct step indices of the snapshots, the initial and the
@@ -77,16 +68,11 @@ class EvolutionConfig:
         return sorted({round(j * n / k) for j in range(k + 1)})
 
 
-def _stamp(t):
-    """The time as snapshot file names and manifests print it."""
-    return f"{t:.6f}"
-
-
-def _sample(u0, points):
-    vals = u0(points) if callable(u0) else u0
-    vals = np.asarray(vals, dtype=float).reshape(-1)
-    if vals.shape[0] != points.shape[0]:
-        raise ValueError("initial data length does not match the point count")
+def _initial(values, n):
+    """The initial nodal values as a float vector of the n interior nodes."""
+    vals = np.asarray(values, dtype=float).reshape(-1)
+    if vals.shape[0] != n:
+        raise ValueError("initial data length does not match the operator size")
     if not np.all(np.isfinite(vals)):
         raise ValueError("initial data must be finite")
     return vals
@@ -95,14 +81,13 @@ def _sample(u0, points):
 def _march(cfg, u, step):
     """u = step(u, t) at t = k*dt for k = 1..n_steps; returns (times, fields)
     at the snapshot steps, fields rowed by time."""
-    keep = set(cfg.snapshot_steps())
-    out_t, out_u = [0.0], [u.copy()]
+    keep = cfg.snapshot_steps()
+    out = [u.copy()]
     for k in range(1, cfg.n_steps + 1):
         u = step(u, k * cfg.dt)
         if k in keep:
-            out_t.append(k * cfg.dt)
-            out_u.append(u.copy())
-    return np.array(out_t), np.array(out_u)
+            out.append(u.copy())
+    return np.array(keep) * cfg.dt, np.array(out)
 
 
 def mixed_operators(ps, basis):
@@ -114,19 +99,22 @@ def mixed_operators(ps, basis):
     return nodal_operator(ps, basis, rows=(s[:n], classical_lap_block(basis, ps.interior)))
 
 
-def crank_nicolson_mixed(ps, ops, cfg, u0):
+def crank_nicolson_mixed(ops, cfg, u0, chi):
     """Trapezoidal stepping of u_t + [chi*fractional + (1-chi)*classical]u = 0
-    with ops from mixed_operators.
+    from the interior nodal values u0, with ops from mixed_operators.
 
     The implicit matrix is factored once and reused for every step. Returns
     (times, fields) at the snapshot steps, fields rowed by time.
     """
-    n = ps.n_interior
-    a = cfg.chi * ops[:n] + (1.0 - cfg.chi) * ops[n:]
+    if not 0.0 <= chi <= 1.0:
+        raise ValueError("chi must lie in [0, 1]")
+    n = ops.shape[1]
+    u = _initial(u0, n)
+    a = chi * ops[:n] + (1.0 - chi) * ops[n:]
     eye = np.eye(n)
     lhs = _factor(eye + 0.5 * cfg.dt * a)
     rhs = eye - 0.5 * cfg.dt * a
-    return _march(cfg, _sample(u0, ps.interior), lambda u, t: sla.lu_solve(lhs, rhs @ u))
+    return _march(cfg, u, lambda u, t: sla.lu_solve(lhs, rhs @ u))
 
 
 def ssp_rk3_step(op, u, dt):
@@ -211,19 +199,22 @@ def qg_rhs(theta, ops, kappa):
     return -kappa * loc[:n] - (u[:n] * loc[n:2 * n] + u[n:] * loc[2 * n:])
 
 
-def run_qg(ps, ops, cfg, theta0):
-    """March the active scalar with SSP-RK3 on ops from qg_operators.
+def run_qg(ops, cfg, theta0, kappa):
+    """March the active scalar with SSP-RK3 from the interior nodal values
+    theta0, with ops from qg_operators and dissipation strength kappa.
 
     Returns (times, fields) at the snapshot steps, fields rowed by time.
     Aborts when max|theta| exceeds 10x its initial value.
     """
-    theta = _sample(theta0, ps.interior)
+    if not 0.0 <= kappa < np.inf:
+        raise ValueError("kappa must be nonnegative and finite")
+    theta = _initial(theta0, ops.local.shape[1])
     cap = 10.0 * float(np.max(np.abs(theta)))
     if cap == 0.0:
         cap = np.inf
 
     def step(th, t):
-        th = ssp_rk3_step(lambda v: qg_rhs(v, ops, cfg.kappa), th, cfg.dt)
+        th = ssp_rk3_step(lambda v: qg_rhs(v, ops, kappa), th, cfg.dt)
         peak = float(np.max(np.abs(th)))
         if not np.isfinite(peak) or peak > cap:
             raise FloatingPointError(f"blow-up at t={t:.6g}: max|theta|={peak:.3e} "

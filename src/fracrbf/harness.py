@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fracrbf.dynamics import (EvolutionConfig, _stamp, anisotropy_ratio, crank_nicolson_mixed,
+from fracrbf.dynamics import (EvolutionConfig, anisotropy_ratio, crank_nicolson_mixed,
                               mixed_operators, qg_operators, run_qg)
 from fracrbf.exterior import GmqProfile
 from fracrbf.geometry import as_points, clipped_grid, disk_grid, polar_layout, uniform_interval
@@ -27,12 +27,12 @@ from fracrbf.oracles import case1, case2, case2_scaled
 from fracrbf.quadrature import gauss_legendre_01
 from fracrbf.rbf import GmqBasis
 from fracrbf.specialfun import FracParams, coeff_c, gamma_fn
-from fracrbf.steady import (evaluate_interpolant, forward_frac_lap_clipped,
-                            solve_poisson, test_points_disk)
+from fracrbf.steady import evaluate_interpolant, forward_frac_lap_clipped, solve_poisson
 
 __all__ = [
     "rms_error",
     "convergence_rate",
+    "test_points_disk",
     "RunRow",
     "RunReport",
     "write_files",
@@ -72,6 +72,16 @@ def convergence_rate(e_prev, e_cur, n_prev, n_cur, dim=1):
     if min(e_prev, e_cur) <= 0.0 or n_prev == n_cur:
         return None
     return float(np.log(e_prev / e_cur) / (np.log(n_cur / n_prev) / dim))
+
+
+def test_points_disk():
+    """Error-measurement grid on the disk: origin plus a polar lattice of
+    40 radii up to 0.95 by 64 angles."""
+    radii = 0.95 * np.arange(1, 41) / 40
+    angles = 2.0 * np.pi * np.arange(64) / 64
+    rr, tt = np.meshgrid(radii, angles, indexing="ij")
+    pts = np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
+    return np.vstack([np.zeros((1, 2)), pts])
 
 
 @dataclass
@@ -145,6 +155,15 @@ def _field_file(points, values):
     return ["x1", "x2", "value"], np.column_stack([points, values])
 
 
+def _stamps(times):
+    """Each time as snapshot file names and manifests print it, to six
+    decimals; times that print alike would share a file and are refused."""
+    stamps = [f"{t:.6f}" for t in times]
+    if len(set(stamps)) < len(stamps):
+        raise ValueError("snapshot times that agree to six decimals would share a file")
+    return stamps
+
+
 def snapshot_files(ps, times, fields, prefix="field"):
     """One field file per snapshot time plus a manifest listing them, as
     name -> (header, rows) in time order, the manifest last.
@@ -152,14 +171,13 @@ def snapshot_files(ps, times, fields, prefix="field"):
     Boundary nodes are appended with their zero value so every file is a
     complete field.
     """
-    names = [f"{prefix}_t{_stamp(t)}.csv" for t in times]
-    if len(set(names)) < len(names):
-        raise ValueError("snapshot times that agree to six decimals would share a file")
+    stamps = _stamps(times)
+    names = [f"{prefix}_t{stamp}.csv" for stamp in stamps]
     pad = np.zeros(ps.n_total - ps.n_interior)
     files = {name: _field_file(ps.points, np.concatenate([u, pad]))
              for name, u in zip(names, fields)}
     files[f"{prefix}_manifest.csv"] = (["time", "file"],
-                                       [[_stamp(t), name] for t, name in zip(times, names)])
+                                       [[stamp, name] for stamp, name in zip(stamps, names)])
     return files
 
 
@@ -353,18 +371,37 @@ def preset_fig_square(alphas=(0.4, 0.8, 1.2, 1.6), eps=0.05, grid_h=0.03125,
     return _constant_source("fig-square", ps, alphas, eps, K, M, grid_h=grid_h)
 
 
-def mixed_run(dt, t_end, chi):
-    """(config, initial field) of the mixed-diffusion runs, fig-mixed and
-    `fracrbf evolve`: snapshots at every fifth of the run."""
-    cfg = EvolutionConfig(dt=dt, t_end=t_end, chi=chi, snapshots=5)
-    return cfg, lambda pts: np.exp(-16.0 * pts[:, 0] ** 2 - 4.0 * pts[:, 1] ** 2)
+def _schedule(dt, t_end, snapshots):
+    """The time grid of a run, refused before its first step when two of
+    its snapshots would share a file."""
+    cfg = EvolutionConfig(dt, t_end, snapshots)
+    _stamps([step * cfg.dt for step in cfg.snapshot_steps()])
+    return cfg
 
 
-def vortex_run(dt, t_end, kappa):
-    """(config, initial scalar) of the single-vortex runs, fig-qg and
-    `fracrbf qg`: snapshots at every eighth of the run."""
-    cfg = EvolutionConfig(dt=dt, t_end=t_end, kappa=kappa, snapshots=8)
-    return cfg, lambda pts: np.exp(-4.0 * pts[:, 0] ** 2 - 64.0 * pts[:, 1] ** 2)
+def mixed_run(ps, ops, dt, t_end, chi):
+    """The mixed-diffusion run of fig-mixed and `fracrbf evolve` on ops from
+    mixed_operators: an elongated Gaussian bump, snapshots at every fifth of
+    the run. Returns (times, fields, seconds), seconds timing the stepping."""
+    cfg = _schedule(dt, t_end, 5)
+    x1, x2 = ps.interior.T
+    t0 = time.perf_counter()
+    times, fields = crank_nicolson_mixed(ops, cfg, np.exp(-16.0 * x1 ** 2 - 4.0 * x2 ** 2), chi)
+    return times, fields, time.perf_counter() - t0
+
+
+def vortex_run(ps, basis, dt, t_end, kappa):
+    """The single-vortex run of fig-qg and `fracrbf qg` on the operators of
+    basis: an elongated Gaussian scalar, snapshots at every eighth of the
+    run. Returns (times, fields, ratios, seconds): the anisotropy ratio of
+    each snapshot, and seconds timing the operator build and the stepping."""
+    cfg = _schedule(dt, t_end, 8)
+    x1, x2 = ps.interior.T
+    theta0 = np.exp(-4.0 * x1 ** 2 - 64.0 * x2 ** 2)
+    t0 = time.perf_counter()
+    times, fields = run_qg(qg_operators(ps, basis), cfg, theta0, kappa)
+    seconds = time.perf_counter() - t0
+    return times, fields, [anisotropy_ratio(ps.interior, f) for f in fields], seconds
 
 
 def preset_fig_mixed(alpha=1.0, eps=1.0, dt=0.001, t_end=0.5, K=32, M=64):
@@ -376,16 +413,12 @@ def preset_fig_mixed(alpha=1.0, eps=1.0, dt=0.001, t_end=0.5, K=32, M=64):
         d=2, alpha=alpha, eps=eps, eps_mode="absolute", dt=dt, t_end=t_end, K=K, M=M,
         row_order="one row per chi in (0, 0.5, 1); E holds the final peak"))
     ops = mixed_operators(ps, basis)
-    peaks = {}
-    for chi in (0.0, 0.5, 1.0):
-        cfg, u0 = mixed_run(dt, t_end, chi)
-        t0 = time.perf_counter()
-        times, fields = crank_nicolson_mixed(ps, ops, cfg, u0)
-        seconds = time.perf_counter() - t0
-        peaks[chi] = float(np.max(np.abs(fields[-1])))
-        rep.add(RunRow(n=ps.n_total, e=peaks[chi], seconds=seconds))
+    chis = (0.0, 0.5, 1.0)
+    for chi in chis:
+        times, fields, seconds = mixed_run(ps, ops, dt, t_end, chi)
+        rep.add(RunRow(n=ps.n_total, e=float(np.max(np.abs(fields[-1]))), seconds=seconds))
         rep.files.update(snapshot_files(ps, times, fields, prefix=f"mixed_chi{chi}"))
-    rep.meta["final_peaks"] = ",".join(f"{c}:{peaks[c]:.6e}" for c in sorted(peaks))
+    rep.meta["final_peaks"] = ",".join(f"{c}:{r.e:.6e}" for c, r in zip(chis, rep.rows))
     return rep
 
 
@@ -397,18 +430,14 @@ def preset_fig_qg(alpha=1.0, eps=0.1, dt=0.01, t_end=2.0, kappa=0.001,
     basis = GmqBasis(ps.points, FracParams(2, alpha), eps, K=K, M=M)
     rep = RunReport("fig-qg", meta=dict(d=2, alpha=alpha, eps=eps, eps_mode="absolute", dt=dt,
                                         t_end=t_end, kappa=kappa, grid_h=grid_h, K=K, M=M))
-    cfg, theta0 = vortex_run(dt, t_end, kappa)
-    t0 = time.perf_counter()
-    times, fields = run_qg(ps, qg_operators(ps, basis), cfg, theta0)
-    seconds = time.perf_counter() - t0
-    ratios = [anisotropy_ratio(ps.interior, f) for f in fields]
+    times, fields, ratios, seconds = vortex_run(ps, basis, dt, t_end, kappa)
     for t, f, r in zip(times, fields, ratios):
         rep.add(RunRow(n=ps.n_total, e=float(np.max(np.abs(f))), ehat=r,
                        seconds=seconds if t == times[-1] else 0.0))
     rep.meta["columns_note"] = "E column holds max|theta|, Ehat column the anisotropy ratio"
     rep.files.update(snapshot_files(ps, times, fields))
-    rep.files["anisotropy.csv"] = (["time", "peak", "ratio"],
-                                   [[_stamp(t), r.e, r.ehat] for t, r in zip(times, rep.rows)])
+    rep.files["anisotropy.csv"] = (["time", "peak", "ratio"], [
+        [stamp, r.e, r.ehat] for stamp, r in zip(_stamps(times), rep.rows)])
     return rep
 
 

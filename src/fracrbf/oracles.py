@@ -44,8 +44,8 @@ def case2(d, alpha, p, x, f_required=True):
     """Compact-support benchmark: u = (1-|x|^2)_+^p with closed-form f."""
     FracParams(d, alpha)
     p = float(p)
-    if p <= 0.0:
-        raise ValueError("exponent p must be positive")
+    if not 0.0 < p < math.inf:
+        raise ValueError("exponent p must be positive and finite")
     arg = -alpha / 2.0 + p + 1.0
     if arg <= 0.0 and arg == math.floor(arg):
         raise ValueError("gamma pole in the case 2 constant")

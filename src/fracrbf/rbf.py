@@ -36,8 +36,8 @@ class GmqBasis:
     M: int = 64  # and M angles (2D only)
 
     def __post_init__(self):
-        if not self.eps > 0.0:
-            raise ValueError("shape parameter eps must be positive")
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError("shape parameter eps must be positive and finite")
         for name in ("K", "M"):
             integer_order(getattr(self, name), f"tail rule {name}")
         object.__setattr__(self, "centers", as_points(self.centers, self.params.d))

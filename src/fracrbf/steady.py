@@ -15,7 +15,6 @@ __all__ = [
     "forward_frac_lap_clipped",
     "solve_poisson",
     "evaluate_interpolant",
-    "test_points_disk",
 ]
 
 _RESIDUAL_WARN = 1e-6
@@ -69,17 +68,3 @@ def solve_poisson(sm, f, g=None):
 def evaluate_interpolant(lam, basis, points):
     """Plain expansion evaluation at arbitrary points."""
     return phi_block(basis, points) @ np.asarray(lam, dtype=float)
-
-
-def test_points_disk():
-    """Error-measurement grid on the disk: origin plus a polar lattice of
-    40 radii up to 0.95 by 64 angles."""
-    radii = 0.95 * np.arange(1, 41) / 40
-    angles = 2.0 * np.pi * np.arange(64) / 64
-    rr, tt = np.meshgrid(radii, angles, indexing="ij")
-    pts = np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
-    return np.vstack([np.zeros((1, 2)), pts])
-
-
-# keeps pytest from collecting this grid function when a test module imports it
-test_points_disk.__test__ = False

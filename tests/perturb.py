@@ -85,11 +85,10 @@ def _mixed_golden():
     per chi of the width-4 Gaussian on polar_layout(8, 8), in E."""
     ps = harness.polar_layout(8, 8)
     ops = mixed_operators(ps, GmqBasis(ps.points, FracParams(2, 1.0), 1.0, K=32, M=64))
+    u0 = np.exp(-4.0 * np.sum(ps.interior * ps.interior, axis=1))
     rows = []
     for chi in (0.0, 0.5, 1.0):
-        cfg = EvolutionConfig(dt=0.001, t_end=0.5, chi=chi)
-        _, fields = crank_nicolson_mixed(ps, ops, cfg,
-                                         lambda p: np.exp(-4.0 * np.sum(p * p, axis=1)))
+        _, fields = crank_nicolson_mixed(ops, EvolutionConfig(dt=0.001, t_end=0.5), u0, chi)
         rows.append(harness.RunRow(n=ps.n_total, e=float(np.max(np.abs(fields[-1])))))
     return rows
 

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 from scipy import integrate
 
-from fracrbf.dynamics import _stamp
 from fracrbf.exterior import TailFactors
 from fracrbf.geometry import as_points
 from fracrbf.checks import RadialPowerProfile, _gauss_panels
@@ -306,7 +305,7 @@ def write_snapshots_ref(out_dir, ps, times, fields, prefix="field"):
     Boundary nodes are appended with their zero value so every file is a
     complete field.
     """
-    names = [f"{prefix}_t{_stamp(t)}.csv" for t in times]
+    names = [f"{prefix}_t{t:.6f}.csv" for t in times]
     if len(set(names)) < len(names):
         raise ValueError("snapshot times that agree to six decimals would share a file")
     out = Path(out_dir)
@@ -319,7 +318,7 @@ def write_snapshots_ref(out_dir, ps, times, fields, prefix="field"):
         writer = csv.writer(fh)
         writer.writerow(["time", "file"])
         for t, name in zip(times, names):
-            writer.writerow([_stamp(t), name])
+            writer.writerow([f"{t:.6f}", name])
     return names
 
 
@@ -329,4 +328,4 @@ def write_anisotropy_ref(out, times, fields, ratios):
         w = csv.writer(fh)
         w.writerow(["time", "peak", "ratio"])
         for t, f, r in zip(times, fields, ratios):
-            w.writerow([_stamp(t), repr(float(np.max(np.abs(f)))), repr(r)])
+            w.writerow([f"{t:.6f}", repr(float(np.max(np.abs(f)))), repr(r)])

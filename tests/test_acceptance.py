@@ -119,11 +119,11 @@ def test_criterion_09_time_stepper_orders():
     ps = polar_layout(8, 8)
     basis = GmqBasis(ps.points, FracParams(2, 1.0), 1.0, K=32, M=64)
     ops = mixed_operators(ps, basis)
-    u0 = lambda pts: np.exp(-4.0 * np.sum(pts * pts, axis=1))
+    u0 = np.exp(-4.0 * np.sum(ps.interior * ps.interior, axis=1))
     finals = []
     for dt in (0.004, 0.002, 0.001):
-        cfg = EvolutionConfig(dt=dt, t_end=0.1, chi=0.5)
-        _, fields = crank_nicolson_mixed(ps, ops, cfg, u0)
+        cfg = EvolutionConfig(dt=dt, t_end=0.1)
+        _, fields = crank_nicolson_mixed(ops, cfg, u0, 0.5)
         finals.append(fields[-1])
     cn_order = float(np.log2(np.linalg.norm(finals[0] - finals[1])
                              / np.linalg.norm(finals[1] - finals[2])))
@@ -152,9 +152,10 @@ def test_criterion_09_time_stepper_orders():
 def test_criterion_10_vortex_isotropization_and_stability():
     ps = disk_grid(1.0 / 16.0)
     basis = GmqBasis(ps.points, FracParams(2, 1.0), 0.1, K=32, M=64)
-    cfg = EvolutionConfig(dt=0.01, t_end=2.0, kappa=0.001, snapshots=8)
-    theta0 = lambda pts: np.exp(-4.0 * pts[:, 0] ** 2 - 64.0 * pts[:, 1] ** 2)
-    times, fields = run_qg(ps, qg_operators(ps, basis), cfg, theta0)
+    cfg = EvolutionConfig(dt=0.01, t_end=2.0, snapshots=8)
+    pts = ps.interior
+    theta0 = np.exp(-4.0 * pts[:, 0] ** 2 - 64.0 * pts[:, 1] ** 2)
+    times, fields = run_qg(qg_operators(ps, basis), cfg, theta0, 0.001)
     ratios = [anisotropy_ratio(ps.interior, f) for f in fields]
     peaks = [float(np.max(np.abs(f))) for f in fields]
     toward_one = ratios[-1] < ratios[0] and min(ratios) >= 1.0

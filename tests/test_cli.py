@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
+import re
+
 import numpy as np
 import pytest
 
-from fracrbf import checks, cli
+from fracrbf import checks, cli, harness
 from fracrbf.checks import CHECKS
 from fracrbf.geometry import polar_layout, uniform_interval
 from fracrbf.linsys import assemble
@@ -70,6 +72,31 @@ def test_configuration_errors_exit_one(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["forward", "--eps", "inf", "--n", "4"], "eps"),
+    (["solve", "--eps-factor", "inf", "--n", "4"], "eps"),
+    (["preset", "table2", "--eps", "inf"], "eps"),
+    (["evolve", "--L", "3", "--dt", "inf", "--t-end", "0.5"], "dt"),
+    (["evolve", "--L", "3", "--t-end", "inf"], "t_end"),
+    (["evolve", "--L", "3", "--t-end", "nan"], "t_end"),
+    (["evolve", "--L", "3", "--dt", "1e-300", "--t-end", "1e10"], "t_end/dt"),
+    (["evolve", "--L", "3", "--chi", "nan"], "chi"),
+    (["qg", "--L", "3", "--kappa", "nan"], "kappa"),
+    (["qg", "--L", "3", "--kappa", "inf"], "kappa"),
+    (["solve", "--p", "inf", "--n", "4"], "p"),
+    (["solve", "--p", "nan", "--n", "4"], "p"),
+], ids=["forward-eps-inf", "solve-eps-factor-inf", "preset-eps-inf", "evolve-dt-inf",
+        "evolve-t-end-inf", "evolve-t-end-nan", "evolve-step-count", "evolve-chi-nan",
+        "qg-kappa-nan", "qg-kappa-inf", "solve-p-inf", "solve-p-nan"])
+def test_non_finite_values_exit_one(argv, name, capsys):
+    # each value is refused where it is consumed, before any result is printed
+    assert _exit_code(argv + ["--quad-K", "16"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert re.search(rf"\b{re.escape(name)}\b", captured.err)
+
+
 def test_evolve_and_qg_read_point_set_flags_alike(monkeypatch):
     # stop each run at its first use of the point set and record its size
     seen = []
@@ -78,7 +105,7 @@ def test_evolve_and_qg_read_point_set_flags_alike(monkeypatch):
         seen.append(ps.n_total)
         raise ValueError("stop")
     monkeypatch.setattr(cli, "mixed_operators", stop)
-    monkeypatch.setattr(cli, "qg_operators", stop)
+    monkeypatch.setattr(harness, "qg_operators", stop)
     for command in ("evolve", "qg"):
         for flags in (["--grid-h", "0.25"], ["--L", "3"], ["--J", "5"]):
             assert cli.main([command] + flags) == 1

@@ -14,7 +14,7 @@ from fracrbf.dynamics import (EvolutionConfig, QgOperators, anisotropy_ratio,
                               crank_nicolson_mixed, mixed_operators, qg_operators,
                               qg_rhs, run_qg, ssp_rk3_step)
 from fracrbf.geometry import disk_grid, polar_layout
-from fracrbf.harness import preset_fig_mixed, vortex_run
+from fracrbf.harness import preset_fig_mixed
 from fracrbf.linsys import _factor, assemble, nodal_operator
 from fracrbf.rbf import GmqBasis, grad_blocks, phi_block
 from fracrbf.specialfun import FracParams
@@ -27,12 +27,45 @@ def _gaussian(width):
 def test_config_validation():
     cfg = EvolutionConfig(dt=0.1, t_end=1.0)
     assert cfg.n_steps == 10
+    # the config is the time grid alone; each model coefficient goes to its stepper
+    assert [f.name for f in dataclasses.fields(cfg)] == ["dt", "t_end", "snapshots"]
     for bad in (dict(dt=0.0, t_end=1.0), dict(dt=0.1, t_end=-1.0),
-                dict(dt=0.1, t_end=1.0, chi=1.5), dict(dt=0.1, t_end=1.0, kappa=-1.0)):
+                dict(dt=math.inf, t_end=0.5), dict(dt=math.nan, t_end=0.5),
+                dict(dt=0.1, t_end=math.inf), dict(dt=0.1, t_end=math.nan),
+                dict(dt=1e-300, t_end=1e10)):
         with pytest.raises(ValueError):
             EvolutionConfig(**bad)
     with pytest.raises(ValueError):
         EvolutionConfig(dt=0.3, t_end=1.0).n_steps
+
+
+@pytest.mark.parametrize("chi", [1.5, math.nan])
+def test_mixed_stepper_checks_chi(chi):
+    n = 3
+    with pytest.raises(ValueError, match="chi"):
+        crank_nicolson_mixed(np.zeros((2 * n, n)), EvolutionConfig(dt=0.1, t_end=1.0),
+                             np.ones(n), chi)
+
+
+@pytest.mark.parametrize("kappa", [-1.0, math.inf, math.nan])
+def test_qg_stepper_checks_kappa(kappa):
+    n = 3
+    ops = QgOperators(np.zeros((3 * n, n)), np.zeros((2 * n, n)))
+    with pytest.raises(ValueError, match="kappa"):
+        run_qg(ops, EvolutionConfig(dt=0.1, t_end=1.0), np.ones(n), kappa)
+
+
+@pytest.mark.parametrize("u0, message", [(np.ones(4), "length"),
+                                         (np.array([1.0, np.nan, 1.0]), "finite")],
+                         ids=["length", "finite"])
+def test_steppers_check_the_initial_values(u0, message):
+    # one value per interior node, the operator's column count, all finite
+    n = 3
+    cfg = EvolutionConfig(dt=0.1, t_end=1.0)
+    with pytest.raises(ValueError, match=message):
+        crank_nicolson_mixed(np.zeros((2 * n, n)), cfg, u0, 1.0)
+    with pytest.raises(ValueError, match=message):
+        run_qg(QgOperators(np.zeros((3 * n, n)), np.zeros((2 * n, n))), cfg, u0, 0.0)
 
 
 def test_snapshot_steps_include_ends():
@@ -54,14 +87,6 @@ def test_config_accepts_a_numpy_integer_snapshot_count():
     assert cfg.snapshot_steps() == [0, 100, 200, 300, 400, 500]
 
 
-def test_config_rejects_snapshot_steps_that_share_a_name():
-    # steps 0..5 at dt 1e-7 all print as t0.000000; the run would only fail
-    # when its snapshots are written, after all the stepping
-    with pytest.raises(ValueError, match="six decimals"):
-        EvolutionConfig(dt=1e-7, t_end=5e-7)
-    EvolutionConfig(dt=1e-6, t_end=5e-6)
-
-
 @pytest.fixture(scope="module")
 def disk73():
     ps = polar_layout(8, 8)
@@ -78,8 +103,8 @@ def test_mixed_diffusion_peak_regression(disk73):
                 1.0: 0.23270469350068512}
     peaks = {}
     for chi, ref in expected.items():
-        cfg = EvolutionConfig(dt=0.001, t_end=0.5, chi=chi)
-        times, fields = crank_nicolson_mixed(ps, ops, cfg, _gaussian(4.0))
+        cfg = EvolutionConfig(dt=0.001, t_end=0.5)
+        times, fields = crank_nicolson_mixed(ops, cfg, _gaussian(4.0)(ps.interior), chi)
         assert times[-1] == pytest.approx(0.5)
         assert fields.shape == (2, ps.n_interior)
         peaks[chi] = float(np.max(np.abs(fields[-1])))
@@ -89,8 +114,8 @@ def test_mixed_diffusion_peak_regression(disk73):
 
 def test_mixed_diffusion_norm_decays(disk73):
     ps, _, ops = disk73
-    cfg = EvolutionConfig(dt=0.02, t_end=0.2, chi=1.0, snapshots=5)
-    _, fields = crank_nicolson_mixed(ps, ops, cfg, _gaussian(4.0))
+    cfg = EvolutionConfig(dt=0.02, t_end=0.2, snapshots=5)
+    _, fields = crank_nicolson_mixed(ops, cfg, _gaussian(4.0)(ps.interior), 1.0)
     norms = np.linalg.norm(fields, axis=1)
     assert np.all(np.diff(norms) < 0.0)
 
@@ -124,8 +149,8 @@ def test_qg_rhs_zero_field_and_pure_decay(disk73):
     zero = np.zeros(ps.n_interior)
     assert np.allclose(qg_rhs(zero, ops, 0.001), 0.0, atol=1e-14)
 
-    cfg = EvolutionConfig(dt=0.01, t_end=0.2, kappa=0.01, snapshots=4)
-    _, fields = run_qg(ps, _no_advection(ops), cfg, _gaussian(4.0))
+    cfg = EvolutionConfig(dt=0.01, t_end=0.2, snapshots=4)
+    _, fields = run_qg(_no_advection(ops), cfg, _gaussian(4.0)(ps.interior), 0.01)
     peaks = np.max(np.abs(fields), axis=1)
     assert np.all(np.diff(peaks) < 0.0)
 
@@ -175,7 +200,8 @@ def test_qg_rhs_matches_per_stage_solve(h, eps, alpha):
     ps = disk_grid(h)
     ops = qg_operators(ps, GmqBasis(ps.points, FracParams(2, alpha), eps, K=32, M=64))
     ref = _per_stage_rhs(ps, eps, alpha, K=32, M=64)
-    thetas = (vortex_run(0.01, 2.0, 0.001)[1](ps.interior),
+    pts = ps.interior
+    thetas = (np.exp(-4.0 * pts[:, 0] ** 2 - 64.0 * pts[:, 1] ** 2),
               np.random.default_rng(3).standard_normal(ps.n_interior))
     for theta in thetas:
         for kappa, advect in ((0.001, True), (1.0, False)):
@@ -239,9 +265,9 @@ def test_fig_mixed_solves_one_coefficient_map(monkeypatch):
 def test_qg_blowup_guard():
     ps = polar_layout(4, 8)
     basis = GmqBasis(ps.points, FracParams(2, 1.0), 0.5, K=16, M=32)
-    cfg = EvolutionConfig(dt=2.0, t_end=40.0, kappa=0.001)
+    cfg = EvolutionConfig(dt=2.0, t_end=40.0)
     with pytest.raises(FloatingPointError):
-        run_qg(ps, qg_operators(ps, basis), cfg, _gaussian(4.0))
+        run_qg(qg_operators(ps, basis), cfg, _gaussian(4.0)(ps.interior), 0.001)
 
 
 def test_qg_requires_disk_basis():

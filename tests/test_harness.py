@@ -26,6 +26,14 @@ from fracrbf.specialfun import FracParams
 from reference import write_anisotropy_ref, write_snapshots_ref
 
 
+def test_measurement_grids():
+    tp = harness.test_points_disk()
+    assert tp.shape == (2561, 2)
+    r = np.linalg.norm(tp, axis=1)
+    assert r[0] == 0.0
+    assert np.max(r) == pytest.approx(0.95)
+
+
 def test_rms_error_examples():
     assert rms_error([1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 2.0]) == pytest.approx(0.5)
     assert rms_error([3.0, 4.0], [3.0, 4.0]) == 0.0
@@ -143,24 +151,34 @@ def test_snapshot_names_must_differ(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_schedule_rejects_snapshot_steps_that_share_a_name():
+    # steps 0..5 at dt 1e-7 all print as t0.000000; the run would only fail
+    # when its snapshots are written, after all the stepping
+    with pytest.raises(ValueError, match="six decimals"):
+        harness._schedule(1e-7, 5e-7, 1)
+    harness._schedule(1e-6, 5e-6, 1)
+
+
 def test_run_files_match_the_reference_writers(tmp_path, monkeypatch):
     # a short mixed and a short qg run: every file the report writes beside
     # results.csv has the bytes of the writers that wrote each file itself
     runs = []
 
     def recorded(stepper):
-        def run(ps, ops, cfg, u0):
-            times, fields = stepper(ps, ops, cfg, u0)
-            runs.append((ps, times, fields))
+        def run(ops, cfg, u0, coefficient):
+            times, fields = stepper(ops, cfg, u0, coefficient)
+            runs.append((times, fields))
             return times, fields
         return run
     monkeypatch.setattr(harness, "crank_nicolson_mixed", recorded(harness.crank_nicolson_mixed))
     monkeypatch.setattr(harness, "run_qg", recorded(harness.run_qg))
     harness.preset_fig_mixed(dt=0.01, t_end=0.05).write(tmp_path / "new")
-    for chi, (ps, times, fields) in zip((0.0, 0.5, 1.0), runs):
+    ps = polar_layout(8, 8)
+    for chi, (times, fields) in zip((0.0, 0.5, 1.0), runs):
         write_snapshots_ref(tmp_path / "ref", ps, times, fields, prefix=f"mixed_chi{chi}")
     harness.preset_fig_qg(grid_h=0.25, dt=0.01, t_end=0.08).write(tmp_path / "new")
-    ps, times, fields = runs[3]
+    ps = disk_grid(0.25)
+    times, fields = runs[3]
     write_snapshots_ref(tmp_path / "ref", ps, times, fields)
     write_anisotropy_ref(tmp_path / "ref", times, fields,
                          [anisotropy_ratio(ps.interior, f) for f in fields])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fracrbf import steady
+from fracrbf import harness
 from fracrbf.geometry import clipped_grid, disk_grid, polar_layout, uniform_interval
 from fracrbf.checks import gmq_profile, hypersingular_oracle
 from fracrbf.rbf import (GmqBasis, classical_lap_block, frac_lap_block,
@@ -156,7 +156,7 @@ def test_grad_matches_finite_differences():
     (polar_layout(11, 11).points, None),
     (disk_grid(1.0 / 8.0).points, None),
     (clipped_grid(1.0 / 16.0).points, None),
-    (steady.test_points_disk(), disk_grid(1.0 / 8.0).points),
+    (harness.test_points_disk(), disk_grid(1.0 / 8.0).points),
 ], ids=["interval", "polar", "lattice", "embedded", "rectangular"])
 def test_sq_dist_matches_broadcast_bitwise(points, centers):
     # the blocks' r^2 must equal the explicit difference-square-sum exactly,

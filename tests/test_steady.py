@@ -10,7 +10,7 @@ from fracrbf.oracles import case1, case2
 from fracrbf.rbf import GmqBasis, frac_lap_block, phi_block
 from fracrbf.specialfun import FracParams
 from fracrbf.steady import (evaluate_interpolant, forward_frac_lap_clipped, interpolate,
-                            solve_poisson, test_points_disk)
+                            solve_poisson)
 
 
 def test_interpolate_reproduces_samples():
@@ -137,10 +137,3 @@ def test_solve_poisson_rejects_nonfinite_rhs():
     with pytest.raises(ValueError):
         solve_poisson(assemble(ps, basis), f)
 
-
-def test_measurement_grids():
-    tp = test_points_disk()
-    assert tp.shape == (2561, 2)
-    r = np.linalg.norm(tp, axis=1)
-    assert r[0] == 0.0
-    assert np.max(r) == pytest.approx(0.95)
