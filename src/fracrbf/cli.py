@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from fracrbf.dynamics import mixed_operators
 from fracrbf.exterior import GmqProfile, exterior_data_correction
 from fracrbf.geometry import disk_grid, polar_layout, uniform_interval
 from fracrbf.harness import (PRESETS, RunReport, RunRow, mixed_run, rms_error, snapshot_files,
@@ -218,7 +217,7 @@ def _forward_row(ps, basis, tp, case):
 def _solution_error_row(ps, basis, tp, case):
     """Collocation solve; E is the solution error at the measurement points."""
     u_fn, f_fn, g = case
-    row, lam = solve_row(ps, basis, f_fn, g=g)
+    row, lam, _ = solve_row(ps, basis, f_fn, g=g)
     row.e = rms_error(u_fn(tp), evaluate_interpolant(lam, basis, tp))
     return row
 
@@ -251,8 +250,8 @@ def _cmd_sweep(args, row):
 
 def _cmd_evolve(args):
     ps, basis = _disk_problem(args, lambda: polar_layout(8, 8), 1.0)
-    times, fields, _ = mixed_run(ps, mixed_operators(ps, basis), _pick(args.dt, 0.001),
-                                 _pick(args.t_end, 0.5), _pick(args.chi, 1.0))
+    (times, fields, _), = mixed_run(ps, basis, _pick(args.dt, 0.001), _pick(args.t_end, 0.5),
+                                    (_pick(args.chi, 1.0),))
     for t, f in zip(times, fields):
         print(f"t={t:8.4f} peak={np.max(np.abs(f)):.6e}")
     if args.out is not None:

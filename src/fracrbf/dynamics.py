@@ -90,6 +90,18 @@ def _march(cfg, u, step):
     return np.array(keep) * cfg.dt, np.array(out)
 
 
+def _check_chi(chi):
+    """The one rule on chi, the nonlocal fraction of the mixed model."""
+    if not 0.0 <= chi <= 1.0:
+        raise ValueError("chi must lie in [0, 1]")
+
+
+def _check_kappa(kappa):
+    """The one rule on kappa, the dissipation strength of the QG model."""
+    if not 0.0 <= kappa < np.inf:
+        raise ValueError("kappa must be nonnegative and finite")
+
+
 def mixed_operators(ps, basis):
     """The fractional and the classical Laplacian on interior nodal values,
     stacked as one (2n, n) array; one coefficient map serves both, and the
@@ -106,8 +118,7 @@ def crank_nicolson_mixed(ops, cfg, u0, chi):
     The implicit matrix is factored once and reused for every step. Returns
     (times, fields) at the snapshot steps, fields rowed by time.
     """
-    if not 0.0 <= chi <= 1.0:
-        raise ValueError("chi must lie in [0, 1]")
+    _check_chi(chi)
     n = ops.shape[1]
     u = _initial(u0, n)
     a = chi * ops[:n] + (1.0 - chi) * ops[n:]
@@ -206,8 +217,7 @@ def run_qg(ops, cfg, theta0, kappa):
     Returns (times, fields) at the snapshot steps, fields rowed by time.
     Aborts when max|theta| exceeds 10x its initial value.
     """
-    if not 0.0 <= kappa < np.inf:
-        raise ValueError("kappa must be nonnegative and finite")
+    _check_kappa(kappa)
     theta = _initial(theta0, ops.local.shape[1])
     cap = 10.0 * float(np.max(np.abs(theta)))
     if cap == 0.0:

@@ -18,14 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from fracrbf.dynamics import (EvolutionConfig, anisotropy_ratio, crank_nicolson_mixed,
-                              mixed_operators, qg_operators, run_qg)
+from fracrbf.dynamics import (EvolutionConfig, _check_chi, _check_kappa, anisotropy_ratio,
+                              crank_nicolson_mixed, mixed_operators, qg_operators, run_qg)
 from fracrbf.exterior import GmqProfile
 from fracrbf.geometry import as_points, clipped_grid, disk_grid, polar_layout, uniform_interval
 from fracrbf.linsys import assemble, condition_estimate
 from fracrbf.oracles import case1, case2, case2_scaled
 from fracrbf.quadrature import gauss_legendre_01
-from fracrbf.rbf import GmqBasis
+from fracrbf.rbf import GmqBasis, phi_block
 from fracrbf.specialfun import FracParams, coeff_c, gamma_fn
 from fracrbf.steady import evaluate_interpolant, forward_frac_lap_clipped, solve_poisson
 
@@ -193,13 +193,17 @@ def _git_rev():
 def solve_row(ps, basis, f, g=None):
     """One steady solve of every steady preset and of `fracrbf solve`.
 
-    Returns (row, lam): the row carries N and cond(A_phi), and its seconds
-    cover assemble, right-hand side and solve. The solve consumes S, so
-    A_phi for the condition estimate is evaluated only after S is gone."""
+    Returns (row, lam, u): the row carries N and cond(A_phi), and its seconds
+    cover assemble, right-hand side and solve; u holds the solution's values
+    at the interior points. The solve consumes S, so A_phi is evaluated only
+    after S is gone: u is read off its interior rows, and then the condition
+    estimate factors it in place."""
     t0 = time.perf_counter()
     lam = solve_poisson(assemble(ps, basis), f, g=g)
     seconds = time.perf_counter() - t0
-    return RunRow(n=ps.n_total, cond=condition_estimate(basis), seconds=seconds), lam
+    a = phi_block(basis, basis.centers)
+    u = a[:ps.n_interior] @ lam
+    return RunRow(n=ps.n_total, cond=condition_estimate(basis, a), seconds=seconds), lam, u
 
 
 # 1D convergence tables --------------------------------------------------------
@@ -215,7 +219,7 @@ def _interval_row(n, alpha, eps, K, f_nodes, exact, window=None):
     irreducible boundary-layer error."""
     ps = uniform_interval(n + 2)
     basis = GmqBasis(ps.points, FracParams(1, alpha), eps, K=K)
-    row, lam = solve_row(ps, basis, f_nodes)
+    row, lam, _ = solve_row(ps, basis, f_nodes)
     row.n = n
 
     tp = uniform_interval(n + 1).interior
@@ -296,7 +300,7 @@ def _disk_table(rep, alpha, layouts, exact, K, M, g=None):
     u_tp, _ = exact(tp)
     for ps, eps in layouts:
         basis = GmqBasis(ps.points, FracParams(2, alpha), eps, K=K, M=M)
-        row, lam = solve_row(ps, basis, lambda x: exact(x)[1], g=g)
+        row, lam, _ = solve_row(ps, basis, lambda x: exact(x)[1], g=g)
         row.e = rms_error(u_tp, evaluate_interpolant(lam, basis, tp))
         rep.add(row)
     return rep
@@ -337,8 +341,7 @@ def _constant_source(label, ps, alphas, eps, K, M, exact=None, **meta):
                                      row_order="one row per alpha, listed order", **meta))
     for alpha in alphas:
         basis = GmqBasis(ps.points, FracParams(2, alpha), eps, K=K, M=M)
-        row, lam = solve_row(ps, basis, lambda pts: np.ones(len(pts)))
-        u_nodes = evaluate_interpolant(lam, basis, ps.interior)
+        row, _, u_nodes = solve_row(ps, basis, lambda pts: np.ones(len(pts)))
         fields = {"solution": u_nodes}
         if exact is not None:
             u = exact(alpha, ps.interior)
@@ -379,23 +382,34 @@ def _schedule(dt, t_end, snapshots):
     return cfg
 
 
-def mixed_run(ps, ops, dt, t_end, chi):
-    """The mixed-diffusion run of fig-mixed and `fracrbf evolve` on ops from
-    mixed_operators: an elongated Gaussian bump, snapshots at every fifth of
-    the run. Returns (times, fields, seconds), seconds timing the stepping."""
+def mixed_run(ps, basis, dt, t_end, chis):
+    """The mixed-diffusion runs of fig-mixed and `fracrbf evolve`, one per chi
+    of chis on one build of mixed_operators: an elongated Gaussian bump,
+    snapshots at every fifth of the run. The schedule and every chi are
+    checked before the build. Returns one (times, fields, seconds) per chi,
+    seconds timing its stepping."""
     cfg = _schedule(dt, t_end, 5)
+    for chi in chis:
+        _check_chi(chi)
+    ops = mixed_operators(ps, basis)
     x1, x2 = ps.interior.T
-    t0 = time.perf_counter()
-    times, fields = crank_nicolson_mixed(ops, cfg, np.exp(-16.0 * x1 ** 2 - 4.0 * x2 ** 2), chi)
-    return times, fields, time.perf_counter() - t0
+    u0 = np.exp(-16.0 * x1 ** 2 - 4.0 * x2 ** 2)
+    runs = []
+    for chi in chis:
+        t0 = time.perf_counter()
+        times, fields = crank_nicolson_mixed(ops, cfg, u0, chi)
+        runs.append((times, fields, time.perf_counter() - t0))
+    return runs
 
 
 def vortex_run(ps, basis, dt, t_end, kappa):
     """The single-vortex run of fig-qg and `fracrbf qg` on the operators of
     basis: an elongated Gaussian scalar, snapshots at every eighth of the
-    run. Returns (times, fields, ratios, seconds): the anisotropy ratio of
-    each snapshot, and seconds timing the operator build and the stepping."""
+    run. The schedule and kappa are checked before the operator build.
+    Returns (times, fields, ratios, seconds): the anisotropy ratio of each
+    snapshot, and seconds timing the operator build and the stepping."""
     cfg = _schedule(dt, t_end, 8)
+    _check_kappa(kappa)
     x1, x2 = ps.interior.T
     theta0 = np.exp(-4.0 * x1 ** 2 - 64.0 * x2 ** 2)
     t0 = time.perf_counter()
@@ -412,10 +426,8 @@ def preset_fig_mixed(alpha=1.0, eps=1.0, dt=0.001, t_end=0.5, K=32, M=64):
     rep = RunReport("fig-mixed", meta=dict(
         d=2, alpha=alpha, eps=eps, eps_mode="absolute", dt=dt, t_end=t_end, K=K, M=M,
         row_order="one row per chi in (0, 0.5, 1); E holds the final peak"))
-    ops = mixed_operators(ps, basis)
     chis = (0.0, 0.5, 1.0)
-    for chi in chis:
-        times, fields, seconds = mixed_run(ps, ops, dt, t_end, chi)
+    for chi, (times, fields, seconds) in zip(chis, mixed_run(ps, basis, dt, t_end, chis)):
         rep.add(RunRow(n=ps.n_total, e=float(np.max(np.abs(fields[-1]))), seconds=seconds))
         rep.files.update(snapshot_files(ps, times, fields, prefix=f"mixed_chi{chi}"))
     rep.meta["final_peaks"] = ",".join(f"{c}:{r.e:.6e}" for c, r in zip(chis, rep.rows))

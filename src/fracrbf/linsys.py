@@ -60,12 +60,28 @@ def _factor(a):
 
 
 def _phi_factor(basis):
-    """(LU, 1-norm) of A_phi, evaluated afresh: the one place A_phi is factored.
-    A_phi is bitwise symmetric, so its F-contiguous view a.T is A_phi itself and
-    is factored in place, once `lange` has read it."""
-    a = phi_block(basis, basis.centers)
-    anorm = float(get_lapack_funcs("lange", (a,))("I", a.T))
-    return _factor(a.T), anorm
+    """LU of A_phi, evaluated afresh: the one place A_phi is LU-factored for
+    solves. A_phi is bitwise symmetric, so its F-contiguous view a.T is A_phi
+    itself and is factored in place."""
+    return _factor(phi_block(basis, basis.centers).T)
+
+
+def _cholesky(a):
+    """Cholesky factor of the symmetric a, made in a's own buffer, or None when
+    a pivot is not positive. `potrf` factors the upper triangle of the
+    F-contiguous view a.T, which is a's lower one, so a's strict upper
+    triangle is never written: after a failure a is made whole again from it
+    and the saved diagonal, bit for bit, without a second N×N array."""
+    diag = a.diagonal().copy()
+    c, info = get_lapack_funcs("potrf", (a,))(a.T, overwrite_a=True, clean=False)
+    if info < 0:
+        raise np.linalg.LinAlgError("Cholesky factorization failed")
+    if info == 0:
+        return c
+    for i in range(a.shape[0] - 1):
+        a[i + 1:, i] = a[i, i + 1:]
+    np.fill_diagonal(a, diag)
+    return None
 
 
 @dataclass
@@ -103,11 +119,21 @@ def assemble(ps, basis):
     return SystemMatrices(ps, basis, s)
 
 
-def condition_estimate(basis):
-    """1-norm condition estimate of the interpolation matrix A_phi of basis
-    (Hager-Higham style through the LAPACK reciprocal-condition routine)."""
-    (lu, _), anorm = _phi_factor(basis)
-    rcond, info = get_lapack_funcs("gecon", (lu,))(lu, anorm, norm="1")
+def condition_estimate(basis, a):
+    """1-norm condition estimate of the interpolation matrix A_phi of basis,
+    given as a, which it factors in place (Hager-Higham style through the
+    LAPACK reciprocal-condition routines; a lower bound of cond_1).
+
+    With beta < 0 A_phi is positive definite, so a Cholesky factor and `pocon`
+    serve; an LU and `gecon` serve when beta >= 0, or when rounding leaves a
+    Cholesky pivot that is not positive."""
+    anorm = float(get_lapack_funcs("lange", (a,))("I", a.T))
+    chol = _cholesky(a) if basis.beta < 0 else None
+    if chol is not None:
+        rcond, info = get_lapack_funcs("pocon", (chol,))(chol, anorm)
+    else:
+        lu = _factor(a.T)[0]
+        rcond, info = get_lapack_funcs("gecon", (lu,))(lu, anorm, norm="1")
     if info != 0:
         raise np.linalg.LinAlgError("condition estimation failed")
     if rcond == 0.0 or not np.isfinite(rcond):
@@ -127,7 +153,7 @@ def nodal_operator(ps, basis, rows, out=None):
     n_int = ps.n_interior
     rhs = np.zeros((ps.n_total, n_int))
     rhs[:n_int, :] = np.eye(n_int)
-    coeff_map = sla.lu_solve(_phi_factor(basis)[0], rhs)
+    coeff_map = sla.lu_solve(_phi_factor(basis), rhs)
     blocks = [np.asarray(w, dtype=float) for w in rows]
     shape = (sum(w.shape[0] for w in blocks), n_int)
     if out is None:

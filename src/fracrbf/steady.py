@@ -26,7 +26,7 @@ def interpolate(basis, samples):
     samples = np.asarray(samples, dtype=float)
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
-    lam = sla.lu_solve(_phi_factor(basis)[0], samples)
+    lam = sla.lu_solve(_phi_factor(basis), samples)
     resid = np.max(np.abs(phi_block(basis, basis.centers) @ lam - samples))
     scale = max(np.max(np.abs(samples)), 1.0)
     if resid / scale > _RESIDUAL_WARN:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy import integrate
+from scipy.linalg import get_lapack_funcs
 
 from fracrbf.exterior import TailFactors
 from fracrbf.geometry import as_points
@@ -287,6 +288,19 @@ def tail_matrix_ref(tf):
 def one_norm_ref(mat):
     """Largest absolute column sum."""
     return float(np.max(np.abs(mat).sum(axis=0)))
+
+
+def cholesky_cond_ref(mat):
+    """1 / pocon of the upper Cholesky factor of a copy of the symmetric
+    positive definite mat, with its 1-norm from one_norm_ref."""
+    potrf, pocon = get_lapack_funcs(("potrf", "pocon"), (mat,))
+    c, info = potrf(mat)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"potrf info {info}")
+    rcond, info = pocon(c, one_norm_ref(mat))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"pocon info {info}")
+    return 1.0 / rcond
 
 
 def write_field_ref(path, points, values):

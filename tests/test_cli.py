@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from fracrbf import checks, cli, harness
+from fracrbf import checks, cli, dynamics, harness
 from fracrbf.checks import CHECKS
 from fracrbf.geometry import polar_layout, uniform_interval
 from fracrbf.linsys import assemble
@@ -104,13 +104,32 @@ def test_evolve_and_qg_read_point_set_flags_alike(monkeypatch):
     def stop(ps, *args, **kwargs):
         seen.append(ps.n_total)
         raise ValueError("stop")
-    monkeypatch.setattr(cli, "mixed_operators", stop)
+    monkeypatch.setattr(harness, "mixed_operators", stop)
     monkeypatch.setattr(harness, "qg_operators", stop)
     for command in ("evolve", "qg"):
         for flags in (["--grid-h", "0.25"], ["--L", "3"], ["--J", "5"]):
             assert cli.main([command] + flags) == 1
     # disk_grid(0.25), polar_layout(3, 3), polar_layout(8, 5)
     assert seen == [53, 13, 49] * 2
+
+
+@pytest.mark.parametrize("argv", [["qg", "--kappa", "-1"], ["evolve", "--chi", "2"]],
+                         ids=["qg-kappa", "evolve-chi"])
+def test_bad_coefficient_exits_one_before_any_build(argv, monkeypatch, capsys):
+    # chi and kappa are checked with the schedule, before the system that
+    # both operator builders start from is assembled
+    built = []
+    assemble_system = dynamics.assemble
+
+    def spy(*args):
+        built.append(args)
+        return assemble_system(*args)
+    monkeypatch.setattr(dynamics, "assemble", spy)
+    assert cli.main(argv + ["--L", "3", "--quad-K", "16"]) == 1
+    assert built == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_eps_factor_sweep_records_the_factor(tmp_path, capsys):

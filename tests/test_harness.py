@@ -267,9 +267,12 @@ def test_preset_table2_frozen_rows():
         (256, 0.010750549991066245, 0.004822963259652001, 926006.8450932724),
         (512, 0.005414671425848651, 0.0034154284129039054, 2092181.1597294572),
     ]),
+    # pocon on the Cholesky factor of A_phi; gecon on its LU gave
+    # 4775364449295.637 and 10659492404674.416, and the exact cond_1 is
+    # 8.24e13 and 4.32e14, so both estimates are lower bounds
     (lambda: preset_fig_disk(alphas=(0.4, 1.2)), [
-        (111, 0.03337223199354429, None, 4775364449295.637),
-        (111, 0.034032266432048146, None, 10659492404674.416),
+        (111, 0.03337223199354429, None, 5691755093619.066),
+        (111, 0.034032266432048146, None, 30328388819548.43),
     ]),
 ], ids=["table3", "table4", "fig-disk"])
 def test_preset_small_frozen_rows(run, expect):
@@ -332,19 +335,22 @@ def _lattice_qg_operators(h, alpha, eps):
     (lambda: _lattice_qg_operators(1 / 8, 1.5, 0.2), 3),
 ], ids=["fig-disk", "qg-operators"])
 def test_no_factor_outlives_its_use(run, n_factors, monkeypatch):
-    # an LU kept after its solves sits in memory beside the next one,
-    # 82 MB per factor at N=3209
+    # an LU or Cholesky factor kept after its use sits in memory beside the
+    # next one, 82 MB per factor at N=3209
     factors, live_at_factor = [], []
-    factor = linsys._factor
 
-    def tracked(mat, **kwargs):
-        live_at_factor.append(sum(ref() is not None for ref in factors))
-        lu, piv = factor(mat, **kwargs)
-        factors.append(weakref.ref(lu))
-        return lu, piv
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("fracrbf.") and hasattr(mod, "_factor"):
-            monkeypatch.setattr(mod, "_factor", tracked)
+    def tracking(factor, array_of):
+        def tracked(mat):
+            live_at_factor.append(sum(ref() is not None for ref in factors))
+            result = factor(mat)
+            factors.append(weakref.ref(array_of(result)))
+            return result
+        return tracked
+    for fname, array_of in (("_factor", lambda lu_piv: lu_piv[0]), ("_cholesky", lambda c: c)):
+        tracked = tracking(getattr(linsys, fname), array_of)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("fracrbf.") and hasattr(mod, fname):
+                monkeypatch.setattr(mod, fname, tracked)
     run()
     assert live_at_factor == [0] * n_factors
 

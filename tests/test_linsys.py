@@ -11,13 +11,13 @@ from scipy.linalg import get_lapack_funcs
 from fracrbf.exterior import tail_factors_at
 from fracrbf.geometry import clipped_grid, polar_layout, uniform_interval
 from fracrbf.harness import solve_row
-from fracrbf.linsys import (_TILE, SystemMatrices, _factor, assemble, condition_estimate,
-                            nodal_operator)
+from fracrbf.linsys import (_TILE, SystemMatrices, _cholesky, _factor, assemble,
+                            condition_estimate, nodal_operator)
 from fracrbf.rbf import GmqBasis, classical_lap_block, frac_lap_block, phi_block
 from fracrbf.specialfun import FracParams
 from fracrbf.steady import evaluate_interpolant, interpolate, solve_poisson
-from reference import (frac_lap_block_ref, one_norm_ref, phi_block_ref, tail_factors_ref,
-                       tail_matrix_ref)
+from reference import (cholesky_cond_ref, frac_lap_block_ref, one_norm_ref, phi_block_ref,
+                       tail_factors_ref, tail_matrix_ref)
 
 
 def _system_1d(n=10, alpha=1.2, eps=1.0, K=32):
@@ -83,19 +83,31 @@ def test_nodal_values_reads_top_block():
 
 def test_condition_estimate_tracks_true_condition():
     ps, basis, sm = _system_1d(n=9, eps=0.8)
-    est = condition_estimate(basis)
+    est = condition_estimate(basis, phi_block(basis, ps.points))
     true = np.linalg.cond(phi_block(basis, ps.points), 1)
     assert est == pytest.approx(true, rel=0.5)
 
 
 def test_condition_estimate_reads_the_basis_alone():
-    # the estimate needs no assembled system: on its own it gives the cond
-    # that a steady solve on the same basis reports
+    # the estimate needs no assembled system: from the basis and its A_phi
+    # alone it gives the cond that a steady solve on the same basis reports
     ps = polar_layout(3, 7)
     basis = GmqBasis(ps.points, FracParams(2, 1.2), 1.0, K=16, M=32)
-    est = condition_estimate(basis)
-    row, _ = solve_row(ps, basis, lambda x: np.ones(len(x)))
+    est = condition_estimate(basis, phi_block(basis, ps.points))
+    row, _, _ = solve_row(ps, basis, lambda x: np.ones(len(x)))
     assert est == row.cond
+
+
+@pytest.mark.parametrize("ps, eps", [
+    (polar_layout(10, 10), 0.8),
+    (clipped_grid(1.0 / 16.0), 0.9),
+], ids=["disk", "embedded"])
+def test_solve_row_nodal_values_are_the_interpolant_bitwise(ps, eps):
+    # the nodal values are read off the interior rows of A_phi, a contiguous
+    # row block, so the product is the one evaluate_interpolant makes
+    basis = GmqBasis(ps.points, FracParams(2, 1.2), eps, K=16, M=32)
+    _, lam, u = solve_row(ps, basis, lambda x: np.ones(len(x)))
+    assert np.array_equal(u, evaluate_interpolant(lam, basis, ps.interior))
 
 
 def test_nodal_operator_reproduces_equation_rows():
@@ -150,7 +162,36 @@ def test_system_and_norm_match_out_of_place_formulas_bitwise(ps, d, K, M):
     assert lange("I", mat.T) == anorm
     rcond, info = gecon(_factor(mat)[0], anorm, norm="1")
     assert info == 0
-    assert condition_estimate(basis) == 1.0 / rcond
+    assert condition_estimate(basis, phi_block(basis, ps.points)) == 1.0 / rcond
+
+
+@pytest.mark.parametrize("ps, alpha, eps", [
+    (polar_layout(10, 10), 0.4, 0.8),
+    (clipped_grid(1.0 / 16.0), 1.6, 0.2),
+], ids=["disk", "embedded"])
+def test_cholesky_estimate_matches_out_of_place_formula_bitwise(ps, alpha, eps):
+    # with beta < 0 the estimate is pocon on potrf of A_phi, factored in place
+    # on the F-contiguous view a.T: the bits of potrf on an F-order copy
+    basis = GmqBasis(ps.points, FracParams(2, alpha), eps)
+    assert basis.beta < 0
+    est = condition_estimate(basis, phi_block(basis, ps.points))
+    assert est == cholesky_cond_ref(phi_block_ref(basis, ps.points))
+
+
+def test_failed_cholesky_falls_back_to_the_lu_estimate_exactly():
+    # A_phi is positive definite in exact arithmetic, but here cond_1 is past
+    # 1/u and potrf meets a pivot that is not positive; A_phi is then made
+    # whole again in its own buffer and the estimate is the LU and gecon one
+    ps = polar_layout(9, 9)
+    basis = GmqBasis(ps.points, FracParams(2, 1.0), 1.5)
+    a = phi_block(basis, ps.points)
+    assert _cholesky(a) is None
+    assert np.array_equal(a, phi_block_ref(basis, ps.points))
+    mat = phi_block_ref(basis, ps.points)
+    rcond, info = get_lapack_funcs("gecon", (mat,))(sla.lu_factor(mat)[0], one_norm_ref(mat),
+                                                    norm="1")
+    assert info == 0
+    assert condition_estimate(basis, phi_block(basis, ps.points)) == 1.0 / rcond
 
 
 def _peak_in_n2(fn, n):
@@ -180,19 +221,30 @@ def test_assembly_memory_budget(ps, d, K, M, budget):
     # temporary); the budgets sit just above that, so a temporary put back
     # fails here. solve_poisson factors S in its own buffer and holds only
     # its right-hand side, and condition_estimate only the fresh A_phi, which
-    # its LU overwrites in place.
+    # its factor overwrites in place (an LU in both cases: beta >= 0 in 1D,
+    # and the 2D Cholesky meets a pivot that is not positive).
     basis = GmqBasis(ps.points, FracParams(d, 1.2), 0.9, K=K, M=M)
     n = ps.n_total
     sm, assemble_peak = _peak_in_n2(lambda: assemble(ps, basis), n)
     assert assemble_peak < budget
     _, peak = _peak_in_n2(lambda: solve_poisson(sm, lambda x: np.ones(len(x))), n)
     assert peak < ps.n_interior / n + 0.02
-    _, peak = _peak_in_n2(lambda: condition_estimate(basis), n)
+    _, peak = _peak_in_n2(lambda: condition_estimate(basis, phi_block(basis, ps.points)), n)
     assert peak < 1.1
     # so no stage after assembly stacks on S: a whole steady solve peaks where
     # assemble does, up to the few hundred bytes of its Python objects
     _, peak = _peak_in_n2(lambda: solve_row(ps, basis, lambda x: np.ones(len(x))), n)
     assert peak <= assemble_peak + 1e-3
+
+
+def test_condition_estimate_memory_budget_on_the_cholesky_path():
+    # the Cholesky factor, too, is made in the fresh A_phi's own buffer
+    ps = clipped_grid(1.0 / 16.0)
+    basis = GmqBasis(ps.points, FracParams(2, 1.2), 0.2)
+    assert _cholesky(phi_block(basis, ps.points)) is not None
+    _, peak = _peak_in_n2(lambda: condition_estimate(basis, phi_block(basis, ps.points)),
+                          ps.n_total)
+    assert peak < 1.1
 
 
 @pytest.mark.parametrize("ps, d", [
