@@ -14,14 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from fracrbf.exterior import GmqProfile, exterior_data_correction
+from fracrbf.exterior import GmqProfile
 from fracrbf.geometry import disk_grid, polar_layout, uniform_interval
-from fracrbf.harness import (PRESETS, RunReport, RunRow, mixed_run, rms_error, snapshot_files,
-                             solve_row, test_points_disk, vortex_run, write_files)
+from fracrbf.harness import (PRESETS, RunReport, RunRow, measurement_points, mixed_run,
+                             residual_error, snapshot_files, steady_table, table_n, vortex_run,
+                             write_files)
 from fracrbf.oracles import case1, case2
 from fracrbf.rbf import GmqBasis
 from fracrbf.specialfun import FracParams
-from fracrbf.steady import evaluate_interpolant, forward_frac_lap_clipped, interpolate
+from fracrbf.steady import interpolate
 
 __all__ = ["main"]
 
@@ -86,11 +87,11 @@ def _build_parser(parser_class=_Parser):
         p.set_defaults(func=func)
         return p
 
-    add("forward", functools.partial(_cmd_sweep, row=_forward_row),
+    add("forward", functools.partial(_cmd_sweep, table=_forward_table),
         "interpolate an exact profile and sweep the forward-operator residual",
         drop=_TIME_ONLY + ("seed",))
-    add("solve", functools.partial(_cmd_sweep, row=_solution_error_row),
-        "steady solve sweep: solution error and condition number per N",
+    add("solve", functools.partial(_cmd_sweep, table=steady_table),
+        "steady solve sweep: the convergence table's rows per N",
         drop=_TIME_ONLY + ("seed",))
     add("evolve", _cmd_evolve, "mixed local/nonlocal diffusion run",
         drop=_STEADY_ONLY + ("kappa", "seed"))
@@ -175,54 +176,36 @@ def _print_report(rep):
 
 
 def _case_funcs(args, kind, dim, alpha):
-    """(u sampler, f sampler, exterior profile or None) for case kind."""
+    """(exact, exterior profile or None) for case kind, exact(x) = (u, f)."""
     if kind == "smooth":
         g = GmqProfile(np.zeros(dim), 1.0, -(dim + 1) / 2.0)
-        return (lambda pts: case1(dim, alpha, pts, f_required=False)[0],
-                lambda pts: case1(dim, alpha, pts)[1], g)
-    p = _pick(args.p, 1.0)
-    return (lambda pts: case2(dim, alpha, p, pts, f_required=False)[0],
-            lambda pts: case2(dim, alpha, p, pts)[1], None)
+        return functools.partial(case1, dim, alpha), g
+    return functools.partial(case2, dim, alpha, _pick(args.p, 1.0)), None
 
 
 def _sweep(args, dim):
-    """(point set, measurement points) per sweep entry: n = 2..32 interior
-    points in 1D (or --n), polar layouts L = J = 3..9 on the disk (or the one
-    set _disk_set picks). Measurement points are the staggered companion
-    grid in 1D and the polar lattice on the disk in 2D."""
+    """The point sets of a sweep: n = 2..32 interior points in 1D (or --n),
+    polar layouts L = J = 3..9 on the disk (or the one set _disk_set picks)."""
     if dim == 1:
-        for n in [2, 4, 8, 16, 32] if args.n is None else [args.n]:
-            yield uniform_interval(n + 2), uniform_interval(n + 1).interior
-    else:
-        sets = [_disk_set(args, lambda: None)]
-        if sets[0] is None:
-            sets = (polar_layout(lvl, lvl) for lvl in (3, 5, 7, 9))
-        for ps in sets:
-            yield ps, test_points_disk()
+        ns = [2, 4, 8, 16, 32] if args.n is None else [args.n]
+        return [uniform_interval(n + 2) for n in ns]
+    ps = _disk_set(args, lambda: None)
+    return [polar_layout(lvl, lvl) for lvl in (3, 5, 7, 9)] if ps is None else [ps]
 
 
-def _forward_row(ps, basis, tp, case):
-    """Interpolate u at all N points; Ehat is the clipped-operator residual."""
-    u_fn, f_fn, g = case
-    lam = interpolate(basis, u_fn(ps.points))
-    target = f_fn(tp)
-    if g is not None:
-        # nonzero exterior data: the clipped operator approximates f
-        # plus the tail of g, exactly as in the collocation rows
-        target = target + exterior_data_correction(g, tp, basis)
-    ehat = rms_error(target, forward_frac_lap_clipped(lam, basis, tp))
-    return RunRow(n=ps.n_total, ehat=ehat)
+def _forward_table(rep, alpha, layouts, exact, K, M, g=None):
+    """Interpolate u at all N points of each layout; Ehat is the residual of
+    the clipped operator at the measurement points. u is sampled without f,
+    which has no closed form at the points on the boundary."""
+    for ps, eps in layouts:
+        basis = GmqBasis(ps.points, FracParams(ps.points.shape[1], alpha), eps, K=K, M=M)
+        lam = interpolate(basis, exact(ps.points, f_required=False)[0])
+        tp = measurement_points(ps)
+        rep.add(RunRow(n=table_n(ps), ehat=residual_error(lam, basis, tp, exact(tp)[1], g)))
+    return rep
 
 
-def _solution_error_row(ps, basis, tp, case):
-    """Collocation solve; E is the solution error at the measurement points."""
-    u_fn, f_fn, g = case
-    row, lam, _ = solve_row(ps, basis, f_fn, g=g)
-    row.e = rms_error(u_fn(tp), evaluate_interpolant(lam, basis, tp))
-    return row
-
-
-def _cmd_sweep(args, row):
+def _cmd_sweep(args, table):
     """forward/solve: one report row per point set of the sweep."""
     dim = _pick(args.dim, 1)
     kind = _pick(args.case, "compact")
@@ -232,16 +215,15 @@ def _cmd_sweep(args, row):
         raise ValueError(f"--dim {dim} --case {kind} does not read {', '.join(unread)}")
     alpha = _pick(args.alpha, 1.2)
     kq, mq = _pick(args.quad_K, 48), _pick(args.quad_M, 96)
-    case = _case_funcs(args, kind, dim, alpha)
+    exact, g = _case_funcs(args, kind, dim, alpha)
     eps_abs = 1.5 if dim == 1 else 1.0
     # under --eps-factor eps changes with every point set, so the factor is recorded
     eps_meta = (dict(eps=_pick(args.eps, eps_abs)) if args.eps_factor is None
                 else dict(eps_factor=args.eps_factor))
     rep = RunReport(label=args.command, meta=dict(
         d=dim, alpha=alpha, case=kind, K=kq, **eps_meta, **(dict(M=mq) if dim == 2 else {})))
-    for ps, tp in _sweep(args, dim):
-        basis = GmqBasis(ps.points, FracParams(dim, alpha), _eps_for(args, ps, eps_abs), K=kq, M=mq)
-        rep.add(row(ps, basis, tp, case))
+    table(rep, alpha, [(ps, _eps_for(args, ps, eps_abs)) for ps in _sweep(args, dim)], exact,
+          kq, mq, g=g)
     _print_report(rep)
     if args.out is not None:
         print(f"wrote {rep.write(args.out).parent}")

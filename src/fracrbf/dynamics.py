@@ -31,6 +31,9 @@ __all__ = [
     "anisotropy_ratio",
 ]
 
+# the presets take 500 and 200 steps; a count past this is a mistyped dt or t_end
+MAX_STEPS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class EvolutionConfig:
@@ -53,6 +56,9 @@ class EvolutionConfig:
             raise ValueError("dt must be positive and finite")
         if not (self.t_end >= 0.0 and self.t_end / self.dt < np.inf):
             raise ValueError("t_end must be nonnegative, with a finite step count t_end/dt")
+        if self.n_steps > MAX_STEPS:
+            raise ValueError(f"t_end/dt asks for {self.n_steps} steps, more than the bound "
+                             f"of {MAX_STEPS} steps per run")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-6 * max(self.dt, self.t_end):
             raise ValueError("t_end must be a whole number of steps")
         object.__setattr__(self, "snapshots", integer_order(self.snapshots, "snapshots"))

@@ -10,6 +10,7 @@ ride in the report's `files` and are written beside them.
 """
 
 import csv
+import functools
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ import numpy as np
 
 from fracrbf.dynamics import (EvolutionConfig, _check_chi, _check_kappa, anisotropy_ratio,
                               crank_nicolson_mixed, mixed_operators, qg_operators, run_qg)
-from fracrbf.exterior import GmqProfile
+from fracrbf.exterior import GmqProfile, exterior_data_correction
 from fracrbf.geometry import as_points, clipped_grid, disk_grid, polar_layout, uniform_interval
 from fracrbf.linsys import assemble, condition_estimate
 from fracrbf.oracles import case1, case2, case2_scaled
@@ -32,12 +33,15 @@ from fracrbf.steady import evaluate_interpolant, forward_frac_lap_clipped, solve
 __all__ = [
     "rms_error",
     "convergence_rate",
-    "test_points_disk",
+    "measurement_points",
+    "table_n",
+    "residual_error",
     "RunRow",
     "RunReport",
     "write_files",
     "snapshot_files",
     "solve_row",
+    "steady_table",
     "preset_table2",
     "preset_table3",
     "preset_table4",
@@ -74,14 +78,39 @@ def convergence_rate(e_prev, e_cur, n_prev, n_cur, dim=1):
     return float(np.log(e_prev / e_cur) / (np.log(n_cur / n_prev) / dim))
 
 
-def test_points_disk():
-    """Error-measurement grid on the disk: origin plus a polar lattice of
-    40 radii up to 0.95 by 64 angles."""
+def measurement_points(ps, window=None):
+    """Where a table row measures its errors.
+
+    On the interval with n interior nodes: the staggered companion grid,
+    spacing 2/n and offset 2/n from the ends, restricted to |x| < window
+    when one is given. It is uniform, endpoint-free, and never closer to
+    +-1 than the node set resolves, which is where the clipped operator of
+    the interpolant carries an irreducible boundary-layer error. On the
+    disk, whatever the point set: the origin plus a polar lattice of 40
+    radii up to 0.95 by 64 angles."""
+    if ps.points.shape[1] == 1:
+        tp = uniform_interval(ps.n_interior + 1).interior
+        return tp if window is None else tp[np.abs(tp[:, 0]) < window - 1e-12]
     radii = 0.95 * np.arange(1, 41) / 40
     angles = 2.0 * np.pi * np.arange(64) / 64
     rr, tt = np.meshgrid(radii, angles, indexing="ij")
     pts = np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
     return np.vstack([np.zeros((1, 2)), pts])
+
+
+def table_n(ps):
+    """The N of a table row: the interior count on the interval, whose two
+    ends only carry the exterior value, and all points on the disk."""
+    return ps.n_interior if ps.points.shape[1] == 1 else ps.n_total
+
+
+def residual_error(lam, basis, points, f, g=None):
+    """Ehat: the relative residual of the clipped operator of the expansion
+    against f, the right-hand side's values at points, plus the tail of the
+    exterior datum g when one is given, as the collocation rows carry it."""
+    if g is not None:
+        f = f + exterior_data_correction(g, points, basis)
+    return rms_error(f, forward_frac_lap_clipped(lam, basis, points))
 
 
 @dataclass
@@ -193,7 +222,7 @@ def _git_rev():
 def solve_row(ps, basis, f, g=None):
     """One steady solve of every steady preset and of `fracrbf solve`.
 
-    Returns (row, lam, u): the row carries N and cond(A_phi), and its seconds
+    Returns (row, lam, u): the row carries the table N and cond(A_phi), and its seconds
     cover assemble, right-hand side and solve; u holds the solution's values
     at the interior points. The solve consumes S, so A_phi is evaluated only
     after S is gone: u is read off its interior rows, and then the condition
@@ -203,42 +232,39 @@ def solve_row(ps, basis, f, g=None):
     seconds = time.perf_counter() - t0
     a = phi_block(basis, basis.centers)
     u = a[:ps.n_interior] @ lam
-    return RunRow(n=ps.n_total, cond=condition_estimate(basis, a), seconds=seconds), lam, u
+    return RunRow(n=table_n(ps), cond=condition_estimate(basis, a), seconds=seconds), lam, u
+
+
+def steady_table(rep, alpha, layouts, exact, K, M=64, f=None, g=None, window=None):
+    """The steady convergence tables and `fracrbf solve`: one solve_row per
+    (point set, eps) of layouts, added to rep and returned in it.
+
+    exact(x) = (u, f) is the closed form. The equation rows take f from it,
+    or from f(x) when given, and the exterior datum g; E is measured against
+    u at measurement_points(ps, window), and on the interval Ehat too."""
+    f = f or (lambda x: exact(x)[1])
+    for ps, eps in layouts:
+        d = ps.points.shape[1]
+        basis = GmqBasis(ps.points, FracParams(d, alpha), eps, K=K, M=M)
+        row, lam, _ = solve_row(ps, basis, f, g=g)
+        tp = measurement_points(ps, window)
+        u_tp, f_tp = exact(tp)
+        row.e = rms_error(u_tp, evaluate_interpolant(lam, basis, tp))
+        if d == 1:
+            row.ehat = residual_error(lam, basis, tp, f_tp, g)
+        rep.add(row)
+    return rep
 
 
 # 1D convergence tables --------------------------------------------------------
-
-
-def _interval_row(n, alpha, eps, K, f_nodes, exact, window=None):
-    """Solve on n interior + 2 endpoint nodes with right-hand side
-    f_nodes(x), then measure E and Ehat against exact(x) = (u, f) on the
-    staggered companion grid (spacing 2/n, offset 2/n from the ends),
-    restricted to |x| < window when one is given. The grid is uniform,
-    endpoint-free, and never closer to +-1 than the node set resolves,
-    which is where the clipped operator of the interpolant carries an
-    irreducible boundary-layer error."""
-    ps = uniform_interval(n + 2)
-    basis = GmqBasis(ps.points, FracParams(1, alpha), eps, K=K)
-    row, lam, _ = solve_row(ps, basis, f_nodes)
-    row.n = n
-
-    tp = uniform_interval(n + 1).interior
-    if window is not None:
-        tp = tp[np.abs(tp[:, 0]) < window - 1e-12]
-    u_tp, f_tp = exact(tp)
-    row.e = rms_error(u_tp, evaluate_interpolant(lam, basis, tp))
-    row.ehat = rms_error(f_tp, forward_frac_lap_clipped(lam, basis, tp))
-    return row
 
 
 def _compact_table(label, p, alpha, eps, K, ns):
     """Convergence sweep for the compact profile u = (1-x^2)^p_+."""
     rep = RunReport(label, meta=dict(d=1, alpha=alpha, eps=eps, eps_mode="absolute",
                                      case=f"compact p={p:g}", K=K))
-    exact = lambda x: case2(1, alpha, p, x)
-    for n in ns:
-        rep.add(_interval_row(n, alpha, eps, K, lambda x: exact(x)[1], exact))
-    return rep
+    return steady_table(rep, alpha, ((uniform_interval(n + 2), eps) for n in ns),
+                        functools.partial(case2, 1, alpha, p), K)
 
 
 def preset_table2(alpha=1.2, eps=1.5, K=48, ns=(2, 4, 8, 16)):
@@ -283,27 +309,12 @@ def preset_table4(alpha=1.2, K=48, ns=(256, 512, 1024, 2048)):
     inside the support |x| < 1/2, where the closed form holds."""
     rep = RunReport("table4", meta=dict(d=1, alpha=alpha, eps_mode="2h (h=2/N)",
                                         case="compact p=alpha, scale 2", K=K))
-    exact = lambda x: case2_scaled(1, alpha, alpha, 2.0, x)
-    for n in ns:
-        rep.add(_interval_row(n, alpha, 4.0 / n, K, lambda x: _scaled_rhs(alpha, x),
-                              exact, window=0.5))
-    return rep
+    return steady_table(rep, alpha, ((uniform_interval(n + 2), 4.0 / n) for n in ns),
+                        functools.partial(case2_scaled, 1, alpha, alpha, 2.0), K,
+                        f=functools.partial(_scaled_rhs, alpha), window=0.5)
 
 
 # 2D convergence tables --------------------------------------------------------
-
-
-def _disk_table(rep, alpha, layouts, exact, K, M, g=None):
-    """One solve per (point set, eps) of layouts with f from exact(x) =
-    (u, f); E against u on the disk measurement grid."""
-    tp = test_points_disk()
-    u_tp, _ = exact(tp)
-    for ps, eps in layouts:
-        basis = GmqBasis(ps.points, FracParams(2, alpha), eps, K=K, M=M)
-        row, lam, _ = solve_row(ps, basis, lambda x: exact(x)[1], g=g)
-        row.e = rms_error(u_tp, evaluate_interpolant(lam, basis, tp))
-        rep.add(row)
-    return rep
 
 
 def preset_table5(alpha=1.0, eps=1.5, K=48, M=96, levels=(3, 5, 7, 9, 11)):
@@ -315,8 +326,8 @@ def preset_table5(alpha=1.0, eps=1.5, K=48, M=96, levels=(3, 5, 7, 9, 11)):
     rep = RunReport("table5", meta=dict(d=2, alpha=alpha, eps=eps, eps_mode="absolute",
                                         case="smooth", K=K, M=M))
     g = GmqProfile(np.zeros(2), 1.0, -1.5)
-    return _disk_table(rep, alpha, ((polar_layout(lvl, lvl), eps) for lvl in levels),
-                       lambda x: case1(2, alpha, x), K, M, g=g)
+    return steady_table(rep, alpha, ((polar_layout(lvl, lvl), eps) for lvl in levels),
+                        functools.partial(case1, 2, alpha), K, M, g=g)
 
 
 def preset_table6(alpha=1.2, K=32, M=64, hs=(0.5, 0.25, 0.125, 0.0625, 0.03125)):
@@ -325,8 +336,8 @@ def preset_table6(alpha=1.2, K=32, M=64, hs=(0.5, 0.25, 0.125, 0.0625, 0.03125))
     rep = RunReport("table6", meta=dict(d=2, alpha=alpha, eps_mode="2h (h=grid step)",
                                         case="compact p=1+alpha/2", K=K, M=M))
     p = 1.0 + alpha / 2.0
-    return _disk_table(rep, alpha, ((disk_grid(h), 2.0 * h) for h in hs),
-                       lambda x: case2(2, alpha, p, x), K, M)
+    return steady_table(rep, alpha, ((disk_grid(h), 2.0 * h) for h in hs),
+                        functools.partial(case2, 2, alpha, p), K, M)
 
 
 # figure presets ---------------------------------------------------------------

@@ -80,14 +80,15 @@ def test_configuration_errors_exit_one(argv, capsys):
     (["evolve", "--L", "3", "--t-end", "inf"], "t_end"),
     (["evolve", "--L", "3", "--t-end", "nan"], "t_end"),
     (["evolve", "--L", "3", "--dt", "1e-300", "--t-end", "1e10"], "t_end/dt"),
+    (["evolve", "--L", "3", "--dt", "1e-9", "--t-end", "1"], "steps"),
     (["evolve", "--L", "3", "--chi", "nan"], "chi"),
     (["qg", "--L", "3", "--kappa", "nan"], "kappa"),
     (["qg", "--L", "3", "--kappa", "inf"], "kappa"),
     (["solve", "--p", "inf", "--n", "4"], "p"),
     (["solve", "--p", "nan", "--n", "4"], "p"),
 ], ids=["forward-eps-inf", "solve-eps-factor-inf", "preset-eps-inf", "evolve-dt-inf",
-        "evolve-t-end-inf", "evolve-t-end-nan", "evolve-step-count", "evolve-chi-nan",
-        "qg-kappa-nan", "qg-kappa-inf", "solve-p-inf", "solve-p-nan"])
+        "evolve-t-end-inf", "evolve-t-end-nan", "evolve-step-count", "evolve-step-bound",
+        "evolve-chi-nan", "qg-kappa-nan", "qg-kappa-inf", "solve-p-inf", "solve-p-nan"])
 def test_non_finite_values_exit_one(argv, name, capsys):
     # each value is refused where it is consumed, before any result is printed
     assert _exit_code(argv + ["--quad-K", "16"]) == 1
@@ -170,8 +171,9 @@ def test_forward_single_run(capsys):
     out = capsys.readouterr().out
     assert "alpha=0.8" in out
     assert "Ehat" in out
-    # one data row for the single requested size (8 interior + 2 ends)
-    assert any(line.strip().startswith("10") for line in out.splitlines())
+    # one data row for the single requested size; N counts the 8 interior
+    # points, as the 1D tables do
+    assert any(line.strip().startswith("8 ") for line in out.splitlines())
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -205,6 +207,32 @@ def test_smooth_disk_sweep_error(argv, n, column, value, capsys):
     header, row = lines[1].split(), lines[2].split()
     assert int(row[0]) == n
     assert float(row[header.index(column)]) == pytest.approx(value, rel=1e-3)
+
+
+def test_smooth_interval_solve_ehat(capsys):
+    # the 1D smooth case has a nonzero exterior datum; Ehat compares the
+    # clipped operator with f plus the datum's tail, as the collocation rows do
+    # (dropping the tail gives Ehat 0.50)
+    assert cli.main(["solve", "--dim", "1", "--case", "smooth", "--n", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header, row = lines[1].split(), lines[2].split()
+    assert int(row[0]) == 8
+    assert float(row[header.index("Ehat")]) == pytest.approx(2.259e-4, rel=1e-3)
+
+
+@pytest.mark.parametrize("argv, preset", [
+    (["solve", "--dim", "1"], "table2"),
+    (["solve", "--dim", "2", "--case", "smooth", "--alpha", "1", "--eps", "1.5",
+      "--quad-K", "48", "--quad-M", "96"], "table5"),
+], ids=["table2", "table5"])
+def test_solve_sweep_is_the_table(argv, preset, tmp_path, capsys):
+    # the sweep runs the presets' table loop, so its first four rows are the
+    # table's, every cell (N, E, Ehat, both rates and cond) alike
+    assert cli.main(argv + ["--out", str(tmp_path / "sweep")]) == 0
+    assert cli.main(["preset", preset, "--out", str(tmp_path / "preset")]) == 0
+    sweep, table = ((tmp_path / d / "results.csv").read_text().splitlines()
+                    for d in ("sweep", "preset"))
+    assert sweep[:5] == table[:5]
 
 
 @pytest.mark.parametrize("argv, disk", [

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from fracrbf import checks, harness, linsys
 from fracrbf.dynamics import anisotropy_ratio, qg_operators
-from fracrbf.geometry import disk_grid, polar_layout
+from fracrbf.geometry import disk_grid, polar_layout, uniform_interval
 from fracrbf.harness import (PRESETS, RunReport, RunRow, convergence_rate,
                              preset_fig_disk, preset_table2, preset_table3,
                              preset_table4, preset_table5, preset_table6, rms_error,
@@ -27,11 +27,18 @@ from reference import write_anisotropy_ref, write_snapshots_ref
 
 
 def test_measurement_grids():
-    tp = harness.test_points_disk()
+    tp = harness.measurement_points(polar_layout(3, 3))
     assert tp.shape == (2561, 2)
     r = np.linalg.norm(tp, axis=1)
     assert r[0] == 0.0
     assert np.max(r) == pytest.approx(0.95)
+    # on the disk the grid does not depend on the point set
+    assert np.array_equal(harness.measurement_points(disk_grid(0.25)), tp)
+    # on the interval with n = 8 interior nodes: the n-1 interior points of
+    # the grid of spacing 2/n, cut to |x| < window when one is given
+    ps, companion = uniform_interval(10), uniform_interval(9).interior
+    assert np.array_equal(harness.measurement_points(ps), companion)
+    assert np.array_equal(harness.measurement_points(ps, window=0.5), companion[2:5])
 
 
 def test_rms_error_examples():

@@ -156,7 +156,7 @@ def test_grad_matches_finite_differences():
     (polar_layout(11, 11).points, None),
     (disk_grid(1.0 / 8.0).points, None),
     (clipped_grid(1.0 / 16.0).points, None),
-    (harness.test_points_disk(), disk_grid(1.0 / 8.0).points),
+    (harness.measurement_points(disk_grid(1.0 / 8.0)), disk_grid(1.0 / 8.0).points),
 ], ids=["interval", "polar", "lattice", "embedded", "rectangular"])
 def test_sq_dist_matches_broadcast_bitwise(points, centers):
     # the blocks' r^2 must equal the explicit difference-square-sum exactly,
