@@ -89,10 +89,9 @@ class RadialPowerProfile:
         return sum(_outer_smooth_term(term, alpha, self.center, x, r0) for term in self.terms)
 
 
-def gmq_profile(d, alpha, eps, center=None):
-    """Basis profile (eps^2 + |y-c|^2)^((alpha-d)/2)."""
-    c = np.zeros(d) if center is None else np.asarray(center, dtype=float)
-    return RadialPowerProfile(c, ((1.0, eps * eps, 1.0, (alpha - d) / 2.0),))
+def gmq_profile(d, alpha, eps):
+    """Basis profile (eps^2 + |y|^2)^((alpha-d)/2)."""
+    return RadialPowerProfile(np.zeros(d), ((1.0, eps * eps, 1.0, (alpha - d) / 2.0),))
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from fracrbf.exterior import GmqProfile
 from fracrbf.geometry import disk_grid, polar_layout, uniform_interval
 from fracrbf.harness import (PRESETS, RunReport, RunRow, measurement_points, mixed_run,
                              residual_error, snapshot_files, steady_table, table_n, vortex_run,
                              write_files)
-from fracrbf.oracles import case1, case2
+from fracrbf.oracles import case1, case1_datum, case2
 from fracrbf.rbf import GmqBasis
 from fracrbf.specialfun import FracParams
 from fracrbf.steady import interpolate
@@ -178,8 +177,7 @@ def _print_report(rep):
 def _case_funcs(args, kind, dim, alpha):
     """(exact, exterior profile or None) for case kind, exact(x) = (u, f)."""
     if kind == "smooth":
-        g = GmqProfile(np.zeros(dim), 1.0, -(dim + 1) / 2.0)
-        return functools.partial(case1, dim, alpha), g
+        return functools.partial(case1, dim, alpha), case1_datum(dim)
     return functools.partial(case2, dim, alpha, _pick(args.p, 1.0)), None
 
 
@@ -187,13 +185,16 @@ def _sweep(args, dim):
     """The point sets of a sweep: n = 2..32 interior points in 1D (or --n),
     polar layouts L = J = 3..9 on the disk (or the one set _disk_set picks)."""
     if dim == 1:
+        if args.n is not None and args.n < 2:
+            # the measurement grid of n interior nodes has n - 1 points
+            raise ValueError(f"--n {args.n}: a 1D sweep needs n >= 2 interior nodes")
         ns = [2, 4, 8, 16, 32] if args.n is None else [args.n]
         return [uniform_interval(n + 2) for n in ns]
     ps = _disk_set(args, lambda: None)
     return [polar_layout(lvl, lvl) for lvl in (3, 5, 7, 9)] if ps is None else [ps]
 
 
-def _forward_table(rep, alpha, layouts, exact, K, M, g=None):
+def _forward_table(rep, alpha, layouts, exact, K, M, g):
     """Interpolate u at all N points of each layout; Ehat is the residual of
     the clipped operator at the measurement points. u is sampled without f,
     which has no closed form at the points on the boundary."""

@@ -21,13 +21,12 @@ import numpy as np
 
 from fracrbf.dynamics import (EvolutionConfig, _check_chi, _check_kappa, anisotropy_ratio,
                               crank_nicolson_mixed, mixed_operators, qg_operators, run_qg)
-from fracrbf.exterior import GmqProfile, exterior_data_correction
-from fracrbf.geometry import as_points, clipped_grid, disk_grid, polar_layout, uniform_interval
+from fracrbf.exterior import exterior_data_correction
+from fracrbf.geometry import clipped_grid, disk_grid, polar_layout, uniform_interval
 from fracrbf.linsys import assemble, condition_estimate
-from fracrbf.oracles import case1, case2, case2_scaled
-from fracrbf.quadrature import gauss_legendre_01
+from fracrbf.oracles import case1, case1_datum, case2, case2_scaled
 from fracrbf.rbf import GmqBasis, phi_block
-from fracrbf.specialfun import FracParams, coeff_c, gamma_fn
+from fracrbf.specialfun import FracParams, gamma_fn
 from fracrbf.steady import evaluate_interpolant, forward_frac_lap_clipped, solve_poisson
 
 __all__ = [
@@ -235,18 +234,17 @@ def solve_row(ps, basis, f, g=None):
     return RunRow(n=table_n(ps), cond=condition_estimate(basis, a), seconds=seconds), lam, u
 
 
-def steady_table(rep, alpha, layouts, exact, K, M=64, f=None, g=None, window=None):
+def steady_table(rep, alpha, layouts, exact, K, M=64, g=None, window=None):
     """The steady convergence tables and `fracrbf solve`: one solve_row per
     (point set, eps) of layouts, added to rep and returned in it.
 
-    exact(x) = (u, f) is the closed form. The equation rows take f from it,
-    or from f(x) when given, and the exterior datum g; E is measured against
-    u at measurement_points(ps, window), and on the interval Ehat too."""
-    f = f or (lambda x: exact(x)[1])
+    exact(x) = (u, f) is the closed form. The equation rows take f from it
+    and the exterior datum g; E is measured against u at
+    measurement_points(ps, window), and on the interval Ehat too."""
     for ps, eps in layouts:
         d = ps.points.shape[1]
         basis = GmqBasis(ps.points, FracParams(d, alpha), eps, K=K, M=M)
-        row, lam, _ = solve_row(ps, basis, f, g=g)
+        row, lam, _ = solve_row(ps, basis, lambda x: exact(x)[1], g=g)
         tp = measurement_points(ps, window)
         u_tp, f_tp = exact(tp)
         row.e = rms_error(u_tp, evaluate_interpolant(lam, basis, tp))
@@ -278,40 +276,15 @@ def preset_table3(alpha=1.2, eps=1.5, K=48, ns=(2, 4, 8, 16)):
     return _compact_table("table3", 2.0, alpha, eps, K, ns)
 
 
-def _scaled_rhs(alpha, xs):
-    """Right-hand side for the interior-singularity profile u=(1-|2x|^2)^alpha_+.
-
-    Inside the support the closed form applies; outside it the operator
-    reduces to -c * int u(y)/|x-y|^(1+alpha) dy over the support, computed
-    with the substitution y = sin(t)/2 that turns u into cos(t)^(2*alpha)
-    and removes the endpoint singularity of the integrand (200 Gauss points)."""
-    xs = as_points(xs, 1)[:, 0]
-    out = np.empty_like(xs)
-    inside = np.abs(xs) < 0.5
-    if np.any(inside):
-        _, out[inside] = case2_scaled(1, alpha, alpha, 2.0, xs[inside])
-    if np.any(np.logical_not(inside)):
-        nodes, weights = gauss_legendre_01(200)
-        t = -np.pi / 2.0 + np.pi * nodes
-        w = np.pi * weights * 0.5 * np.cos(t) * np.cos(t) ** (2.0 * alpha)
-        y = 0.5 * np.sin(t)
-        c = coeff_c(FracParams(1, alpha))
-        xe = xs[np.logical_not(inside)]
-        out[np.logical_not(inside)] = -c * np.sum(w / np.abs(xe[:, None] - y) ** (1.0 + alpha),
-                                                  axis=1)
-    return out
-
-
 def preset_table4(alpha=1.2, K=48, ns=(256, 512, 1024, 2048)):
     """Interior-singularity regime: u = (1-|2x|^2)^alpha_+ with the shape
     parameter tied to the spacing (eps = 4/n); the kink inside the domain
     caps the rate at about 1/2 regardless of alpha. Errors are measured
-    inside the support |x| < 1/2, where the closed form holds."""
+    inside the support |x| < 1/2."""
     rep = RunReport("table4", meta=dict(d=1, alpha=alpha, eps_mode="2h (h=2/N)",
                                         case="compact p=alpha, scale 2", K=K))
     return steady_table(rep, alpha, ((uniform_interval(n + 2), 4.0 / n) for n in ns),
-                        functools.partial(case2_scaled, 1, alpha, alpha, 2.0), K,
-                        f=functools.partial(_scaled_rhs, alpha), window=0.5)
+                        functools.partial(case2_scaled, 1, alpha, alpha, 2.0), K, window=0.5)
 
 
 # 2D convergence tables --------------------------------------------------------
@@ -325,9 +298,8 @@ def preset_table5(alpha=1.0, eps=1.5, K=48, M=96, levels=(3, 5, 7, 9, 11)):
     conditioning; expect near-spectral decay of E."""
     rep = RunReport("table5", meta=dict(d=2, alpha=alpha, eps=eps, eps_mode="absolute",
                                         case="smooth", K=K, M=M))
-    g = GmqProfile(np.zeros(2), 1.0, -1.5)
     return steady_table(rep, alpha, ((polar_layout(lvl, lvl), eps) for lvl in levels),
-                        functools.partial(case1, 2, alpha), K, M, g=g)
+                        functools.partial(case1, 2, alpha), K, M, g=case1_datum(2))
 
 
 def preset_table6(alpha=1.2, K=32, M=64, hs=(0.5, 0.25, 0.125, 0.0625, 0.03125)):

@@ -1,15 +1,18 @@
 """Closed-form reference solutions: the (u, f) pairs that the presets and
-the CLI measure errors against, as arrays of one value per point.
-`fracrbf.checks` checks them by direct hypersingular integration."""
+the CLI measure errors against, as arrays of one value per point, and the
+smooth case's exterior datum. `fracrbf.checks` and the tests check them by
+direct hypersingular integration."""
 
 import math
 
 import numpy as np
 
+from fracrbf.exterior import GmqProfile
 from fracrbf.geometry import as_points
-from fracrbf.specialfun import FracParams, gamma_fn, gauss_2f1
+from fracrbf.quadrature import gauss_legendre_01
+from fracrbf.specialfun import FracParams, coeff_c, gamma_fn, gauss_2f1
 
-__all__ = ["case1", "case2", "case2_scaled"]
+__all__ = ["case1", "case1_datum", "case2", "case2_scaled"]
 
 
 def _radii2(x, d):
@@ -40,6 +43,12 @@ def case1(d, alpha, x, f_required=True):
     return u, f
 
 
+def case1_datum(d):
+    """Case 1's u outside the domain, as the exterior datum the collocation
+    rows and the residual take through the tail correction."""
+    return GmqProfile(np.zeros(d), 1.0, -(d + 1) / 2.0)
+
+
 def case2(d, alpha, p, x, f_required=True):
     """Compact-support benchmark: u = (1-|x|^2)_+^p with closed-form f."""
     FracParams(d, alpha)
@@ -64,11 +73,28 @@ def case2(d, alpha, p, x, f_required=True):
 def case2_scaled(d, alpha, p, scale, x):
     """Interior-singularity benchmark: u(x) = (1-|scale*x|^2)_+^p.
 
-    By the scaling property, f(x) = scale^alpha * f_case2(scale*x), valid
-    only where |scale*x| < 1; elsewhere it raises a domain error.
+    Inside the support, by the scaling property, f(x) = scale^alpha *
+    f_case2(scale*x). Outside it f(x) = -c int u(y)/|x-y|^(d+alpha) dy: on
+    the interval by 200 Gauss points after y = sin(t)/scale, which turns u
+    into cos(t)^(2p) and removes the endpoint singularity of the integrand;
+    on the disk it raises a domain error.
     """
     scale = float(scale)
     if scale <= 0.0:
         raise ValueError("scale must be positive")
-    u, f = case2(d, alpha, p, as_points(x, d) * scale)
-    return u, scale ** alpha * f
+    pts = as_points(x, d)
+    scaled = pts * scale
+    inside = _radii2(scaled, d) < 1.0
+    if d != 1 or np.all(inside):
+        u, f = case2(d, alpha, p, scaled)
+        return u, scale ** alpha * f
+    u, _ = case2(1, alpha, p, scaled, f_required=False)
+    f = np.empty_like(u)
+    f[inside] = scale ** alpha * case2(1, alpha, p, scaled[inside])[1]
+    nodes, weights = gauss_legendre_01(200)
+    t = -np.pi / 2.0 + np.pi * nodes
+    w = np.pi * weights / scale * np.cos(t) * np.cos(t) ** (2.0 * p)
+    y = np.sin(t) / scale
+    f[~inside] = -coeff_c(FracParams(1, alpha)) * np.sum(
+        w / np.abs(pts[~inside] - y) ** (1.0 + alpha), axis=1)
+    return u, f

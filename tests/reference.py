@@ -1,5 +1,6 @@
 """Test-only references: inverse-power and compactly supported profiles for
-`fracrbf.checks.hypersingular_oracle`, a brute-force exterior tail, and the
+`fracrbf.checks.hypersingular_oracle`, a brute-force exterior tail,
+`table4`'s forcing as the harness composed it around `case2`, and the
 out-of-place forms of the kernel blocks, tail factors, tail product and
 1-norm that the solver computes in place with the same operations, the
 Gauss rule with its recurrence written out twice, and the field, snapshot
@@ -19,6 +20,7 @@ from scipy.linalg import get_lapack_funcs
 from fracrbf.exterior import TailFactors
 from fracrbf.geometry import as_points
 from fracrbf.checks import RadialPowerProfile, _gauss_panels
+from fracrbf.oracles import case2
 from fracrbf.quadrature import gauss_legendre_01, periodic_rule
 from fracrbf.rbf import _sq_dist
 from fracrbf.specialfun import FracParams, coeff_c, coeff_mu
@@ -167,6 +169,31 @@ def tail_oracle(v, d, alpha, x):
 
     val, _ = integrate.quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-10, limit=300)
     return c * 2.0 * np.pi * val
+
+
+def scaled_rhs_ref(alpha, xs):
+    """(u, f) of table4's u = (1-|2x|^2)_+^alpha at 1D points xs, f composed
+    as the harness did before `oracles.case2_scaled` covered the exterior of
+    the support: the closed form of case 2, scaled, inside |x| < 1/2, and
+    outside it -c * int u(y)/|x-y|^(1+alpha) dy over the support, with the
+    substitution y = sin(t)/2 that turns u into cos(t)^(2*alpha) and removes
+    the endpoint singularity of the integrand (200 Gauss points)."""
+    xs = as_points(xs, 1)[:, 0]
+    u, _ = case2(1, alpha, alpha, as_points(xs, 1) * 2.0, f_required=False)
+    out = np.empty_like(xs)
+    inside = np.abs(xs) < 0.5
+    if np.any(inside):
+        out[inside] = 2.0 ** alpha * case2(1, alpha, alpha, as_points(xs[inside], 1) * 2.0)[1]
+    if np.any(np.logical_not(inside)):
+        nodes, weights = gauss_legendre_01(200)
+        t = -np.pi / 2.0 + np.pi * nodes
+        w = np.pi * weights * 0.5 * np.cos(t) * np.cos(t) ** (2.0 * alpha)
+        y = 0.5 * np.sin(t)
+        c = coeff_c(FracParams(1, alpha))
+        xe = xs[np.logical_not(inside)]
+        out[np.logical_not(inside)] = -c * np.sum(w / np.abs(xe[:, None] - y) ** (1.0 + alpha),
+                                                  axis=1)
+    return u, out
 
 
 # Out-of-place references. Each expression below is the one the solver used

@@ -98,6 +98,21 @@ def test_non_finite_values_exit_one(argv, name, capsys):
     assert re.search(rf"\b{re.escape(name)}\b", captured.err)
 
 
+@pytest.mark.parametrize("command", ["solve", "forward"])
+def test_interval_with_one_interior_node_exits_one(command, monkeypatch, capsys):
+    # --n counts interior nodes; one leaves the measurement grid empty, so
+    # the sweep is refused before any system is assembled or interpolated
+    def built(*args, **kwargs):
+        raise AssertionError("a system was built")
+    monkeypatch.setattr(harness, "assemble", built)
+    monkeypatch.setattr(cli, "interpolate", built)
+    assert _exit_code([command, "--dim", "1", "--n", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --n 1:")
+    assert "n >= 2 interior nodes" in captured.err
+
+
 def test_evolve_and_qg_read_point_set_flags_alike(monkeypatch):
     # stop each run at its first use of the point set and record its size
     seen = []

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from fracrbf.checks import RadialPowerProfile, gmq_profile, hypersingular_oracle
+from fracrbf.geometry import uniform_interval
+from fracrbf.harness import measurement_points
 from fracrbf.oracles import case1, case2, case2_scaled
-from reference import inverse_power_profile, tail_oracle, truncated_profile
+from reference import inverse_power_profile, scaled_rhs_ref, tail_oracle, truncated_profile
 
 
 def _fd_laplacian(profile, x, h=1e-4):
@@ -35,7 +37,8 @@ def test_profile_value_and_support():
 def test_profile_laplacian_matches_finite_differences():
     cases = [
         (gmq_profile(1, 1.2, 0.7), np.array([0.31])),
-        (gmq_profile(2, 0.8, 1.3, center=[0.2, -0.1]), np.array([0.4, 0.25])),
+        (RadialPowerProfile(np.array([0.2, -0.1]), ((1.0, 1.3 * 1.3, 1.0, (0.8 - 2.0) / 2.0),)),
+         np.array([0.4, 0.25])),
         (inverse_power_profile(2, 3.0), np.array([0.3, 0.6])),
         (truncated_profile(2, 2.5), np.array([0.2, 0.3])),
     ]
@@ -115,8 +118,9 @@ def test_case2_scaled_consistency():
     u_r, f_r = case2(d, alpha, p, scale * xs)
     assert np.allclose(u_s, u_r, atol=1e-15)
     assert np.allclose(f_s, scale ** alpha * f_r, rtol=1e-14)
+    # outside the support f has a 1D quadrature route only
     with pytest.raises(ValueError):
-        case2_scaled(d, alpha, p, scale, np.array([0.9]))
+        case2_scaled(2, alpha, p, scale, np.array([0.6, 0.0]))
 
 
 def test_case2_scaled_oracle_route():
@@ -126,6 +130,26 @@ def test_case2_scaled_oracle_route():
     _, f = case2_scaled(d, alpha, p, scale, x)
     got = hypersingular_oracle(prof, d, alpha, x)
     assert got == pytest.approx(f, rel=1e-7)
+
+
+@pytest.mark.parametrize("alpha, p", [(1.2, 1.2), (0.8, 2.0), (1.6, 1.6), (0.4, 0.4)])
+def test_case2_scaled_outside_support_matches_oracle(alpha, p):
+    # the Gauss rule after y = sin(t)/scale against the direct integral
+    prof = truncated_profile(1, p, scale=2.0)
+    xs = np.array([0.55, 0.7, 0.95])
+    _, f = case2_scaled(1, alpha, p, 2.0, xs)
+    for x, fx in zip(xs, f):
+        assert fx == pytest.approx(hypersingular_oracle(prof, 1, alpha, np.array([x])), rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [256, 2048])
+def test_case2_scaled_is_table4s_forcing_bit_for_bit(n):
+    # table4's nodes and measurement grid, against the composition the
+    # harness used before case2_scaled covered the exterior of the support
+    ps = uniform_interval(n + 2)
+    for x in (ps.interior, measurement_points(ps, window=0.5)):
+        for got, ref in zip(case2_scaled(1, 1.2, 1.2, 2.0, x), scaled_rhs_ref(1.2, x)):
+            assert np.array_equal(got, ref)
 
 
 def test_tail_oracle_compact_support_shortcut():
