@@ -10,6 +10,7 @@ import argparse
 import functools
 import inspect
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -197,12 +198,15 @@ def _sweep(args, dim):
 def _forward_table(rep, alpha, layouts, exact, K, M, g):
     """Interpolate u at all N points of each layout; Ehat is the residual of
     the clipped operator at the measurement points. u is sampled without f,
-    which has no closed form at the points on the boundary."""
+    which has no closed form at the points on the boundary. A row's seconds
+    cover the basis build through the residual."""
     for ps, eps in layouts:
+        t0 = time.perf_counter()
         basis = GmqBasis(ps.points, FracParams(ps.points.shape[1], alpha), eps, K=K, M=M)
         lam = interpolate(basis, exact(ps.points, f_required=False)[0])
         tp = measurement_points(ps)
-        rep.add(RunRow(n=table_n(ps), ehat=residual_error(lam, basis, tp, exact(tp)[1], g)))
+        ehat = residual_error(lam, basis, tp, exact(tp)[1], g)
+        rep.add(RunRow(n=table_n(ps), ehat=ehat, seconds=time.perf_counter() - t0))
     return rep
 
 

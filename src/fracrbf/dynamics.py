@@ -2,10 +2,11 @@
 local/nonlocal diffusion model and the Shu-Osher SSP-RK3 scheme for the
 quasi-geostrophic system.
 
-Every stepper takes and returns interior nodal values only. Zero exterior
-data is enforced structurally through the reduced operators from
-nodal_operator, so boundary rows never enter the time loop and the
-implicit matrix is fixed for the whole run.
+Every stepper takes and returns interior nodal values only. Each operator
+is a block of operator rows times the (n_total, n_interior) coefficient map
+of nodal_operator, so zero exterior data is enforced structurally, boundary
+rows never enter the time loop and the implicit matrix is fixed for the
+whole run.
 """
 
 from dataclasses import dataclass, replace
@@ -109,25 +110,27 @@ def _check_kappa(kappa):
 
 
 def mixed_operators(ps, basis):
-    """The fractional and the classical Laplacian on interior nodal values,
-    stacked as one (2n, n) array; one coefficient map serves both, and the
+    """The pair (fractional, classical) of Laplacians on interior nodal
+    values, each an (n, n) array; one coefficient map serves both, and the
     system is freed before this returns."""
     s = assemble(ps, basis).s
-    n = ps.n_interior
-    return nodal_operator(ps, basis, rows=(s[:n], classical_lap_block(basis, ps.interior)))
+    coeff_map = nodal_operator(ps, basis)
+    return s[:ps.n_interior] @ coeff_map, classical_lap_block(basis, ps.interior) @ coeff_map
 
 
 def crank_nicolson_mixed(ops, cfg, u0, chi):
     """Trapezoidal stepping of u_t + [chi*fractional + (1-chi)*classical]u = 0
-    from the interior nodal values u0, with ops from mixed_operators.
+    from the interior nodal values u0, with ops the pair (fractional,
+    classical) from mixed_operators.
 
     The implicit matrix is factored once and reused for every step. Returns
     (times, fields) at the snapshot steps, fields rowed by time.
     """
     _check_chi(chi)
-    n = ops.shape[1]
+    frac, lap = ops
+    n = frac.shape[1]
     u = _initial(u0, n)
-    a = chi * ops[:n] + (1.0 - chi) * ops[n:]
+    a = chi * frac + (1.0 - chi) * lap
     eye = np.eye(n)
     lhs = _factor(eye + 0.5 * cfg.dt * a)
     rhs = eye - 0.5 * cfg.dt * a
@@ -182,12 +185,13 @@ def qg_operators(ps, basis):
     half = replace(basis, params=FracParams(2, 1.0))
     s = assemble(ps, half).s
     gx, gy = grad_blocks(half, ps.interior)
+    coeff_map = nodal_operator(ps, half)
     local = np.empty((3 * n, n))
     if basis.params.alpha == 1.0:
-        nodal_operator(ps, half, rows=(s[:n], gx, gy), out=local)
-    else:
-        nodal_operator(ps, half, rows=(gx, gy), out=local[n:])
-    del gx, gy
+        np.matmul(s[:n], coeff_map, out=local[:n])
+    np.matmul(gx, coeff_map, out=local[n:2 * n])
+    np.matmul(gy, coeff_map, out=local[2 * n:])
+    del gx, gy, coeff_map
     # (A_top S^{-1})[:, :n] = -P, so u1 = -dy P theta = dy (-P) theta; S is
     # factored in its own buffer, after its equation rows were read above
     minus_p = sla.lu_solve(_factor(s), phi_block(half, ps.interior).T, trans=1).T[:, :n]
@@ -199,7 +203,7 @@ def qg_operators(ps, basis):
     del minus_p
     if basis.params.alpha != 1.0:
         s = assemble(ps, basis).s
-        nodal_operator(ps, basis, rows=(s[:n],), out=local[:n])
+        np.matmul(s[:n], nodal_operator(ps, basis), out=local[:n])
     return QgOperators(local=local, velocity=velocity)
 
 

@@ -141,27 +141,13 @@ def condition_estimate(basis, a):
     return 1.0 / float(rcond)
 
 
-def nodal_operator(ps, basis, rows, out=None):
-    """Square operators on nodal interior values of the point set ps.
-
-    Columns 0..n_interior-1 of the inverse of basis's A_phi turn interior
-    nodal values (with zero boundary values) into coefficients; each block
-    of the tuple `rows` maps them to operator values at the interior points.
-    The blocks share that one solve; their operators are stacked in order,
-    into `out` when it is passed, each block multiplied on its own.
-    """
+def nodal_operator(ps, basis):
+    """The coefficient map of basis on the point set ps: columns
+    0..n_interior-1 of the inverse of A_phi, an (n_total, n_interior) array
+    that turns interior nodal values (with zero boundary values) into
+    coefficients. A block of operator rows times it is that operator on
+    interior nodal values."""
     n_int = ps.n_interior
     rhs = np.zeros((ps.n_total, n_int))
     rhs[:n_int, :] = np.eye(n_int)
-    coeff_map = sla.lu_solve(_phi_factor(basis), rhs)
-    blocks = [np.asarray(w, dtype=float) for w in rows]
-    shape = (sum(w.shape[0] for w in blocks), n_int)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape:
-        raise ValueError(f"out has shape {out.shape}, the stacked operators {shape}")
-    start = 0
-    for w in blocks:
-        np.matmul(w, coeff_map, out=out[start:start + w.shape[0]])
-        start += w.shape[0]
-    return out
+    return sla.lu_solve(_phi_factor(basis), rhs)

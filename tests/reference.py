@@ -1,6 +1,7 @@
 """Test-only references: inverse-power and compactly supported profiles for
 `fracrbf.checks.hypersingular_oracle`, a brute-force exterior tail,
-`table4`'s forcing as the harness composed it around `case2`, and the
+`table4`'s forcing as the harness composed it around `case2`, the nodal
+operators as `linsys` stacked them from row blocks, and the
 out-of-place forms of the kernel blocks, tail factors, tail product and
 1-norm that the solver computes in place with the same operations, the
 Gauss rule with its recurrence written out twice, and the field, snapshot
@@ -15,10 +16,12 @@ from pathlib import Path
 
 import numpy as np
 from scipy import integrate
+import scipy.linalg as sla
 from scipy.linalg import get_lapack_funcs
 
 from fracrbf.exterior import TailFactors
 from fracrbf.geometry import as_points
+from fracrbf.linsys import _phi_factor
 from fracrbf.checks import RadialPowerProfile, _gauss_panels
 from fracrbf.oracles import case2
 from fracrbf.quadrature import gauss_legendre_01, periodic_rule
@@ -194,6 +197,28 @@ def scaled_rhs_ref(alpha, xs):
         out[np.logical_not(inside)] = -c * np.sum(w / np.abs(xe[:, None] - y) ** (1.0 + alpha),
                                                   axis=1)
     return u, out
+
+
+def nodal_operator_ref(ps, basis, rows, out=None):
+    """The nodal operators of each block of `rows`, stacked in order, as
+    `linsys.nodal_operator` built them before it returned the coefficient
+    map alone: one solve for the map, then each block multiplied on its own,
+    into `out` when it is passed."""
+    n_int = ps.n_interior
+    rhs = np.zeros((ps.n_total, n_int))
+    rhs[:n_int, :] = np.eye(n_int)
+    coeff_map = sla.lu_solve(_phi_factor(basis), rhs)
+    blocks = [np.asarray(w, dtype=float) for w in rows]
+    shape = (sum(w.shape[0] for w in blocks), n_int)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, the stacked operators {shape}")
+    start = 0
+    for w in blocks:
+        np.matmul(w, coeff_map, out=out[start:start + w.shape[0]])
+        start += w.shape[0]
+    return out
 
 
 # Out-of-place references. Each expression below is the one the solver used

@@ -132,7 +132,7 @@ def test_criterion_09_time_stepper_orders():
     ps2 = polar_layout(5, 5)
     basis2 = GmqBasis(ps2.points, FracParams(2, 1.2), 1.0, K=32, M=64)
     s2 = assemble(ps2, basis2).s
-    a = nodal_operator(ps2, basis2, rows=(s2[:ps2.n_interior],))
+    a = s2[:ps2.n_interior] @ nodal_operator(ps2, basis2)
     op = lambda u: -(a @ u)
     v0 = np.exp(-2.0 * np.sum(ps2.interior * ps2.interior, axis=1))
     outs = []

@@ -191,6 +191,21 @@ def test_forward_single_run(capsys):
     assert any(line.strip().startswith("8 ") for line in out.splitlines())
 
 
+@pytest.mark.parametrize("argv, rows", [
+    (["forward", "--dim", "1"], 5),
+    (["forward", "--dim", "2", "--L", "3", "--J", "5", "--quad-K", "16", "--quad-M", "32"], 1),
+], ids=["dim1", "dim2"])
+def test_forward_times_every_row(argv, rows, monkeypatch, capsys):
+    # each row's seconds cover its basis build through its residual; the
+    # RunRow is read, since a short row prints 0.000 at three decimals
+    reports = []
+    monkeypatch.setattr(cli, "_print_report", reports.append)
+    assert cli.main(argv) == 0
+    (rep,) = reports
+    assert len(rep.rows) == rows
+    assert all(r.seconds > 0.0 for r in rep.rows)
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\ndim = 1\nalpha = 0.8\nn = 8\nquad-K = 24\n")

@@ -16,8 +16,9 @@ from fracrbf.dynamics import (EvolutionConfig, QgOperators, anisotropy_ratio,
 from fracrbf.geometry import disk_grid, polar_layout
 from fracrbf.harness import preset_fig_mixed
 from fracrbf.linsys import _factor, assemble, nodal_operator
-from fracrbf.rbf import GmqBasis, grad_blocks, phi_block
+from fracrbf.rbf import GmqBasis, classical_lap_block, grad_blocks, phi_block
 from fracrbf.specialfun import FracParams
+from reference import nodal_operator_ref
 
 
 def _gaussian(width):
@@ -43,7 +44,7 @@ def test_config_validation():
 def test_mixed_stepper_checks_chi(chi):
     n = 3
     with pytest.raises(ValueError, match="chi"):
-        crank_nicolson_mixed(np.zeros((2 * n, n)), EvolutionConfig(dt=0.1, t_end=1.0),
+        crank_nicolson_mixed((np.zeros((n, n)),) * 2, EvolutionConfig(dt=0.1, t_end=1.0),
                              np.ones(n), chi)
 
 
@@ -63,7 +64,7 @@ def test_steppers_check_the_initial_values(u0, message):
     n = 3
     cfg = EvolutionConfig(dt=0.1, t_end=1.0)
     with pytest.raises(ValueError, match=message):
-        crank_nicolson_mixed(np.zeros((2 * n, n)), cfg, u0, 1.0)
+        crank_nicolson_mixed((np.zeros((n, n)),) * 2, cfg, u0, 1.0)
     with pytest.raises(ValueError, match=message):
         run_qg(QgOperators(np.zeros((3 * n, n)), np.zeros((2 * n, n))), cfg, u0, 0.0)
 
@@ -175,10 +176,11 @@ def _per_stage_rhs(ps, eps, alpha, K, M):
     half = GmqBasis(ps.points, FracParams(2, 1.0), eps, K=K, M=M)
     sm = assemble(ps, half)
     gx, gy = grad_blocks(half, ps.interior)
-    dx, dy = nodal_operator(ps, half, rows=(gx,)), nodal_operator(ps, half, rows=(gy,))
+    coeff_map = nodal_operator(ps, half)
+    dx, dy = gx @ coeff_map, gy @ coeff_map
     sm_diss = sm if alpha == 1.0 else assemble(
         ps, GmqBasis(ps.points, FracParams(2, alpha), eps, K=K, M=M))
-    diss = nodal_operator(ps, sm_diss.basis, rows=(sm_diss.s[:n],))
+    diss = sm_diss.s[:n] @ nodal_operator(ps, sm_diss.basis)
 
     s_lu = _factor(sm.s)
 
@@ -245,7 +247,39 @@ def test_mixed_operators_keep_no_system(monkeypatch):
     ps = polar_layout(4, 8)
     ops = mixed_operators(ps, GmqBasis(ps.points, FracParams(2, 1.0), 0.5, K=16, M=32))
     assert len(systems) == 1 and systems[0]() is None
-    assert ops.shape == (2 * ps.n_interior, ps.n_interior)
+    assert [op.shape for op in ops] == [(ps.n_interior, ps.n_interior)] * 2
+
+
+def test_mixed_operators_are_the_stacked_operators_bitwise():
+    # each half is the one GEMM of its row block with the coefficient map;
+    # on OpenBLAS a transposed GEMM gave the same bits on sets up to N=111,
+    # so the sets here (N=211, and N=209 below) tell the order of a product
+    ps = polar_layout(14, 14)
+    basis = GmqBasis(ps.points, FracParams(2, 1.0), 0.5, K=16, M=32)
+    n = ps.n_interior
+    s = assemble(ps, basis).s
+    ref = nodal_operator_ref(ps, basis, rows=(s[:n], classical_lap_block(basis, ps.interior)))
+    frac, lap = mixed_operators(ps, basis)
+    assert np.array_equal(frac, ref[:n]) and np.array_equal(lap, ref[n:])
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_qg_local_operator_is_the_stacked_operators_bitwise(alpha):
+    # the dissipation and both derivatives, as the stacked build made them:
+    # at alpha 1 one map serves all three blocks, otherwise the dissipation
+    # has the map of its own basis
+    ps = disk_grid(0.125)
+    basis = GmqBasis(ps.points, FracParams(2, alpha), 0.1, K=16, M=32)
+    half = GmqBasis(ps.points, FracParams(2, 1.0), 0.1, K=16, M=32)
+    n = ps.n_interior
+    gx, gy = grad_blocks(half, ps.interior)
+    if alpha == 1.0:
+        ref = nodal_operator_ref(ps, half, rows=(assemble(ps, half).s[:n], gx, gy))
+    else:
+        ref = np.empty((3 * n, n))
+        nodal_operator_ref(ps, half, rows=(gx, gy), out=ref[n:])
+        nodal_operator_ref(ps, basis, rows=(assemble(ps, basis).s[:n],), out=ref[:n])
+    assert np.array_equal(qg_operators(ps, basis).local, ref)
 
 
 def test_fig_mixed_solves_one_coefficient_map(monkeypatch):

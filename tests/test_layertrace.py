@@ -1,6 +1,6 @@
 """The benchmark's layer trace (perfbench/layertrace.py, imported as it is)
 against the library: the counts it reads off the tail factors, their
-products and the LU calls of three small presets, in 1D and 2D."""
+products, the LU calls and the time steps of four small presets, in 1D and 2D."""
 
 from pathlib import Path
 
@@ -20,7 +20,12 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
      {"exterior.tail_nodes": 2048, "exterior.tail_flops": 479232, "linsys.lu_count": 1}),
     # one LU of A_phi for the nodal operators, one Crank-Nicolson matrix per chi
     ("fig-mixed", dict(dt=0.1, t_end=0.2), {"linsys.lu_count": 4}),
-], ids=["table2", "table6", "fig-mixed"])
+    # the LUs of A_phi for the coefficient map and of S for the stream map,
+    # then three velocity products per SSP-RK3 step
+    ("fig-qg", dict(grid_h=0.25, t_end=0.08),
+     {"linsys.lu_count": 2, "linsys.lu_flops": 198502, "dynamics.steps": 8,
+      "dynamics.stream_solves": 24}),
+], ids=["table2", "table6", "fig-mixed", "fig-qg"])
 def test_trace_counts(name, kwargs, counts, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layertrace

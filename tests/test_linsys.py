@@ -114,7 +114,7 @@ def test_nodal_operator_reproduces_equation_rows():
     # for any interior nodal vector v, the operator must equal: extend v by
     # zero boundary values, fit coefficients, apply the equation rows
     ps, basis, sm = _system_1d(n=9)
-    a = nodal_operator(ps, basis, rows=(sm.s[:ps.n_interior],))
+    a = sm.s[:ps.n_interior] @ nodal_operator(ps, basis)
     assert a.shape == (ps.n_interior, ps.n_interior)
     rng = np.random.default_rng(5)
     v = rng.standard_normal(ps.n_interior)
@@ -127,7 +127,7 @@ def test_nodal_operator_reproduces_equation_rows():
 def test_nodal_operator_custom_rows():
     ps, basis, sm = _system_1d(n=9)
     rows = classical_lap_block(basis, ps.interior)
-    a = nodal_operator(ps, basis, rows=(rows,))
+    a = rows @ nodal_operator(ps, basis)
     rng = np.random.default_rng(6)
     v = rng.standard_normal(ps.n_interior)
     samples = np.concatenate([v, np.zeros(2)])
