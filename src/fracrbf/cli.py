@@ -10,19 +10,16 @@ import argparse
 import functools
 import inspect
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from fracrbf.geometry import disk_grid, polar_layout, uniform_interval
-from fracrbf.harness import (PRESETS, RunReport, RunRow, measurement_points, mixed_run,
-                             residual_error, snapshot_files, steady_table, table_n, vortex_run,
-                             write_files)
+from fracrbf.harness import (PRESETS, RunReport, forward_table, mixed_run, snapshot_files,
+                             steady_table, vortex_run, write_files)
 from fracrbf.oracles import case1, case1_datum, case2
 from fracrbf.rbf import GmqBasis
 from fracrbf.specialfun import FracParams
-from fracrbf.steady import interpolate
 
 __all__ = ["main"]
 
@@ -87,7 +84,7 @@ def _build_parser(parser_class=_Parser):
         p.set_defaults(func=func)
         return p
 
-    add("forward", functools.partial(_cmd_sweep, table=_forward_table),
+    add("forward", functools.partial(_cmd_sweep, table=forward_table),
         "interpolate an exact profile and sweep the forward-operator residual",
         drop=_TIME_ONLY + ("seed",))
     add("solve", functools.partial(_cmd_sweep, table=steady_table),
@@ -106,7 +103,7 @@ def _build_parser(parser_class=_Parser):
 
 
 def _read_config(path):
-    """The file's key=value lines as --key=value flags."""
+    """The file's key=value lines as --key=value flags, none of them --config."""
     flags = []
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -115,7 +112,10 @@ def _read_config(path):
         if "=" not in line:
             raise ValueError(f"config line without '=': {raw!r}")
         key, val = line.split("=", 1)
-        flags.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
+        key = key.strip().replace("_", "-")
+        if key == "config":
+            raise ValueError(f"config line names another config file: {raw!r}")
+        flags.append(f"--{key}={val.strip()}")
     return flags
 
 
@@ -193,21 +193,6 @@ def _sweep(args, dim):
         return [uniform_interval(n + 2) for n in ns]
     ps = _disk_set(args, lambda: None)
     return [polar_layout(lvl, lvl) for lvl in (3, 5, 7, 9)] if ps is None else [ps]
-
-
-def _forward_table(rep, alpha, layouts, exact, K, M, g):
-    """Interpolate u at all N points of each layout; Ehat is the residual of
-    the clipped operator at the measurement points. u is sampled without f,
-    which has no closed form at the points on the boundary. A row's seconds
-    cover the basis build through the residual."""
-    for ps, eps in layouts:
-        t0 = time.perf_counter()
-        basis = GmqBasis(ps.points, FracParams(ps.points.shape[1], alpha), eps, K=K, M=M)
-        lam = interpolate(basis, exact(ps.points, f_required=False)[0])
-        tp = measurement_points(ps)
-        ehat = residual_error(lam, basis, tp, exact(tp)[1], g)
-        rep.add(RunRow(n=table_n(ps), ehat=ehat, seconds=time.perf_counter() - t0))
-    return rep
 
 
 def _cmd_sweep(args, table):

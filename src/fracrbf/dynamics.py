@@ -247,7 +247,8 @@ def run_qg(ops, cfg, theta0, kappa):
 def anisotropy_ratio(points, values):
     """Eigenvalue ratio (largest/smallest) of the centered second-moment
     matrix weighted by values^2; 1 means isotropic, and the single-vortex
-    runs should relax toward 1. Rotation of the field leaves it unchanged."""
+    runs should relax toward 1. Rotation of the field leaves it unchanged.
+    A smaller eigenvalue within roundoff of the larger means no 2D spread."""
     pts = as_points(points, 2)
     w = np.asarray(values, dtype=float) ** 2
     mass = float(np.sum(w))
@@ -257,6 +258,6 @@ def anisotropy_ratio(points, values):
     dx = pts - ctr
     mom = (dx * w[:, None]).T @ dx / mass
     ev = np.linalg.eigvalsh(mom)
-    if ev[0] <= 0.0:
+    if ev[0] <= np.finfo(float).eps * ev[1]:
         raise ValueError("degenerate field: second-moment matrix not positive")
     return float(ev[1] / ev[0])

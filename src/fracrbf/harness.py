@@ -27,20 +27,18 @@ from fracrbf.linsys import assemble, condition_estimate
 from fracrbf.oracles import case1, case1_datum, case2, case2_scaled
 from fracrbf.rbf import GmqBasis, phi_block
 from fracrbf.specialfun import FracParams, gamma_fn
-from fracrbf.steady import evaluate_interpolant, forward_frac_lap_clipped, solve_poisson
+from fracrbf.steady import (evaluate_interpolant, forward_frac_lap_clipped, interpolate,
+                            solve_poisson)
 
 __all__ = [
     "rms_error",
     "convergence_rate",
-    "measurement_points",
-    "table_n",
-    "residual_error",
-    "RunRow",
     "RunReport",
     "write_files",
     "snapshot_files",
     "solve_row",
     "steady_table",
+    "forward_table",
     "preset_table2",
     "preset_table3",
     "preset_table4",
@@ -254,6 +252,22 @@ def steady_table(rep, alpha, layouts, exact, K, M=64, g=None, window=None):
     return rep
 
 
+def forward_table(rep, alpha, layouts, exact, K, M, g=None):
+    """`fracrbf forward`: interpolate u at all N points of each (point set,
+    eps) of layouts. Ehat is the residual of the clipped operator at the
+    measurement points, with the exterior datum g's tail; u is sampled
+    without f, which has no closed form at the points on the boundary. A
+    row's seconds cover the basis build through the residual."""
+    for ps, eps in layouts:
+        t0 = time.perf_counter()
+        basis = GmqBasis(ps.points, FracParams(ps.points.shape[1], alpha), eps, K=K, M=M)
+        lam = interpolate(basis, exact(ps.points, f_required=False)[0])
+        tp = measurement_points(ps)
+        ehat = residual_error(lam, basis, tp, exact(tp)[1], g)
+        rep.add(RunRow(n=table_n(ps), ehat=ehat, seconds=time.perf_counter() - t0))
+    return rep
+
+
 # 1D convergence tables --------------------------------------------------------
 
 
@@ -388,13 +402,15 @@ def mixed_run(ps, basis, dt, t_end, chis):
 def vortex_run(ps, basis, dt, t_end, kappa):
     """The single-vortex run of fig-qg and `fracrbf qg` on the operators of
     basis: an elongated Gaussian scalar, snapshots at every eighth of the
-    run. The schedule and kappa are checked before the operator build.
-    Returns (times, fields, ratios, seconds): the anisotropy ratio of each
-    snapshot, and seconds timing the operator build and the stepping."""
+    run. The schedule, kappa and the initial field's anisotropy ratio (none
+    without 2D spread) are checked before the operator build. Returns (times,
+    fields, ratios, seconds): the anisotropy ratio of each snapshot, and
+    seconds timing the operator build and the stepping."""
     cfg = _schedule(dt, t_end, 8)
     _check_kappa(kappa)
     x1, x2 = ps.interior.T
     theta0 = np.exp(-4.0 * x1 ** 2 - 64.0 * x2 ** 2)
+    anisotropy_ratio(ps.interior, theta0)
     t0 = time.perf_counter()
     times, fields = run_qg(qg_operators(ps, basis), cfg, theta0, kappa)
     seconds = time.perf_counter() - t0

@@ -105,7 +105,7 @@ def test_interval_with_one_interior_node_exits_one(command, monkeypatch, capsys)
     def built(*args, **kwargs):
         raise AssertionError("a system was built")
     monkeypatch.setattr(harness, "assemble", built)
-    monkeypatch.setattr(cli, "interpolate", built)
+    monkeypatch.setattr(harness, "interpolate", built)
     assert _exit_code([command, "--dim", "1", "--n", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -206,6 +206,15 @@ def test_forward_times_every_row(argv, rows, monkeypatch, capsys):
     assert all(r.seconds > 0.0 for r in rep.rows)
 
 
+def test_config_key_inside_config_file_exits_one(tmp_path, capsys):
+    # the nested file would never be read, so the key is refused, not ignored
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("alpha = 0.8\nconfig = nothere.cfg\n")
+    assert cli.main(["forward", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config file" in err and "'config = nothere.cfg'" in err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\ndim = 1\nalpha = 0.8\nn = 8\nquad-K = 24\n")
@@ -289,6 +298,18 @@ def test_evolve_short_run(capsys):
     assert len(lines) >= 2
     peaks = [float(ln.split("peak=")[1].split()[0]) for ln in lines]
     assert peaks[-1] < peaks[0]
+
+
+@pytest.mark.parametrize("flags", [["--L", "1"], ["--L", "2", "--J", "1"]],
+                         ids=["one-interior-node", "collinear"])
+def test_qg_layout_without_spread_exits_one_before_any_build(flags, monkeypatch, capsys):
+    # the initial field's anisotropy ratio is checked before the operators
+    # are built: one interior node, or every interior node on one line
+    built = []
+    monkeypatch.setattr(harness, "qg_operators", lambda *args: built.append(args))
+    assert cli.main(["qg"] + flags) == 1
+    assert built == []
+    assert "degenerate field" in capsys.readouterr().err
 
 
 def test_qg_short_run(capsys):

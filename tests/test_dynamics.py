@@ -331,6 +331,18 @@ def test_anisotropy_ratio_weighting():
     assert anisotropy_ratio(pts, vals) == pytest.approx(4.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("pts", [
+    polar_layout(2, 1).interior,
+    np.outer(np.linspace(-1.0, 1.0, 7), [np.cos(0.3), np.sin(0.3)]),
+], ids=["polar-2-1", "tilted-line"])
+def test_anisotropy_ratio_refuses_collinear_points(pts):
+    # on one line up to roundoff the smaller eigenvalue is eigvalsh's error,
+    # about eps times the larger, and the ratio would read 3e32 or 6e16
+    x1, x2 = pts.T
+    with pytest.raises(ValueError, match="degenerate"):
+        anisotropy_ratio(pts, np.exp(-4.0 * x1 ** 2 - 64.0 * x2 ** 2))
+
+
 def test_anisotropy_ratio_needs_planar_points():
     # a third column used to be dropped without a word
     pts = [[0.1, 0.2, 9.0], [0.3, -0.1, 9.0], [-0.2, 0.1, 1.0]]

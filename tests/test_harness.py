@@ -125,6 +125,26 @@ def test_report_write_files(tmp_path):
     assert (tmp_path / "plot.py").exists()
 
 
+def test_plot_script_runs_in_a_preset_run_directory(tmp_path):
+    # the viewer written into every run directory compiles and runs there:
+    # without matplotlib it stops with a message, with it it draws the
+    # results and every field file
+    compile(harness._PLOT_SCRIPT, "plot.py", "exec")
+    preset_fig_disk(alphas=(1.0,), K=16, M=32).write(tmp_path)
+    env = dict(os.environ, MPLBACKEND="Agg")
+    proc = subprocess.run([sys.executable, "plot.py"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    try:
+        import matplotlib  # noqa: F401
+    except ImportError:
+        assert proc.returncode == 1
+        assert "matplotlib is required" in proc.stderr
+    else:
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "results.png").is_file()
+        assert (tmp_path / "solution_alpha1.0.png").is_file()
+
+
 def test_snapshot_files(tmp_path):
     ps = polar_layout(3, 5)
     times = np.array([0.0, 0.25])
