@@ -132,9 +132,9 @@ def crank_nicolson_mixed(ops, cfg, u0, chi):
     u = _initial(u0, n)
     a = chi * frac + (1.0 - chi) * lap
     eye = np.eye(n)
-    lhs = _factor(eye + 0.5 * cfg.dt * a)
+    lhs = _factor((eye + 0.5 * cfg.dt * a).T)
     rhs = eye - 0.5 * cfg.dt * a
-    return _march(cfg, u, lambda u, t: sla.lu_solve(lhs, rhs @ u))
+    return _march(cfg, u, lambda u, t: sla.lu_solve(lhs, rhs @ u, trans=1))
 
 
 def ssp_rk3_step(op, u, dt):
@@ -192,9 +192,9 @@ def qg_operators(ps, basis):
     np.matmul(gx, coeff_map, out=local[n:2 * n])
     np.matmul(gy, coeff_map, out=local[2 * n:])
     del gx, gy, coeff_map
-    # (A_top S^{-1})[:, :n] = -P, so u1 = -dy P theta = dy (-P) theta; S is
-    # factored in its own buffer, after its equation rows were read above
-    minus_p = sla.lu_solve(_factor(s), phi_block(half, ps.interior).T, trans=1).T[:, :n]
+    # (A_top S^{-1})[:, :n] = -P, so u1 = -dy P theta = dy (-P) theta; S^T is
+    # factored in S's buffer, after S's equation rows were read above
+    minus_p = sla.lu_solve(_factor(s.T), phi_block(half, ps.interior).T).T[:, :n]
     del s
     velocity = np.empty((2 * n, n))
     np.matmul(local[2 * n:], minus_p, out=velocity[:n])

@@ -24,33 +24,13 @@ __all__ = [
 ]
 
 
-# side of the square tiles that _factor swaps to transpose a C-order matrix
-# in place: the one temporary is a tile, and 64 ran about as fast as any other
-_TILE = 64
-
-
-def _transpose_in_place(a):
-    """Transpose the square C-contiguous array a in its own buffer, tile by tile."""
-    n = a.shape[0]
-    for i in range(0, n, _TILE):
-        diag = a[i:i + _TILE, i:i + _TILE]
-        diag[...] = diag.T.copy()
-        for j in range(i + _TILE, n, _TILE):
-            upper, lower = a[i:i + _TILE, j:j + _TILE], a[j:j + _TILE, i:i + _TILE]
-            swap = upper.copy()
-            upper[...] = lower.T
-            lower[...] = swap.T
-
-
 def _factor(a):
-    """LU with partial pivoting of the square float64 a, in a's own buffer;
-    an exactly zero pivot means singular. An F-contiguous a goes straight to
-    LAPACK; a C-contiguous one is transposed in place first, so a.T is the
-    same matrix in F order. Only data moves, so the LU has the bits that
-    lu_factor gives on a copy. a holds the LU afterwards."""
+    """LU with partial pivoting of the square F-contiguous float64 a, made in
+    a's buffer with the bits lu_factor gives on a copy; an exactly zero pivot
+    means singular. A C-order S is refused: factor its F-order view S.T and
+    solve with trans=1."""
     if not a.flags.f_contiguous:
-        _transpose_in_place(a)
-        a = a.T
+        raise ValueError("_factor takes an F-contiguous matrix")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = sla.lu_factor(a, overwrite_a=True, check_finite=False)
@@ -89,7 +69,7 @@ class SystemMatrices:
     """The collocation system S and the point set and basis it was assembled
     from. Neither A_phi nor any factorization is kept: A_phi is evaluated in
     the rows a caller needs, and each LU is dropped right after its use.
-    `solve` factors S in its own buffer and sets `s` to None, so a system
+    `solve` factors S^T in S's buffer and sets `s` to None, so a system
     solves once; read any rows of S before that."""
 
     ps: object
@@ -97,11 +77,11 @@ class SystemMatrices:
     s: np.ndarray | None
 
     def solve(self, rhs):
-        """S^{-1} rhs through an LU of S made in S's buffer; consumes S."""
+        """S^{-1} rhs through an LU of S^T made in S's buffer; consumes S."""
         if self.s is None:
             raise ValueError("S was consumed by an earlier solve")
         s, self.s = self.s, None
-        return sla.lu_solve(_factor(s), np.asarray(rhs, dtype=float))
+        return sla.lu_solve(_factor(s.T), np.asarray(rhs, dtype=float), trans=1)
 
 
 def assemble(ps, basis):

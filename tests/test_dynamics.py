@@ -182,12 +182,13 @@ def _per_stage_rhs(ps, eps, alpha, K, M):
         ps, GmqBasis(ps.points, FracParams(2, alpha), eps, K=K, M=M))
     diss = sm_diss.s[:n] @ nodal_operator(ps, sm_diss.basis)
 
-    s_lu = _factor(sm.s)
+    s_lu = _factor(sm.s.T)
 
     def rhs(theta, kappa, advect=True):
         out = -kappa * (diss @ theta)
         if advect:
-            lam = sla.lu_solve(s_lu, np.concatenate([-theta, np.zeros(ps.n_total - n)]))
+            lam = sla.lu_solve(s_lu, np.concatenate([-theta, np.zeros(ps.n_total - n)]),
+                               trans=1)
             psi = phi_block(half, ps.interior) @ lam
             u1, u2 = -(dy @ psi), dx @ psi
             out = out - (u1 * (dx @ theta) + u2 * (dy @ theta))

@@ -11,8 +11,8 @@ from scipy.linalg import get_lapack_funcs
 from fracrbf.exterior import tail_factors_at
 from fracrbf.geometry import clipped_grid, polar_layout, uniform_interval
 from fracrbf.harness import solve_row
-from fracrbf.linsys import (_TILE, SystemMatrices, _cholesky, _factor, assemble,
-                            condition_estimate, nodal_operator)
+from fracrbf.linsys import (SystemMatrices, _cholesky, _factor, assemble, condition_estimate,
+                            nodal_operator)
 from fracrbf.rbf import GmqBasis, classical_lap_block, frac_lap_block, phi_block
 from fracrbf.specialfun import FracParams
 from fracrbf.steady import evaluate_interpolant, interpolate, solve_poisson
@@ -62,13 +62,24 @@ def test_manufactured_coefficients_2d():
 
 def test_lu_solve_plain_matrix_and_singularity():
     rng = np.random.default_rng(3)
-    a = rng.standard_normal((6, 6))
+    a = np.asfortranarray(rng.standard_normal((6, 6)))
     x = rng.standard_normal(6)
     b = a @ x  # before _factor overwrites a with its LU
     got = sla.lu_solve(_factor(a), b)
     assert np.allclose(got, x, rtol=1e-10)
     with pytest.raises(np.linalg.LinAlgError):
-        _factor(np.zeros((3, 3)))
+        _factor(np.zeros((3, 3), order="F"))
+
+
+def test_factor_refuses_a_c_order_matrix():
+    # a C-order matrix is factored as its F-order transpose, never copied
+    a = np.random.default_rng(4).standard_normal((5, 5))
+    keep = a.copy()
+    with pytest.raises(ValueError, match="F-contiguous"):
+        _factor(a)
+    assert np.array_equal(a, keep)
+    lu, piv = _factor(a.T)
+    assert np.shares_memory(lu, a)
 
 
 def test_nodal_values_reads_top_block():
@@ -160,7 +171,7 @@ def test_system_and_norm_match_out_of_place_formulas_bitwise(ps, d, K, M):
     gecon, lange = get_lapack_funcs(("gecon", "lange"), (mat,))
     anorm = one_norm_ref(mat)  # before _factor overwrites mat with its LU
     assert lange("I", mat.T) == anorm
-    rcond, info = gecon(_factor(mat)[0], anorm, norm="1")
+    rcond, info = gecon(_factor(mat.T)[0], anorm, norm="1")
     assert info == 0
     assert condition_estimate(basis, phi_block(basis, ps.points)) == 1.0 / rcond
 
@@ -265,28 +276,18 @@ def test_system_keeps_only_s():
 
 
 def test_solve_consumes_the_system():
-    # the LU is made in S's buffer, so S is dropped and a second solve fails
+    # the LU of S^T is made in S's buffer, so S is dropped and a second
+    # solve fails
     ps, basis, sm = _system_1d(n=8)
     s = sm.s
     rhs = np.ones(ps.n_total)
     lam = sm.solve(rhs)
     assert sm.s is None
-    assert np.array_equal(lam, sla.lu_solve(sla.lu_factor(assemble(ps, basis).s), rhs))
-    assert np.array_equal(s.T, sla.lu_factor(assemble(ps, basis).s)[0])
+    s_t_lu = sla.lu_factor(assemble(ps, basis).s.T)
+    assert np.array_equal(lam, sla.lu_solve(s_t_lu, rhs, trans=1))
+    assert np.array_equal(s.T, s_t_lu[0])
     with pytest.raises(ValueError, match="consumed"):
         sm.solve(rhs)
-
-
-@pytest.mark.parametrize("n", [1, 2, _TILE - 5, _TILE, 2 * _TILE + 3])
-def test_factor_of_c_order_matrix_is_in_place_and_bitwise_lu_factor(n):
-    # the tiled in-place transpose moves data only, so getrf on the F-order
-    # view gives the bits of lu_factor on a copy, for every tile remainder
-    a = np.random.default_rng(n).standard_normal((n, n))
-    lu_ref, piv_ref = sla.lu_factor(a.copy())
-    lu, piv = _factor(a)
-    assert np.shares_memory(lu, a)
-    assert np.array_equal(lu, lu_ref)
-    assert np.array_equal(piv, piv_ref)
 
 
 def test_assemble_rejects_basis_off_the_point_set():
