@@ -27,41 +27,46 @@ __all__ = [
 def _factor(a):
     """LU with partial pivoting of the square F-contiguous float64 a, made in
     a's buffer with the bits lu_factor gives on a copy; an exactly zero pivot
-    means singular. A C-order S is refused: factor its F-order view S.T and
-    solve with trans=1."""
+    means singular, a non-finite one an inf or nan entry. A C-order S is
+    refused: factor its F-order view S.T and solve with trans=1."""
     if not a.flags.f_contiguous:
         raise ValueError("_factor takes an F-contiguous matrix")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = sla.lu_factor(a, overwrite_a=True, check_finite=False)
-    if np.any(np.diag(lu) == 0.0):
+    if not np.all(np.isfinite(lu.diagonal())):
+        raise np.linalg.LinAlgError("non-finite pivot: the matrix holds an inf or a nan")
+    if np.any(lu.diagonal() == 0.0):
         raise np.linalg.LinAlgError("exactly singular matrix (zero pivot)")
     return lu, piv
 
 
-def _phi_factor(basis):
-    """LU of A_phi, evaluated afresh: the one place A_phi is LU-factored for
-    solves. A_phi is bitwise symmetric, so its F-contiguous view a.T is A_phi
-    itself and is factored in place."""
-    return _factor(phi_block(basis, basis.centers).T)
+def _phi_factor(basis, a=None):
+    """The one factorization of A_phi, made in the buffer of a, the C-order
+    A_phi of basis, or of A_phi evaluated afresh when a is None: (factor, piv).
+
+    A_phi is bitwise symmetric, so its F-contiguous view a.T is A_phi itself.
+    With beta < 0 A_phi is positive definite, and the factor is potrf's upper
+    Cholesky factor with piv None. Where beta >= 0, or where rounding leaves
+    a Cholesky pivot that is not positive or not finite, it is _factor's LU,
+    in the latter case of A_phi evaluated again into a (the same bits)."""
+    if a is None:
+        a = phi_block(basis, basis.centers)
+    if basis.beta < 0:
+        c, info = get_lapack_funcs("potrf", (a,))(a.T, overwrite_a=True, clean=False)
+        if info == 0 and np.all(np.isfinite(c.diagonal())):
+            return c, None
+        phi_block(basis, basis.centers, out=a)
+    return _factor(a.T)
 
 
-def _cholesky(a):
-    """Cholesky factor of the symmetric a, made in a's own buffer, or None when
-    a pivot is not positive. `potrf` factors the upper triangle of the
-    F-contiguous view a.T, which is a's lower one, so a's strict upper
-    triangle is never written: after a failure a is made whole again from it
-    and the saved diagonal, bit for bit, without a second N×N array."""
-    diag = a.diagonal().copy()
-    c, info = get_lapack_funcs("potrf", (a,))(a.T, overwrite_a=True, clean=False)
-    if info < 0:
-        raise np.linalg.LinAlgError("Cholesky factorization failed")
-    if info == 0:
-        return c
-    for i in range(a.shape[0] - 1):
-        a[i + 1:, i] = a[i, i + 1:]
-    np.fill_diagonal(a, diag)
-    return None
+def _phi_solve(basis, rhs):
+    """A_phi^{-1} rhs through _phi_factor's factor, which is dropped on return;
+    cho_solve's finiteness scan would add an N x N bool array."""
+    c, piv = _phi_factor(basis)
+    if piv is None:
+        return sla.cho_solve((c, False), rhs, check_finite=False)
+    return sla.lu_solve((c, piv), rhs)
 
 
 @dataclass
@@ -101,19 +106,15 @@ def assemble(ps, basis):
 
 def condition_estimate(basis, a):
     """1-norm condition estimate of the interpolation matrix A_phi of basis,
-    given as a, which it factors in place (Hager-Higham style through the
-    LAPACK reciprocal-condition routines; a lower bound of cond_1).
-
-    With beta < 0 A_phi is positive definite, so a Cholesky factor and `pocon`
-    serve; an LU and `gecon` serve when beta >= 0, or when rounding leaves a
-    Cholesky pivot that is not positive."""
+    given as a, which _phi_factor factors in place (Hager-Higham style through
+    the LAPACK reciprocal-condition routines; a lower bound of cond_1): `pocon`
+    on its Cholesky factor, `gecon` on its LU."""
     anorm = float(get_lapack_funcs("lange", (a,))("I", a.T))
-    chol = _cholesky(a) if basis.beta < 0 else None
-    if chol is not None:
-        rcond, info = get_lapack_funcs("pocon", (chol,))(chol, anorm)
+    c, piv = _phi_factor(basis, a)
+    if piv is None:
+        rcond, info = get_lapack_funcs("pocon", (c,))(c, anorm)
     else:
-        lu = _factor(a.T)[0]
-        rcond, info = get_lapack_funcs("gecon", (lu,))(lu, anorm, norm="1")
+        rcond, info = get_lapack_funcs("gecon", (c,))(c, anorm, norm="1")
     if info != 0:
         raise np.linalg.LinAlgError("condition estimation failed")
     if rcond == 0.0 or not np.isfinite(rcond):
@@ -127,7 +128,4 @@ def nodal_operator(ps, basis):
     that turns interior nodal values (with zero boundary values) into
     coefficients. A block of operator rows times it is that operator on
     interior nodal values."""
-    n_int = ps.n_interior
-    rhs = np.zeros((ps.n_total, n_int))
-    rhs[:n_int, :] = np.eye(n_int)
-    return sla.lu_solve(_phi_factor(basis), rhs)
+    return _phi_solve(basis, np.eye(ps.n_total, ps.n_interior))

@@ -47,15 +47,15 @@ class GmqBasis:
         return (self.params.alpha - self.params.d) / 2.0
 
 
-def _sq_dist(basis, x):
-    """r^2 to every center, shape (npoints, ncenters), plus the points as rows."""
+def _sq_dist(basis, x, out=None):
+    """r^2 to every center, shape (npoints, ncenters), in out if passed, plus the points as rows."""
     pts = as_points(x, basis.params.d)
-    return cdist(pts, basis.centers, "sqeuclidean"), pts
+    return cdist(pts, basis.centers, "sqeuclidean", out=out), pts
 
 
-def phi_block(basis, x):
-    """Matrix of phi_j(x_i), shape (npoints, ncenters)."""
-    r2, _ = _sq_dist(basis, x)
+def phi_block(basis, x, out=None):
+    """Matrix of phi_j(x_i), shape (npoints, ncenters), in the C-order out if passed."""
+    r2, _ = _sq_dist(basis, x, out)
     r2 += basis.eps ** 2
     r2 **= basis.beta
     return r2

@@ -4,10 +4,9 @@ fractional Poisson solve with optional nonzero exterior data."""
 import warnings
 
 import numpy as np
-import scipy.linalg as sla
 
 from fracrbf.exterior import exterior_data_correction, tail_factors_at
-from fracrbf.linsys import _phi_factor
+from fracrbf.linsys import _phi_solve
 from fracrbf.rbf import frac_lap_block, phi_block
 
 __all__ = [
@@ -21,12 +20,12 @@ _RESIDUAL_WARN = 1e-6
 
 
 def interpolate(basis, samples):
-    """Expansion coefficients matching the samples at the N centers; the LU is
-    dropped before A_phi is evaluated again for the residual check."""
+    """Expansion coefficients matching the samples at the N centers; A_phi's
+    factor is dropped before A_phi is evaluated again for the residual check."""
     samples = np.asarray(samples, dtype=float)
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
-    lam = sla.lu_solve(_phi_factor(basis), samples)
+    lam = _phi_solve(basis, samples)
     resid = np.max(np.abs(phi_block(basis, basis.centers) @ lam - samples))
     scale = max(np.max(np.abs(samples)), 1.0)
     if resid / scale > _RESIDUAL_WARN:

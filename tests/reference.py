@@ -1,7 +1,8 @@
 """Test-only references: inverse-power and compactly supported profiles for
 `fracrbf.checks.hypersingular_oracle`, a brute-force exterior tail,
 `table4`'s forcing as the harness composed it around `case2`, the nodal
-operators as `linsys` stacked them from row blocks, and the
+operators as `linsys` stacked them from row blocks, the solves with A_phi
+by `linsys`' factorization rule on copies, and the
 out-of-place forms of the kernel blocks, tail factors, tail product and
 1-norm that the solver computes in place with the same operations, the
 Gauss rule with its recurrence written out twice, and the field, snapshot
@@ -21,7 +22,6 @@ from scipy.linalg import get_lapack_funcs
 
 from fracrbf.exterior import TailFactors
 from fracrbf.geometry import as_points
-from fracrbf.linsys import _phi_factor
 from fracrbf.checks import RadialPowerProfile, _gauss_panels
 from fracrbf.oracles import case2
 from fracrbf.quadrature import gauss_legendre_01, periodic_rule
@@ -199,15 +199,18 @@ def scaled_rhs_ref(alpha, xs):
     return u, out
 
 
-def nodal_operator_ref(ps, basis, rows, out=None):
+def nodal_operator_ref(ps, basis, rows, coeff_map=None, out=None):
     """The nodal operators of each block of `rows`, stacked in order, as
     `linsys.nodal_operator` built them before it returned the coefficient
-    map alone: one solve for the map, then each block multiplied on its own,
-    into `out` when it is passed."""
+    map alone: one map, then each block multiplied on its own, into `out`
+    when it is passed. The map is `coeff_map` when it is passed, otherwise
+    one solved for through an LU of a copy of A_phi, whatever the sign of
+    beta, so it shares no factorization rule with `linsys`."""
     n_int = ps.n_interior
-    rhs = np.zeros((ps.n_total, n_int))
-    rhs[:n_int, :] = np.eye(n_int)
-    coeff_map = sla.lu_solve(_phi_factor(basis), rhs)
+    if coeff_map is None:
+        rhs = np.zeros((ps.n_total, n_int))
+        rhs[:n_int, :] = np.eye(n_int)
+        coeff_map = sla.lu_solve(sla.lu_factor(phi_block_ref(basis, ps.points)), rhs)
     blocks = [np.asarray(w, dtype=float) for w in rows]
     shape = (sum(w.shape[0] for w in blocks), n_int)
     if out is None:
@@ -353,6 +356,18 @@ def cholesky_cond_ref(mat):
     if info != 0:
         raise np.linalg.LinAlgError(f"pocon info {info}")
     return 1.0 / rcond
+
+
+def phi_solve_ref(basis, rhs):
+    """A_phi^{-1} rhs by the rule of `linsys._phi_factor`, on copies: the
+    upper Cholesky factor of A_phi where beta < 0 and potrf succeeds, an LU
+    otherwise."""
+    mat = phi_block_ref(basis, basis.centers)
+    if basis.beta < 0:
+        c, info = get_lapack_funcs("potrf", (mat,))(mat)
+        if info == 0:
+            return sla.cho_solve((c, False), rhs)
+    return sla.lu_solve(sla.lu_factor(mat), rhs)
 
 
 def write_field_ref(path, points, values):

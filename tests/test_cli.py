@@ -326,6 +326,21 @@ def test_qg_blowup_returns_two(capsys):
     assert "blow-up" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--dim", "2", "--L", "3", "--eps", "1e-300"],
+    ["forward", "--dim", "2", "--L", "3", "--eps", "1e-200"],
+], ids=["solve", "forward"])
+def test_non_finite_system_exits_two(argv, tmp_path, capsys):
+    # eps^2 underflows to 0, so the kernels' diagonals overflow to inf: S (solve)
+    # and A_phi (forward) are refused at their factorization, before a row holds nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert cli.main(argv + ["--out", str(tmp_path / "run")]) == 2
+    out, err = capsys.readouterr()
+    assert "non-finite pivot" in err
+    assert "nan" not in out
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("exc", [ArithmeticError("2F1 series did not converge"),
                                  np.linalg.LinAlgError("singular matrix")],
                          ids=["arithmetic", "linalg"])

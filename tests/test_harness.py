@@ -369,15 +369,16 @@ def test_no_factor_outlives_its_use(run, n_factors, monkeypatch):
     # next one, 82 MB per factor at N=3209
     factors, live_at_factor = [], []
 
-    def tracking(factor, array_of):
-        def tracked(mat):
+    def tracking(factor):
+        def tracked(*args):
             live_at_factor.append(sum(ref() is not None for ref in factors))
-            result = factor(mat)
-            factors.append(weakref.ref(array_of(result)))
+            result = factor(*args)
+            factors.append(weakref.ref(result[0]))
             return result
         return tracked
-    for fname, array_of in (("_factor", lambda lu_piv: lu_piv[0]), ("_cholesky", lambda c: c)):
-        tracked = tracking(getattr(linsys, fname), array_of)
+    # _factor's LU of S, and _phi_factor's Cholesky or LU factor of A_phi
+    for fname in ("_factor", "_phi_factor"):
+        tracked = tracking(getattr(linsys, fname))
         for name, mod in list(sys.modules.items()):
             if name.startswith("fracrbf.") and hasattr(mod, fname):
                 monkeypatch.setattr(mod, fname, tracked)

@@ -18,12 +18,14 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
     # does not count
     ("table6", dict(hs=(0.5,)),
      {"exterior.tail_nodes": 2048, "exterior.tail_flops": 479232, "linsys.lu_count": 1}),
-    # one LU of A_phi for the nodal operators, one Crank-Nicolson matrix per chi
-    ("fig-mixed", dict(dt=0.1, t_end=0.2), {"linsys.lu_count": 4}),
-    # the LUs of A_phi for the coefficient map and of S for the stream map,
-    # then three velocity products per SSP-RK3 step
+    # one LU per Crank-Nicolson matrix, one per chi; the nodal operators'
+    # A_phi (beta < 0) is Cholesky-factored, which the trace does not count
+    ("fig-mixed", dict(dt=0.1, t_end=0.2), {"linsys.lu_count": 3}),
+    # the LU of S for the stream map (the coefficient map's A_phi is
+    # Cholesky-factored, uncounted), then three velocity products per
+    # SSP-RK3 step
     ("fig-qg", dict(grid_h=0.25, t_end=0.08),
-     {"linsys.lu_count": 2, "linsys.lu_flops": 198502, "dynamics.steps": 8,
+     {"linsys.lu_count": 1, "linsys.lu_flops": 99251, "dynamics.steps": 8,
       "dynamics.stream_solves": 24}),
 ], ids=["table2", "table6", "fig-mixed", "fig-qg"])
 def test_trace_counts(name, kwargs, counts, monkeypatch):

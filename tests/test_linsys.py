@@ -11,13 +11,13 @@ from scipy.linalg import get_lapack_funcs
 from fracrbf.exterior import tail_factors_at
 from fracrbf.geometry import clipped_grid, polar_layout, uniform_interval
 from fracrbf.harness import solve_row
-from fracrbf.linsys import (SystemMatrices, _cholesky, _factor, assemble, condition_estimate,
+from fracrbf.linsys import (SystemMatrices, _factor, _phi_factor, assemble, condition_estimate,
                             nodal_operator)
 from fracrbf.rbf import GmqBasis, classical_lap_block, frac_lap_block, phi_block
 from fracrbf.specialfun import FracParams
 from fracrbf.steady import evaluate_interpolant, interpolate, solve_poisson
-from reference import (cholesky_cond_ref, frac_lap_block_ref, one_norm_ref, phi_block_ref,
-                       tail_factors_ref, tail_matrix_ref)
+from reference import (cholesky_cond_ref, frac_lap_block_ref, nodal_operator_ref, one_norm_ref,
+                       phi_block_ref, phi_solve_ref, tail_factors_ref, tail_matrix_ref)
 
 
 def _system_1d(n=10, alpha=1.2, eps=1.0, K=32):
@@ -191,18 +191,68 @@ def test_cholesky_estimate_matches_out_of_place_formula_bitwise(ps, alpha, eps):
 
 def test_failed_cholesky_falls_back_to_the_lu_estimate_exactly():
     # A_phi is positive definite in exact arithmetic, but here cond_1 is past
-    # 1/u and potrf meets a pivot that is not positive; A_phi is then made
-    # whole again in its own buffer and the estimate is the LU and gecon one
+    # 1/u and potrf meets a pivot that is not positive; A_phi is then
+    # evaluated again into its own buffer, and its LU there has the bits of
+    # lu_factor on a fresh A_phi, so the estimate is the LU and gecon one
     ps = polar_layout(9, 9)
     basis = GmqBasis(ps.points, FracParams(2, 1.0), 1.5)
     a = phi_block(basis, ps.points)
-    assert _cholesky(a) is None
-    assert np.array_equal(a, phi_block_ref(basis, ps.points))
+    lu, piv = _phi_factor(basis, a)
     mat = phi_block_ref(basis, ps.points)
-    rcond, info = get_lapack_funcs("gecon", (mat,))(sla.lu_factor(mat)[0], one_norm_ref(mat),
-                                                    norm="1")
+    lu_ref, piv_ref = sla.lu_factor(mat)
+    assert np.shares_memory(lu, a)
+    assert np.array_equal(lu, lu_ref) and np.array_equal(piv, piv_ref)
+    rcond, info = get_lapack_funcs("gecon", (mat,))(lu_ref, one_norm_ref(mat), norm="1")
     assert info == 0
     assert condition_estimate(basis, phi_block(basis, ps.points)) == 1.0 / rcond
+
+
+@pytest.mark.parametrize("ps, d, alpha, eps, cholesky", [
+    (uniform_interval(40), 1, 1.2, 0.9, False),
+    (polar_layout(10, 10), 2, 1.2, 0.8, True),
+    (polar_layout(9, 9), 2, 1.0, 1.5, False),
+], ids=["interval-lu", "disk-cholesky", "disk-failed-cholesky"])
+def test_solves_with_a_phi_use_its_one_factor_bitwise(ps, d, alpha, eps, cholesky):
+    # nodal_operator and interpolate solve through _phi_factor: potrf's factor
+    # where beta < 0 and it succeeds, an LU otherwise, with the bits of the
+    # same rule on copies of A_phi
+    basis = GmqBasis(ps.points, FracParams(d, alpha), eps)
+    assert (_phi_factor(basis)[1] is None) == cholesky
+    n_int = ps.n_interior
+    rhs = np.zeros((ps.n_total, n_int))
+    rhs[:n_int] = np.eye(n_int)
+    assert np.array_equal(nodal_operator(ps, basis), phi_solve_ref(basis, rhs))
+    samples = np.cos(3.0 * ps.points[:, 0])
+    assert np.array_equal(interpolate(basis, samples), phi_solve_ref(basis, samples))
+
+
+def test_cholesky_coefficient_map_agrees_with_an_independent_lu():
+    # the two factorizations round differently, so the operators they give
+    # differ, but by no more than a modest multiple of cond(A_phi) u: cond
+    # is 1.5e4 here, the gap 3.9e-14 relative, and the bound about 30 cond u
+    ps = clipped_grid(1.0 / 8.0)
+    basis = GmqBasis(ps.points, FracParams(2, 1.2), 0.2, K=16, M=32)
+    assert _phi_factor(basis)[1] is None
+    rows = (classical_lap_block(basis, ps.interior),)
+    chol = nodal_operator_ref(ps, basis, rows=rows, coeff_map=nodal_operator(ps, basis))
+    lu = nodal_operator_ref(ps, basis, rows=rows)
+    assert not np.array_equal(chol, lu)
+    assert np.max(np.abs(chol - lu)) <= 1e-11 * np.max(np.abs(lu))
+
+
+def test_non_finite_pivots_are_refused():
+    # an inf or nan entry leaves a pivot that is inf or nan, not zero
+    a = np.asfortranarray(np.eye(3))
+    a[0, 0] = np.inf
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+        _factor(a)
+    # at eps 1e-200 eps^2 underflows to 0, so A_phi's diagonal is 0 ** beta =
+    # inf; potrf then succeeds with every pivot inf, and the LU it falls back
+    # to refuses the matrix
+    ps = polar_layout(3, 3)
+    basis = GmqBasis(ps.points, FracParams(2, 1.2), 1e-200)
+    with np.errstate(divide="ignore"), pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+        _phi_factor(basis)
 
 
 def _peak_in_n2(fn, n):
@@ -233,7 +283,8 @@ def test_assembly_memory_budget(ps, d, K, M, budget):
     # fails here. solve_poisson factors S in its own buffer and holds only
     # its right-hand side, and condition_estimate only the fresh A_phi, which
     # its factor overwrites in place (an LU in both cases: beta >= 0 in 1D,
-    # and the 2D Cholesky meets a pivot that is not positive).
+    # and the 2D Cholesky meets a pivot that is not positive, so A_phi is
+    # evaluated again into the same buffer).
     basis = GmqBasis(ps.points, FracParams(d, 1.2), 0.9, K=K, M=M)
     n = ps.n_total
     sm, assemble_peak = _peak_in_n2(lambda: assemble(ps, basis), n)
@@ -252,7 +303,7 @@ def test_condition_estimate_memory_budget_on_the_cholesky_path():
     # the Cholesky factor, too, is made in the fresh A_phi's own buffer
     ps = clipped_grid(1.0 / 16.0)
     basis = GmqBasis(ps.points, FracParams(2, 1.2), 0.2)
-    assert _cholesky(phi_block(basis, ps.points)) is not None
+    assert _phi_factor(basis)[1] is None
     _, peak = _peak_in_n2(lambda: condition_estimate(basis, phi_block(basis, ps.points)),
                           ps.n_total)
     assert peak < 1.1
