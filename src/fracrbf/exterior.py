@@ -10,6 +10,7 @@ two thin factors and never costs more than O(N*K) memory per side.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_blas_funcs
 
 from fracrbf.geometry import as_points
 from fracrbf.quadrature import gauss_legendre_01, periodic_rule
@@ -59,15 +60,22 @@ class TailFactors:
     c_alt: np.ndarray | None = None
 
     def assemble(self, out):
-        """The tail matrix, written into the caller's (rows x centers) buffer
-        `out`. It consumes the factors: b (and b_alt) are weighted in place,
-        with the bits of the out-of-place product, and `weights` is set to
-        None, so a later `apply` or `assemble` fails instead of weighting twice."""
+        """Add the tail matrix into the caller's C-contiguous (rows x centers)
+        buffer `out`, with one gemm per half on its F-order view out.T, so no
+        product is a temporary. It consumes the factors: b (and b_alt) are
+        weighted in place, with the bits of the out-of-place product, and
+        `weights` is set to None, so a later `apply` or `assemble` fails
+        instead of weighting twice."""
+        if not out.flags.c_contiguous:
+            raise ValueError("assemble adds into a C-contiguous buffer")
         w, self.weights = self.weights, None
-        mat = np.matmul(np.multiply(self.b, w, out=self.b), self.c, out=out)
-        if self.b_alt is not None:
-            mat += np.multiply(self.b_alt, w, out=self.b_alt) @ self.c_alt
-        return np.multiply(mat, self.scale, out=mat)
+        gemm = get_blas_funcs("gemm", (out,))
+        for b, c in ((self.b, self.c), (self.b_alt, self.c_alt)):
+            if b is not None:
+                a, trans_a = (c.T, 0) if c.flags.c_contiguous else (c, 1)
+                gemm(self.scale, a, np.multiply(b, w, out=b).T, beta=1.0, c=out.T,
+                     trans_a=trans_a, overwrite_c=1)
+        return out
 
     def apply(self, v):
         """The tail matrix times v, row by row without forming the matrix."""
@@ -78,9 +86,8 @@ class TailFactors:
         return self.scale * out
 
 
-def _factors_1d(points, centers, eps, beta, alpha, K):
+def _factors_1d(points, centers, eps, beta, alpha, s, weights):
     """Factor pieces of int_{|y|>1} (eps^2+(y-c)^2)^beta |x-y|^(-1-alpha) dy."""
-    s, weights = gauss_legendre_01(K)
     gamma = alpha - 1.0 - 2.0 * beta
     w = weights * s ** gamma
     x = points[:, 0]
@@ -92,14 +99,13 @@ def _factors_1d(points, centers, eps, beta, alpha, K):
     return (*ray(1.0), *ray(-1.0), w)
 
 
-def _factors_2d(points, centers, eps, beta, alpha, K, M):
+def _factors_2d(points, centers, eps, beta, alpha, nodes, weights, M):
     """Same split for the disk: nodes are the (s_k, theta_m) tensor grid."""
-    nodes, weights = gauss_legendre_01(K)
     angles, ang_weight = periodic_rule(M)
     s = np.repeat(nodes, M)
     gamma = alpha - 1.0 - 2.0 * beta
     w = np.repeat(weights, M) * s ** gamma * ang_weight
-    theta = np.tile(angles, K)
+    theta = np.tile(angles, nodes.size)
     sig = (np.cos(theta), np.sin(theta))
 
     def sqd(pts):
@@ -124,23 +130,25 @@ def _factors_2d(points, centers, eps, beta, alpha, K, M):
     return b, c.T, w
 
 
-def _tail_factors(points, centers, eps, beta, p, K, M):
+def _tail_factors(points, centers, eps, beta, p, K, M, rings=slice(None)):
     """Tail factors of the profiles (eps^2+|y-center|^2)^beta, rowed by
-    points strictly inside the unit domain."""
+    points strictly inside the unit domain, on the radial nodes `rings`."""
     points, centers = as_points(points, p.d), as_points(centers, p.d)
     if np.any(np.sqrt(np.sum(points * points, axis=1)) >= 1.0):
         raise ValueError("tail rows exist only at points strictly inside the domain")
+    nodes, weights = (a[rings] for a in gauss_legendre_01(K))
     if p.d == 1:
-        b_r, c_r, b_l, c_l, w = _factors_1d(points, centers, eps, beta, p.alpha, K)
+        b_r, c_r, b_l, c_l, w = _factors_1d(points, centers, eps, beta, p.alpha, nodes, weights)
         return TailFactors(b_r, c_r, w, coeff_c(p), b_alt=b_l, c_alt=c_l)
-    b, c, w = _factors_2d(points, centers, eps, beta, p.alpha, K, M)
+    b, c, w = _factors_2d(points, centers, eps, beta, p.alpha, nodes, weights, M)
     return TailFactors(b, c, w, coeff_c(p))
 
 
-def tail_factors_at(points, basis):
-    """Tail factors of basis under its rule, rowed by points strictly inside the domain."""
+def tail_factors_at(points, basis, rings=slice(None)):
+    """Tail factors of basis under its rule, rowed by points strictly inside
+    the domain, on the radial nodes `rings`, a slice of range(K) (all K by default)."""
     return _tail_factors(points, basis.centers, basis.eps, basis.beta, basis.params,
-                         basis.K, basis.M)
+                         basis.K, basis.M, rings)
 
 
 def exterior_data_correction(g, points, basis):

@@ -23,6 +23,10 @@ __all__ = [
     "nodal_operator",
 ]
 
+# quadrature nodes per block of the tail that assemble adds into S; one
+# block's (rows x nodes) and (nodes x centers) factors are all it holds beside S
+_TAIL_NODES = 256
+
 
 def _factor(a):
     """LU with partial pivoting of the square F-contiguous float64 a, made in
@@ -95,12 +99,15 @@ def assemble(ps, basis):
     be centered at the point set, which makes A_phi symmetric."""
     if not np.array_equal(basis.centers, ps.points):
         raise ValueError("the basis must be centered at the point set")
+    n = ps.n_interior
     s = np.empty((ps.n_total, ps.n_total))
-    # the tail quadrature's factors set the peak memory, so the image block is
-    # built only after the tail product has been written into S and they are gone
-    tail_factors_at(ps.interior, basis).assemble(out=s[:ps.n_interior])
-    s[:ps.n_interior] += frac_lap_block(basis, ps.interior)
-    s[ps.n_interior:] = phi_block(basis, ps.boundary)
+    frac_lap_block(basis, ps.interior, out=s[:n])
+    phi_block(basis, ps.boundary, out=s[n:])
+    # S is the only N x N array: the tail is added into its equation rows in
+    # blocks of the whole rings nearest to _TAIL_NODES nodes (all K in 1D)
+    step = basis.K if basis.params.d == 1 else max(1, round(_TAIL_NODES / basis.M))
+    for k in range(0, basis.K, step):
+        tail_factors_at(ps.interior, basis, slice(k, k + step)).assemble(s[:n])
     return SystemMatrices(ps, basis, s)
 
 

@@ -34,9 +34,10 @@ def gauss_legendre_01(K):
     nodes strictly inside and ascending, weights summing to 1.
 
     Nodes are found by Newton iteration on the Legendre three-term
-    recurrence, started from Chebyshev-type guesses; this is accurate to
-    machine precision for every K up to the supported limit of 512.
-    Exact for polynomials of degree <= 2K-1.
+    recurrence, started from Chebyshev-type guesses, for K up to 512.
+    Exact for polynomials of degree <= 2K-1, up to the rounding of the
+    weights: against a 40-digit Newton iteration the worst weight is 8 ulp
+    off at K=10, 762 at 64, 2814 at 128, 5754 at 256 and 1666 at 512.
     """
     K = integer_order(K, "Gauss rule order")
     if K > 512:

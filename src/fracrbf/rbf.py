@@ -61,17 +61,17 @@ def phi_block(basis, x, out=None):
     return r2
 
 
-def psi_block(basis, x):
-    """Matrix of the companion profile (eps^2 + |x_i-x_j|^2)^(-(alpha+d)/2)."""
-    r2, _ = _sq_dist(basis, x)
+def psi_block(basis, x, out=None):
+    """Matrix of (eps^2 + |x_i-x_j|^2)^(-(alpha+d)/2), in the C-order out if passed."""
+    r2, _ = _sq_dist(basis, x, out)
     r2 += basis.eps ** 2
     r2 **= -(basis.params.alpha + basis.params.d) / 2.0
     return r2
 
 
-def frac_lap_block(basis, x):
-    """Matrix of the full-space fractional Laplacian of every phi_j."""
-    psi = psi_block(basis, x)
+def frac_lap_block(basis, x, out=None):
+    """Full-space fractional Laplacian of every phi_j, in the C-order out if passed."""
+    psi = psi_block(basis, x, out)
     return np.multiply(psi, basis.eps ** basis.params.alpha * coeff_mu(basis.params), out=psi)
 
 

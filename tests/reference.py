@@ -2,7 +2,8 @@
 `fracrbf.checks.hypersingular_oracle`, a brute-force exterior tail,
 `table4`'s forcing as the harness composed it around `case2`, the nodal
 operators as `linsys` stacked them from row blocks, the solves with A_phi
-by `linsys`' factorization rule on copies, and the
+by `linsys`' factorization rule on copies, the tail added into a matrix by
+the BLAS calls `TailFactors.assemble` makes, on copies, and the
 out-of-place forms of the kernel blocks, tail factors, tail product and
 1-norm that the solver computes in place with the same operations, the
 Gauss rule with its recurrence written out twice, and the field, snapshot
@@ -19,6 +20,7 @@ import numpy as np
 from scipy import integrate
 import scipy.linalg as sla
 from scipy.linalg import get_lapack_funcs
+from scipy.linalg.blas import dgemm
 
 from fracrbf.exterior import TailFactors
 from fracrbf.geometry import as_points
@@ -332,12 +334,32 @@ def tail_factors_ref(points, centers, eps, beta, p, K, M):
 
 
 def tail_matrix_ref(tf):
-    """The full matrix of a `TailFactors`."""
+    """The full matrix of a `TailFactors`, as one product per half."""
     bw = tf.b * tf.weights[None, :]
     mat = bw @ tf.c
     if tf.b_alt is not None:
         mat = mat + (tf.b_alt * tf.weights[None, :]) @ tf.c_alt
     return tf.scale * mat
+
+
+def tail_added_ref(tf, out, nodes=None):
+    """out plus the tail matrix of tf, added as `TailFactors.assemble` adds
+    it, on copies: in blocks of `nodes` consecutive quadrature nodes (one
+    block by default), and per block and half one dgemm(scale, beta=1) of
+    the out-of-place weighted b into an F-order copy of out.T, with c.T
+    passed as is where it is F-contiguous (1D) and transposed by dgemm
+    otherwise (2D)."""
+    acc = np.array(out.T, order="F")
+    nodes = nodes or tf.weights.size
+    for k in range(0, tf.weights.size, nodes):
+        cols = slice(k, k + nodes)
+        for b, c in ((tf.b, tf.c), (tf.b_alt, tf.c_alt)):
+            if b is not None:
+                c = c[cols]
+                a, trans_a = (c.T, 0) if c.flags.c_contiguous else (c, 1)
+                acc = dgemm(tf.scale, a, (b[:, cols] * tf.weights[cols]).T,
+                            beta=1.0, c=acc, trans_a=trans_a)
+    return acc.T
 
 
 def one_norm_ref(mat):

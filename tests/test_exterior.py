@@ -8,7 +8,7 @@ from fracrbf.geometry import clipped_grid, polar_layout, uniform_interval
 from fracrbf.checks import RadialPowerProfile
 from fracrbf.rbf import GmqBasis
 from fracrbf.specialfun import FracParams
-from reference import tail_factors_ref, tail_matrix_ref, tail_oracle
+from reference import tail_added_ref, tail_factors_ref, tail_matrix_ref, tail_oracle
 
 
 def _oracle_profile(d, eps, beta, center):
@@ -17,8 +17,8 @@ def _oracle_profile(d, eps, beta, center):
 
 
 def _assembled(tf):
-    """The tail matrix of `tf`, written into a fresh (rows x centers) buffer."""
-    return tf.assemble(np.empty((tf.b.shape[0], tf.c.shape[1])))
+    """The tail matrix of `tf`, added into a zero (rows x centers) buffer."""
+    return tf.assemble(np.zeros((tf.b.shape[0], tf.c.shape[1])))
 
 
 def _entry(x_i, x_j, eps, p, K, M=64):
@@ -155,8 +155,9 @@ _FACTOR_FIELDS = ("b", "c", "weights", "b_alt", "c_alt")
     (2, 0.6, polar_layout(5, 7), 24, 48),
 ], ids=["interval-0.8", "interval-1.6", "embedded-1.2", "polar-0.6"])
 def test_tail_factors_and_matrix_match_out_of_place_formulas_bitwise(d, alpha, ps, K, M):
-    # factors and product are built in place with the operations of the
-    # plain expressions, in the same order, so no bit may move
+    # factors are built in place with the operations of the plain
+    # expressions, in the same order, and the product is added by the BLAS
+    # calls of tail_added_ref, so no bit may move
     basis = GmqBasis(ps.points, FracParams(d, alpha), 0.9, K=K, M=M)
     tf = tail_factors_at(ps.interior, basis)
     ref = tail_factors_ref(ps.interior, basis.centers, basis.eps, basis.beta, basis.params, K, M)
@@ -165,12 +166,13 @@ def test_tail_factors_and_matrix_match_out_of_place_formulas_bitwise(d, alpha, p
         got, want = getattr(tf, name), getattr(ref, name)
         assert (got is None) == (want is None), name
         assert got is None or np.array_equal(got, want), name
-    mat = tail_matrix_ref(ref)
+    mat = tail_added_ref(ref, np.zeros((ps.n_interior, ps.n_total)))
     assert np.array_equal(_assembled(tf), mat)
     # into the leading rows of a larger buffer, as linsys.assemble does;
     # assemble consumes its factors, so this takes a fresh set
     tf = tail_factors_at(ps.interior, basis)
     out = np.full((ps.n_total, ps.n_total), np.nan)
+    out[:ps.n_interior] = 0.0
     tf.assemble(out[:ps.n_interior])
     assert np.array_equal(out[:ps.n_interior], mat)
     assert np.all(np.isnan(out[ps.n_interior:]))
@@ -182,6 +184,49 @@ def test_tail_factors_and_matrix_match_out_of_place_formulas_bitwise(d, alpha, p
         got, want = getattr(tf, name), getattr(ref, name)
         assert got is None or np.array_equal(got, want), name
     assert tf.weights is None
+
+
+@pytest.mark.parametrize("d, ps, K, M", [
+    (1, uniform_interval(40), 16, 96),
+    (2, polar_layout(5, 7), 24, 48),
+], ids=["interval", "polar"])
+def test_assemble_adds_the_tail_to_what_out_holds(d, ps, K, M):
+    # assemble adds, it does not overwrite: a nonzero out ends as exactly
+    # out plus the tail, with the bits of the same BLAS calls on copies, and
+    # within 2e-15 of out plus the single-product tail_matrix_ref, relative
+    # to |out| + |tail| entrywise (measured 3.3e-16 in 1D, 6.1e-16 in 2D)
+    basis = GmqBasis(ps.points, FracParams(d, 1.2), 0.9, K=K, M=M)
+    held = np.random.default_rng(3).standard_normal((ps.n_interior, ps.n_total))
+    out = held.copy()
+    assert tail_factors_at(ps.interior, basis).assemble(out) is out
+    ref = tail_factors_ref(ps.interior, basis.centers, basis.eps, basis.beta, basis.params, K, M)
+    assert np.array_equal(out, tail_added_ref(ref, held))
+    tail = tail_matrix_ref(ref)
+    assert np.all(np.abs(out - (held + tail)) <= 2e-15 * (np.abs(held) + np.abs(tail)))
+
+
+def test_assemble_refuses_a_buffer_it_cannot_add_into_in_place():
+    # a non-contiguous out would be copied by the BLAS wrapper, and the sum
+    # would be lost with the copy
+    ps = polar_layout(3, 5)
+    tf = tail_factors_at(ps.interior, GmqBasis(ps.points, FracParams(2, 1.2), 0.9, K=12, M=48))
+    out = np.zeros((ps.n_total, 2 * ps.n_interior))[:, ::2].T
+    with pytest.raises(ValueError, match="C-contiguous"):
+        tf.assemble(out)
+
+
+def test_tails_of_ring_blocks_add_up_to_the_whole_tail():
+    # the factors of a run of rings are the whole rule's factors at those
+    # rings' nodes, bit for bit, so their tails add up to the whole tail
+    ps = clipped_grid(1.0 / 8.0)
+    basis = GmqBasis(ps.points, FracParams(2, 1.2), 0.9, K=12, M=48)
+    whole = tail_factors_at(ps.interior, basis)
+    parts = [tail_factors_at(ps.interior, basis, slice(k, k + 5)) for k in (0, 5, 10)]
+    for name in ("b", "c", "weights"):
+        assert np.array_equal(np.concatenate([getattr(tf, name) for tf in parts],
+                                             axis=0 if name == "c" else -1), getattr(whole, name))
+    assert np.allclose(sum(tail_matrix_ref(tf) for tf in parts), tail_matrix_ref(whole),
+                       rtol=1e-13, atol=0.0)
 
 
 def test_assembled_factors_refuse_reuse():
