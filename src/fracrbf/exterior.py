@@ -10,7 +10,6 @@ two thin factors and never costs more than O(N*K) memory per side.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_blas_funcs
 
 from fracrbf.geometry import as_points
 from fracrbf.quadrature import gauss_legendre_01, periodic_rule
@@ -20,6 +19,7 @@ __all__ = [
     "GmqProfile",
     "TailFactors",
     "tail_factors_at",
+    "add_tail",
     "exterior_data_correction",
 ]
 
@@ -41,9 +41,11 @@ class GmqProfile:
         return (self.eps ** 2 + r2) ** self.exponent
 
 
-# points per block in which _factors_2d fills b and c: elementwise work in
-# blocks has the bits of the whole-array expressions
+# points per block in which _factors_2d fills b and c and TailFactors.assemble
+# adds the product: work in row blocks has the bits of the whole-array expressions
 _ROWS = 128
+# quadrature nodes per block of the tail that add_tail adds into a matrix
+_TAIL_NODES = 256
 
 
 @dataclass
@@ -60,21 +62,25 @@ class TailFactors:
     c_alt: np.ndarray | None = None
 
     def assemble(self, out):
-        """Add the tail matrix into the caller's C-contiguous (rows x centers)
-        buffer `out`, with one gemm per half on its F-order view out.T, so no
-        product is a temporary. It consumes the factors: b (and b_alt) are
-        weighted in place, with the bits of the out-of-place product, and
-        `weights` is set to None, so a later `apply` or `assemble` fails
-        instead of weighting twice."""
-        if not out.flags.c_contiguous:
-            raise ValueError("assemble adds into a C-contiguous buffer")
+        """Add the tail matrix into the caller's (rows x centers) buffer `out`,
+        _ROWS rows at a time: each block of rows is one matmul per half into a
+        block-sized buffer, with the bits of those rows of the single product,
+        so no full product is a temporary. It consumes the factors: b (and
+        b_alt) are weighted in place, with the bits of the out-of-place
+        product, and `weights` is set to None, so a later `apply` or
+        `assemble` fails instead of weighting twice."""
         w, self.weights = self.weights, None
-        gemm = get_blas_funcs("gemm", (out,))
-        for b, c in ((self.b, self.c), (self.b_alt, self.c_alt)):
-            if b is not None:
-                a, trans_a = (c.T, 0) if c.flags.c_contiguous else (c, 1)
-                gemm(self.scale, a, np.multiply(b, w, out=b).T, beta=1.0, c=out.T,
-                     trans_a=trans_a, overwrite_c=1)
+        halves = [(np.multiply(b, w, out=b), c) for b, c in
+                  ((self.b, self.c), (self.b_alt, self.c_alt)) if b is not None]
+        bufs = [np.empty((min(_ROWS, out.shape[0]), out.shape[1])) for _ in halves]
+        for i in range(0, out.shape[0], _ROWS):
+            rows = out[i:i + _ROWS]
+            mat, *alt = [np.matmul(b[i:i + _ROWS], c, out=buf[:len(rows)])
+                         for (b, c), buf in zip(halves, bufs)]
+            for m in alt:
+                mat += m
+            mat *= self.scale
+            rows += mat
         return out
 
     def apply(self, v):
@@ -130,13 +136,14 @@ def _factors_2d(points, centers, eps, beta, alpha, nodes, weights, M):
     return b, c.T, w
 
 
-def _tail_factors(points, centers, eps, beta, p, K, M, rings=slice(None)):
+def _tail_factors(points, centers, eps, beta, p, K, M, rule=None):
     """Tail factors of the profiles (eps^2+|y-center|^2)^beta, rowed by
-    points strictly inside the unit domain, on the radial nodes `rings`."""
+    points strictly inside the unit domain, on the radial (nodes, weights)
+    `rule` (gauss_legendre_01(K) by default)."""
     points, centers = as_points(points, p.d), as_points(centers, p.d)
     if np.any(np.sqrt(np.sum(points * points, axis=1)) >= 1.0):
         raise ValueError("tail rows exist only at points strictly inside the domain")
-    nodes, weights = (a[rings] for a in gauss_legendre_01(K))
+    nodes, weights = gauss_legendre_01(K) if rule is None else rule
     if p.d == 1:
         b_r, c_r, b_l, c_l, w = _factors_1d(points, centers, eps, beta, p.alpha, nodes, weights)
         return TailFactors(b_r, c_r, w, coeff_c(p), b_alt=b_l, c_alt=c_l)
@@ -144,11 +151,26 @@ def _tail_factors(points, centers, eps, beta, p, K, M, rings=slice(None)):
     return TailFactors(b, c, w, coeff_c(p))
 
 
-def tail_factors_at(points, basis, rings=slice(None)):
+def tail_factors_at(points, basis, rule=None):
     """Tail factors of basis under its rule, rowed by points strictly inside
-    the domain, on the radial nodes `rings`, a slice of range(K) (all K by default)."""
+    the domain, on the radial nodes `rule`: a run of whole rings given as
+    (nodes, weights) slices of gauss_legendre_01(basis.K), all K by default."""
     return _tail_factors(points, basis.centers, basis.eps, basis.beta, basis.params,
-                         basis.K, basis.M, rings)
+                         basis.K, basis.M, rule)
+
+
+def add_tail(out, points, basis):
+    """Add the tail matrix of basis, rowed by points strictly inside the
+    domain, into the (rows x centers) buffer `out`, one block of whole
+    radial rings at a time (_TAIL_NODES // M rings, at least one, in 2D; all
+    K nodes in 1D), so one block's factors are all it holds beside out. The
+    Gauss rule is computed once and sliced per block."""
+    nodes, weights = gauss_legendre_01(basis.K)
+    step = basis.K if basis.params.d == 1 else max(1, _TAIL_NODES // basis.M)
+    for k in range(0, basis.K, step):
+        rings = slice(k, k + step)
+        tail_factors_at(points, basis, (nodes[rings], weights[rings])).assemble(out)
+    return out
 
 
 def exterior_data_correction(g, points, basis):

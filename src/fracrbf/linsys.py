@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import LinAlgWarning, get_lapack_funcs
 
-from fracrbf.exterior import tail_factors_at
+from fracrbf.exterior import add_tail
 from fracrbf.rbf import frac_lap_block, phi_block
 
 __all__ = [
@@ -22,10 +22,6 @@ __all__ = [
     "condition_estimate",
     "nodal_operator",
 ]
-
-# quadrature nodes per block of the tail that assemble adds into S; one
-# block's (rows x nodes) and (nodes x centers) factors are all it holds beside S
-_TAIL_NODES = 256
 
 
 def _factor(a):
@@ -103,11 +99,8 @@ def assemble(ps, basis):
     s = np.empty((ps.n_total, ps.n_total))
     frac_lap_block(basis, ps.interior, out=s[:n])
     phi_block(basis, ps.boundary, out=s[n:])
-    # S is the only N x N array: the tail is added into its equation rows in
-    # blocks of the whole rings nearest to _TAIL_NODES nodes (all K in 1D)
-    step = basis.K if basis.params.d == 1 else max(1, round(_TAIL_NODES / basis.M))
-    for k in range(0, basis.K, step):
-        tail_factors_at(ps.interior, basis, slice(k, k + step)).assemble(s[:n])
+    # S is the only N x N array: the tail is added into its equation rows
+    add_tail(s[:n], ps.interior, basis)
     return SystemMatrices(ps, basis, s)
 
 

@@ -2,9 +2,8 @@
 `fracrbf.checks.hypersingular_oracle`, a brute-force exterior tail,
 `table4`'s forcing as the harness composed it around `case2`, the nodal
 operators as `linsys` stacked them from row blocks, the solves with A_phi
-by `linsys`' factorization rule on copies, the tail added into a matrix by
-the BLAS calls `TailFactors.assemble` makes, on copies, and the
-out-of-place forms of the kernel blocks, tail factors, tail product and
+by `linsys`' factorization rule on copies, the tail added into a matrix
+one node block at a time, and the out-of-place forms of the kernel blocks, tail factors, tail product and
 1-norm that the solver computes in place with the same operations, the
 Gauss rule with its recurrence written out twice, and the field, snapshot
 and anisotropy file writers that each wrote its own CSV.
@@ -20,7 +19,6 @@ import numpy as np
 from scipy import integrate
 import scipy.linalg as sla
 from scipy.linalg import get_lapack_funcs
-from scipy.linalg.blas import dgemm
 
 from fracrbf.exterior import TailFactors
 from fracrbf.geometry import as_points
@@ -342,24 +340,22 @@ def tail_matrix_ref(tf):
     return tf.scale * mat
 
 
-def tail_added_ref(tf, out, nodes=None):
-    """out plus the tail matrix of tf, added as `TailFactors.assemble` adds
-    it, on copies: in blocks of `nodes` consecutive quadrature nodes (one
-    block by default), and per block and half one dgemm(scale, beta=1) of
-    the out-of-place weighted b into an F-order copy of out.T, with c.T
-    passed as is where it is F-contiguous (1D) and transposed by dgemm
-    otherwise (2D)."""
-    acc = np.array(out.T, order="F")
+def tail_added_ref(tf, out, nodes=None, rows=128):
+    """out plus the tail matrix of tf, added as `exterior.add_tail` adds it:
+    in blocks of `nodes` consecutive quadrature nodes (one block by default)
+    and, within each, of `rows` rows, each block's single product
+    (`tail_matrix_ref`) added in turn."""
+    acc = out.copy()
     nodes = nodes or tf.weights.size
+    alt = tf.b_alt is not None
     for k in range(0, tf.weights.size, nodes):
         cols = slice(k, k + nodes)
-        for b, c in ((tf.b, tf.c), (tf.b_alt, tf.c_alt)):
-            if b is not None:
-                c = c[cols]
-                a, trans_a = (c.T, 0) if c.flags.c_contiguous else (c, 1)
-                acc = dgemm(tf.scale, a, (b[:, cols] * tf.weights[cols]).T,
-                            beta=1.0, c=acc, trans_a=trans_a)
-    return acc.T
+        for i in range(0, acc.shape[0], rows):
+            r = slice(i, i + rows)
+            acc[r] += tail_matrix_ref(TailFactors(
+                tf.b[r, cols], tf.c[cols], tf.weights[cols], tf.scale,
+                tf.b_alt[r, cols] if alt else None, tf.c_alt[cols] if alt else None))
+    return acc
 
 
 def one_norm_ref(mat):

@@ -3,17 +3,12 @@ vortex diagnostics."""
 
 import dataclasses
 import math
-import os
-import subprocess
-import sys
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-import fracrbf
 from fracrbf import dynamics
 from fracrbf.dynamics import (EvolutionConfig, QgOperators, anisotropy_ratio,
                               crank_nicolson_mixed, mixed_operators, qg_operators,
@@ -100,40 +95,25 @@ def disk73():
     return ps, basis, mixed_operators(ps, basis)
 
 
-def _mixed_peaks():
-    """Final peak per chi of the three-way local/nonlocal split, started
-    from the width-4 Gaussian on the disk73 layout."""
-    ps = polar_layout(8, 8)
-    ops = mixed_operators(ps, GmqBasis(ps.points, FracParams(2, 1.0), 1.0, K=32, M=64))
-    peaks = []
-    for chi in (0.0, 0.5, 1.0):
+def test_mixed_diffusion_peak_regression(disk73):
+    # frozen end states of the three-way local/nonlocal split; the purely
+    # nonlocal run must decay slowest. The pins are one arithmetic order's
+    # bits (the coefficient map from A_phi's Cholesky factor, the tail added
+    # into S one block of rings at a time): the 4-ulp envelope of these
+    # cells in tests/envelope.csv is about 5e-6
+    ps, _, ops = disk73
+    expected = {0.0: 0.03603601433592205,
+                0.5: 0.08944103230968697,
+                1.0: 0.23270453200025346}
+    peaks = {}
+    for chi, ref in expected.items():
         cfg = EvolutionConfig(dt=0.001, t_end=0.5)
         times, fields = crank_nicolson_mixed(ops, cfg, _gaussian(4.0)(ps.interior), chi)
         assert times[-1] == pytest.approx(0.5)
         assert fields.shape == (2, ps.n_interior)
-        peaks.append(float(np.max(np.abs(fields[-1]))))
-    return peaks
-
-
-def test_mixed_diffusion_peak_regression():
-    # frozen end states of the three-way local/nonlocal split; the purely
-    # nonlocal run must decay slowest. The pins are one arithmetic order's
-    # bits (the coefficient map from A_phi's Cholesky factor, the tail added
-    # in blocks of rings) at one BLAS thread, the count tests/envelope.csv
-    # was written at: the 4-ulp envelope of these cells there is about 5e-6,
-    # and at two threads the chi 1 peak moves by 4.4e-9. So the peaks are
-    # computed in a python started with OPENBLAS_NUM_THREADS=1
-    tests = Path(__file__).parent
-    path = [str(Path(fracrbf.__file__).parent.parent), str(tests)]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        path + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    probe = "import test_dynamics\nprint(*map(repr, test_dynamics._mixed_peaks()))\n"
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    peaks = [float(v) for v in proc.stdout.split()]
-    expected = [0.03603601433592205, 0.08944104009404044, 0.23270458037562075]
-    assert peaks == pytest.approx(expected, rel=1e-9)
-    assert peaks[0] < peaks[1] < peaks[2]
+        peaks[chi] = float(np.max(np.abs(fields[-1])))
+        assert peaks[chi] == pytest.approx(ref, rel=1e-9)
+    assert peaks[0.0] < peaks[0.5] < peaks[1.0]
 
 
 def test_mixed_diffusion_norm_decays(disk73):

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from fracrbf.exterior import GmqProfile, exterior_data_correction, tail_factors_at
+from fracrbf import exterior
+from fracrbf.exterior import (GmqProfile, TailFactors, exterior_data_correction,
+                              tail_factors_at)
 from fracrbf.geometry import clipped_grid, polar_layout, uniform_interval
+from fracrbf.quadrature import gauss_legendre_01
 from fracrbf.checks import RadialPowerProfile
 from fracrbf.rbf import GmqBasis
 from fracrbf.specialfun import FracParams
@@ -156,8 +159,8 @@ _FACTOR_FIELDS = ("b", "c", "weights", "b_alt", "c_alt")
 ], ids=["interval-0.8", "interval-1.6", "embedded-1.2", "polar-0.6"])
 def test_tail_factors_and_matrix_match_out_of_place_formulas_bitwise(d, alpha, ps, K, M):
     # factors are built in place with the operations of the plain
-    # expressions, in the same order, and the product is added by the BLAS
-    # calls of tail_added_ref, so no bit may move
+    # expressions, in the same order, and the product is added as
+    # tail_added_ref adds it, so no bit may move
     basis = GmqBasis(ps.points, FracParams(d, alpha), 0.9, K=K, M=M)
     tf = tail_factors_at(ps.interior, basis)
     ref = tail_factors_ref(ps.interior, basis.centers, basis.eps, basis.beta, basis.params, K, M)
@@ -187,32 +190,27 @@ def test_tail_factors_and_matrix_match_out_of_place_formulas_bitwise(d, alpha, p
 
 
 @pytest.mark.parametrize("d, ps, K, M", [
-    (1, uniform_interval(40), 16, 96),
-    (2, polar_layout(5, 7), 24, 48),
-], ids=["interval", "polar"])
+    (1, uniform_interval(300), 16, 96),
+    (2, clipped_grid(1.0 / 16.0), 8, 48),
+], ids=["interval", "embedded"])
 def test_assemble_adds_the_tail_to_what_out_holds(d, ps, K, M):
-    # assemble adds, it does not overwrite: a nonzero out ends as exactly
-    # out plus the tail, with the bits of the same BLAS calls on copies, and
-    # within 2e-15 of out plus the single-product tail_matrix_ref, relative
-    # to |out| + |tail| entrywise (measured 3.3e-16 in 1D, 6.1e-16 in 2D)
+    # assemble adds, it does not overwrite: a nonzero out, C- or F-ordered,
+    # ends as exactly out plus the tail added _ROWS rows at a time, over
+    # several such blocks, and within 2e-15 of out plus the single product
+    # tail_matrix_ref, relative to |out| + |tail| entrywise (measured 4.0e-16
+    # in 1D, 1.2e-15 in 2D: the row blocks move the last N mod 16 centers'
+    # columns by an ulp of the product)
+    assert ps.n_interior > 2 * exterior._ROWS
     basis = GmqBasis(ps.points, FracParams(d, 1.2), 0.9, K=K, M=M)
     held = np.random.default_rng(3).standard_normal((ps.n_interior, ps.n_total))
-    out = held.copy()
-    assert tail_factors_at(ps.interior, basis).assemble(out) is out
     ref = tail_factors_ref(ps.interior, basis.centers, basis.eps, basis.beta, basis.params, K, M)
-    assert np.array_equal(out, tail_added_ref(ref, held))
+    want = tail_added_ref(ref, held, rows=exterior._ROWS)
+    for out in (held.copy(), np.asfortranarray(held)):
+        assert tail_factors_at(ps.interior, basis).assemble(out) is out
+        assert np.array_equal(out, want)
     tail = tail_matrix_ref(ref)
-    assert np.all(np.abs(out - (held + tail)) <= 2e-15 * (np.abs(held) + np.abs(tail)))
-
-
-def test_assemble_refuses_a_buffer_it_cannot_add_into_in_place():
-    # a non-contiguous out would be copied by the BLAS wrapper, and the sum
-    # would be lost with the copy
-    ps = polar_layout(3, 5)
-    tf = tail_factors_at(ps.interior, GmqBasis(ps.points, FracParams(2, 1.2), 0.9, K=12, M=48))
-    out = np.zeros((ps.n_total, 2 * ps.n_interior))[:, ::2].T
-    with pytest.raises(ValueError, match="C-contiguous"):
-        tf.assemble(out)
+    gap = np.abs(want - (held + tail)) / (np.abs(held) + np.abs(tail))
+    assert np.max(gap) <= 2e-15
 
 
 def test_tails_of_ring_blocks_add_up_to_the_whole_tail():
@@ -221,12 +219,50 @@ def test_tails_of_ring_blocks_add_up_to_the_whole_tail():
     ps = clipped_grid(1.0 / 8.0)
     basis = GmqBasis(ps.points, FracParams(2, 1.2), 0.9, K=12, M=48)
     whole = tail_factors_at(ps.interior, basis)
-    parts = [tail_factors_at(ps.interior, basis, slice(k, k + 5)) for k in (0, 5, 10)]
+    nodes, weights = gauss_legendre_01(12)
+    parts = [tail_factors_at(ps.interior, basis, (nodes[k:k + 5], weights[k:k + 5]))
+             for k in (0, 5, 10)]
     for name in ("b", "c", "weights"):
         assert np.array_equal(np.concatenate([getattr(tf, name) for tf in parts],
                                              axis=0 if name == "c" else -1), getattr(whole, name))
     assert np.allclose(sum(tail_matrix_ref(tf) for tf in parts), tail_matrix_ref(whole),
                        rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("d, K, M, steps", [
+    (1, 48, 96, [48]),
+    (2, 32, 64, [4] * 8),
+    (2, 32, 48, [5] * 6 + [2]),
+    (2, 10, 96, [2] * 5),
+    (2, 3, 512, [1] * 3),
+])
+def test_add_tail_adds_blocks_of_whole_rings(d, K, M, steps, monkeypatch):
+    # the blocks run over the Gauss rule in order, made once, each block
+    # 256 // M whole rings (at least one), one block in 1D, so only one
+    # block's factors sit beside out; their tails add up in turn
+    ps = uniform_interval(6) if d == 1 else polar_layout(2, 5)
+    basis = GmqBasis(ps.points, FracParams(d, 1.2), 0.9, K=K, M=M)
+    rules, blocks = [], []
+
+    def counted_rule(k):
+        rules.append(k)
+        return gauss_legendre_01(k)
+
+    def spy(points, basis, rule=None):
+        tf = tail_factors_at(points, basis, rule)
+        blocks.append(TailFactors(tf.b.copy(), tf.c, tf.weights, tf.scale, *(
+            None if a is None else a.copy() for a in (tf.b_alt, tf.c_alt))))
+        return tf
+    monkeypatch.setattr(exterior, "gauss_legendre_01", counted_rule)
+    monkeypatch.setattr(exterior, "tail_factors_at", spy)
+    held = np.ones((ps.n_interior, ps.n_total))
+    out = exterior.add_tail(held.copy(), ps.interior, basis)
+    assert rules == [K]
+    assert [b.weights.size // (1 if d == 1 else M) for b in blocks] == steps
+    want = held
+    for tf in blocks:
+        want = tail_added_ref(tf, want)
+    assert np.array_equal(out, want)
 
 
 def test_assembled_factors_refuse_reuse():

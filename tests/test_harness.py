@@ -276,10 +276,10 @@ def test_preset_table2_frozen_rows():
     ns = [r.n for r in rep.rows]
     assert ns == [2, 4, 8, 16]
     expect = [
-        (0.01047233456295893, 0.14241864260425544, 2947.4735597553567),
-        (0.007973418308879321, 0.026691098443814624, 290390.6321256796),
-        (0.0004537459592540704, 0.00086044322395972, 2084009949.2349632),
-        (2.030374814804027e-06, 1.909308824885022e-06, 6.4687264996550024e+16),
+        (0.010472334562952712, 0.14241864260425785, 2947.4735597553567),
+        (0.007973418308870162, 0.026691098443820234, 290390.6321256796),
+        (0.00045374595789749936, 0.0008604432246336567, 2084009949.2349632),
+        (2.032596158764256e-06, 1.9084910582772262e-06, 6.4687264996550024e+16),
     ]
     for row, (e, ehat, cond) in zip(rep.rows, expect):
         assert row.e == pytest.approx(e, rel=1e-9)
@@ -328,8 +328,8 @@ def test_preset_table2_deterministic_rows():
 def test_preset_table5_small_levels():
     rep = preset_table5(levels=(3, 5))
     assert [r.n for r in rep.rows] == [13, 31]
-    assert rep.rows[0].e == pytest.approx(0.01854629631067589, rel=1e-9)
-    assert rep.rows[1].e == pytest.approx(0.0007332551382398695, rel=1e-9)
+    assert rep.rows[0].e == pytest.approx(0.018546296310706516, rel=1e-9)
+    assert rep.rows[1].e == pytest.approx(0.0007332551367017196, rel=1e-9)
     # 2D rate derivation uses the per-axis point-count ratio
     ref_rate = math.log(rep.rows[0].e / rep.rows[1].e) / (math.log(31 / 13) / 2.0)
     assert rep.rows[1].rate_e == pytest.approx(ref_rate, rel=1e-12)
