@@ -41,8 +41,9 @@ class GmqProfile:
         return (self.eps ** 2 + r2) ** self.exponent
 
 
-# points per block in which _factors_2d fills b and c and TailFactors.assemble
-# adds the product: work in row blocks has the bits of the whole-array expressions
+# points per block in which _factors_2d fills b and c (elementwise work in
+# blocks has the bits of the whole-array expressions), and rows per block in
+# which TailFactors.assemble adds the product
 _ROWS = 128
 # quadrature nodes per block of the tail that add_tail adds into a matrix
 _TAIL_NODES = 256
@@ -64,11 +65,14 @@ class TailFactors:
     def assemble(self, out):
         """Add the tail matrix into the caller's (rows x centers) buffer `out`,
         _ROWS rows at a time: each block of rows is one matmul per half into a
-        block-sized buffer, with the bits of those rows of the single product,
-        so no full product is a temporary. It consumes the factors: b (and
-        b_alt) are weighted in place, with the bits of the out-of-place
-        product, and `weights` is set to None, so a later `apply` or
-        `assemble` fails instead of weighting twice."""
+        block-sized buffer, summed and scaled there, so no full product is a
+        temporary. numpy's matmul splits its rows between BLAS threads at tile
+        boundaries (the gemm of scipy's bundled OpenBLAS does not), so the
+        sum has the same bits at one and two threads but in the last few
+        centers' columns. It consumes the factors: b (and b_alt) are weighted
+        in place, with the bits of the out-of-place product, and `weights` is
+        set to None, so a later `apply` or `assemble` fails instead of
+        weighting twice."""
         w, self.weights = self.weights, None
         halves = [(np.multiply(b, w, out=b), c) for b, c in
                   ((self.b, self.c), (self.b_alt, self.c_alt)) if b is not None]
