@@ -49,11 +49,11 @@ _ROWS = 128
 _TAIL_NODES = 256
 
 
-@dataclass
+@dataclass(frozen=True)
 class TailFactors:
-    """Factored tail matrix. 1D: scale*(b @ diag(weights) @ c + b_alt @
-    diag(weights) @ c_alt); 2D: scale*(b @ diag(weights) @ c) with the
-    radial weight, Jacobian power and angle weight combined into weights."""
+    """Factored tail matrix, the rule's weights folded into b and b_alt: 1D
+    scale*(b @ c + b_alt @ c_alt), 2D scale*(b @ c). `weights` records those
+    weights (in 2D radial weight, Jacobian power and angle weight combined)."""
 
     b: np.ndarray
     c: np.ndarray
@@ -69,13 +69,8 @@ class TailFactors:
         temporary. numpy's matmul splits its rows between BLAS threads at tile
         boundaries (the gemm of scipy's bundled OpenBLAS does not), so the
         sum has the same bits at one and two threads but in the last few
-        centers' columns. It consumes the factors: b (and b_alt) are weighted
-        in place, with the bits of the out-of-place product, and `weights` is
-        set to None, so a later `apply` or `assemble` fails instead of
-        weighting twice."""
-        w, self.weights = self.weights, None
-        halves = [(np.multiply(b, w, out=b), c) for b, c in
-                  ((self.b, self.c), (self.b_alt, self.c_alt)) if b is not None]
+        centers' columns. The factors are only read."""
+        halves = [h for h in ((self.b, self.c), (self.b_alt, self.c_alt)) if h[0] is not None]
         bufs = [np.empty((min(_ROWS, out.shape[0]), out.shape[1])) for _ in halves]
         for i in range(0, out.shape[0], _ROWS):
             rows = out[i:i + _ROWS]
@@ -87,14 +82,6 @@ class TailFactors:
             rows += mat
         return out
 
-    def apply(self, v):
-        """The tail matrix times v, row by row without forming the matrix."""
-        v = np.asarray(v, dtype=float)
-        out = (self.b * (self.weights * (self.c @ v))[None, :]).sum(axis=1)
-        if self.b_alt is not None:
-            out = out + (self.b_alt * (self.weights * (self.c_alt @ v))[None, :]).sum(axis=1)
-        return self.scale * out
-
 
 def _factors_1d(points, centers, eps, beta, alpha, s, weights):
     """Factor pieces of int_{|y|>1} (eps^2+(y-c)^2)^beta |x-y|^(-1-alpha) dy."""
@@ -103,8 +90,8 @@ def _factors_1d(points, centers, eps, beta, alpha, s, weights):
     x = points[:, 0]
     xc = centers[:, 0]
     def ray(sign):
-        """b and c of the ray toward sign*infinity: (1 - sign*x*s)^(-1-alpha)."""
-        return ((1.0 - sign * x[:, None] * s[None, :]) ** (-1.0 - alpha),
+        """b and c of the ray toward sign*infinity: w (1 - sign*x*s)^(-1-alpha)."""
+        return ((1.0 - sign * x[:, None] * s[None, :]) ** (-1.0 - alpha) * w,
                 ((s[:, None] * eps) ** 2 + (1.0 - sign * xc[None, :] * s[:, None]) ** 2) ** beta)
     return (*ray(1.0), *ray(-1.0), w)
 
@@ -134,6 +121,7 @@ def _factors_2d(points, centers, eps, beta, alpha, nodes, weights, M):
         return out
     b = sqd(points)
     b **= -(alpha / 2.0 + 1.0)
+    b *= w
     c = sqd(centers)
     c += (s[None, :] * eps) ** 2
     c **= beta
@@ -143,7 +131,7 @@ def _factors_2d(points, centers, eps, beta, alpha, nodes, weights, M):
 def _tail_factors(points, centers, eps, beta, p, K, M, rule=None):
     """Tail factors of the profiles (eps^2+|y-center|^2)^beta, rowed by
     points strictly inside the unit domain, on the radial (nodes, weights)
-    `rule` (gauss_legendre_01(K) by default)."""
+    `rule` (gauss_legendre_01(K) by default), the weights folded into b."""
     points, centers = as_points(points, p.d), as_points(centers, p.d)
     if np.any(np.sqrt(np.sum(points * points, axis=1)) >= 1.0):
         raise ValueError("tail rows exist only at points strictly inside the domain")
@@ -163,17 +151,22 @@ def tail_factors_at(points, basis, rule=None):
                          basis.K, basis.M, rule)
 
 
-def add_tail(out, points, basis):
-    """Add the tail matrix of basis, rowed by points strictly inside the
-    domain, into the (rows x centers) buffer `out`, one block of whole
-    radial rings at a time (_TAIL_NODES // M rings, at least one, in 2D; all
-    K nodes in 1D), so one block's factors are all it holds beside out. The
-    Gauss rule is computed once and sliced per block."""
+def _node_blocks(basis):
+    """The (nodes, weights) slices of gauss_legendre_01(basis.K) that every
+    tail is added in: _TAIL_NODES // M whole radial rings (at least one) in
+    2D, all K nodes in 1D. The rule is computed once."""
     nodes, weights = gauss_legendre_01(basis.K)
     step = basis.K if basis.params.d == 1 else max(1, _TAIL_NODES // basis.M)
     for k in range(0, basis.K, step):
-        rings = slice(k, k + step)
-        tail_factors_at(points, basis, (nodes[rings], weights[rings])).assemble(out)
+        yield nodes[k:k + step], weights[k:k + step]
+
+
+def add_tail(out, points, basis):
+    """Add the tail matrix of basis, rowed by points strictly inside the
+    domain, into the (rows x centers) buffer `out`, one of _node_blocks'
+    blocks at a time, so one block's factors are all it holds beside out."""
+    for rule in _node_blocks(basis):
+        tail_factors_at(points, basis, rule).assemble(out)
     return out
 
 
@@ -190,4 +183,7 @@ def exterior_data_correction(g, points, basis):
     p = basis.params
     if 2.0 * g.exponent >= p.alpha:
         raise ValueError("exterior datum must decay: need 2*exponent < alpha")
-    return _tail_factors(points, g.center, g.eps, g.exponent, p, basis.K, basis.M).apply(np.ones(1))
+    out = np.zeros((len(as_points(points, p.d)), 1))
+    for rule in _node_blocks(basis):
+        _tail_factors(points, g.center, g.eps, g.exponent, p, basis.K, basis.M, rule).assemble(out)
+    return out[:, 0]

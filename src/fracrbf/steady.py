@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 
-from fracrbf.exterior import exterior_data_correction, tail_factors_at
+from fracrbf.exterior import add_tail, exterior_data_correction
 from fracrbf.linsys import _phi_solve
 from fracrbf.rbf import frac_lap_block, phi_block
 
@@ -37,10 +37,10 @@ def interpolate(basis, samples):
 def forward_frac_lap_clipped(lam, basis, test_points):
     """Fractional Laplacian of the expansion zero-extended outside the unit
     domain: the full-space image plus the tail of every center over the
-    exterior. This is the operator the collocation rows discretize, so its
-    residual against f is the quantity the convergence tables track."""
+    exterior, built by the two calls that build the equation rows of S, so
+    its residual against f is the quantity the convergence tables track."""
     lam = np.asarray(lam, dtype=float)
-    return frac_lap_block(basis, test_points) @ lam + tail_factors_at(test_points, basis).apply(lam)
+    return add_tail(frac_lap_block(basis, test_points), test_points, basis) @ lam
 
 
 def solve_poisson(sm, f, g=None):

@@ -303,7 +303,8 @@ def gauss_legendre_01_ref(K):
 
 
 def tail_factors_ref(points, centers, eps, beta, p, K, M):
-    """The factors `exterior._tail_factors` builds, from the same arguments."""
+    """The factors `exterior._tail_factors` builds, from the same arguments:
+    b (and b_alt) weighted out of place, `weights` the record of the rule."""
     points, centers = as_points(points, p.d), as_points(centers, p.d)
     nodes, weights = gauss_legendre_01(K)
     gamma = p.alpha - 1.0 - 2.0 * beta
@@ -311,8 +312,8 @@ def tail_factors_ref(points, centers, eps, beta, p, K, M):
         s = nodes
         w = weights * s ** gamma
         x, xc = points[:, 0], centers[:, 0]
-        b_r = (1.0 - x[:, None] * s[None, :]) ** (-1.0 - p.alpha)
-        b_l = (1.0 + x[:, None] * s[None, :]) ** (-1.0 - p.alpha)
+        b_r = (1.0 - x[:, None] * s[None, :]) ** (-1.0 - p.alpha) * w
+        b_l = (1.0 + x[:, None] * s[None, :]) ** (-1.0 - p.alpha) * w
         c_r = ((s[:, None] * eps) ** 2 + (1.0 - xc[None, :] * s[:, None]) ** 2) ** beta
         c_l = ((s[:, None] * eps) ** 2 + (1.0 + xc[None, :] * s[:, None]) ** 2) ** beta
         return TailFactors(b_r, c_r, w, coeff_c(p), b_alt=b_l, c_alt=c_l)
@@ -326,17 +327,16 @@ def tail_factors_ref(points, centers, eps, beta, p, K, M):
         d1 = sig[None, :, 0] - pts[:, 0, None] * s[None, :]
         d2 = sig[None, :, 1] - pts[:, 1, None] * s[None, :]
         return d1 * d1 + d2 * d2
-    b = sqd(points) ** (-(p.alpha / 2.0 + 1.0))
+    b = sqd(points) ** (-(p.alpha / 2.0 + 1.0)) * w
     c = ((s[None, :] * eps) ** 2 + sqd(centers)) ** beta
     return TailFactors(b, c.T, w, coeff_c(p))
 
 
 def tail_matrix_ref(tf):
     """The full matrix of a `TailFactors`, as one product per half."""
-    bw = tf.b * tf.weights[None, :]
-    mat = bw @ tf.c
+    mat = tf.b @ tf.c
     if tf.b_alt is not None:
-        mat = mat + (tf.b_alt * tf.weights[None, :]) @ tf.c_alt
+        mat = mat + tf.b_alt @ tf.c_alt
     return tf.scale * mat
 
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from fracrbf import exterior
-from fracrbf.exterior import (GmqProfile, TailFactors, exterior_data_correction,
-                              tail_factors_at)
+from fracrbf.exterior import GmqProfile, exterior_data_correction, tail_factors_at
 from fracrbf.geometry import clipped_grid, polar_layout, uniform_interval
 from fracrbf.quadrature import gauss_legendre_01
 from fracrbf.checks import RadialPowerProfile
@@ -67,13 +66,6 @@ def test_tail_rows_need_one_column_per_dimension():
         tail_factors_at(np.full((2, 3), 0.1), basis)
 
 
-def _assert_apply_matches_assemble(tf, mat):
-    # the matrix-free product of unassembled factors agrees with the
-    # assembled matrix up to the rounding of a sum of |mat| |v| terms
-    v = np.random.default_rng(4).standard_normal(mat.shape[1])
-    assert np.all(np.abs(tf.apply(v) - mat @ v) <= 1e-13 * (np.abs(mat) @ np.abs(v)))
-
-
 def test_factored_matrix_matches_entries():
     ps = uniform_interval(8)
     p = FracParams(1, 0.8)
@@ -85,7 +77,6 @@ def test_factored_matrix_matches_entries():
         for j in (0, 5, 7):
             ref = _entry(ps.interior[i], ps.points[j], 1.3, p, K=16)
             assert mat[i, j] == pytest.approx(ref, rel=1e-13)
-    _assert_apply_matches_assemble(tail_factors_at(ps.interior, basis), mat)
 
 
 def test_factored_matrix_matches_entries_2d():
@@ -99,7 +90,6 @@ def test_factored_matrix_matches_entries_2d():
         for j in (0, 9):
             ref = _entry(ps.interior[i], ps.points[j], 0.9, p, K=12, M=48)
             assert mat[i, j] == pytest.approx(ref, rel=1e-13)
-    _assert_apply_matches_assemble(tail_factors_at(ps.interior, basis), mat)
 
 
 def test_tail_factors_at_arbitrary_points():
@@ -159,8 +149,8 @@ _FACTOR_FIELDS = ("b", "c", "weights", "b_alt", "c_alt")
 ], ids=["interval-0.8", "interval-1.6", "embedded-1.2", "polar-0.6"])
 def test_tail_factors_and_matrix_match_out_of_place_formulas_bitwise(d, alpha, ps, K, M):
     # factors are built in place with the operations of the plain
-    # expressions, in the same order, and the product is added as
-    # tail_added_ref adds it, so no bit may move
+    # expressions, in the same order (the weights folded into b), and the
+    # product is added as tail_added_ref adds it, so no bit may move
     basis = GmqBasis(ps.points, FracParams(d, alpha), 0.9, K=K, M=M)
     tf = tail_factors_at(ps.interior, basis)
     ref = tail_factors_ref(ps.interior, basis.centers, basis.eps, basis.beta, basis.params, K, M)
@@ -171,22 +161,12 @@ def test_tail_factors_and_matrix_match_out_of_place_formulas_bitwise(d, alpha, p
         assert got is None or np.array_equal(got, want), name
     mat = tail_added_ref(ref, np.zeros((ps.n_interior, ps.n_total)))
     assert np.array_equal(_assembled(tf), mat)
-    # into the leading rows of a larger buffer, as linsys.assemble does;
-    # assemble consumes its factors, so this takes a fresh set
-    tf = tail_factors_at(ps.interior, basis)
+    # into the leading rows of a larger buffer, as linsys.assemble does
     out = np.full((ps.n_total, ps.n_total), np.nan)
     out[:ps.n_interior] = 0.0
     tf.assemble(out[:ps.n_interior])
     assert np.array_equal(out[:ps.n_interior], mat)
     assert np.all(np.isnan(out[ps.n_interior:]))
-    # the product weights b in place, with the bits of the out-of-place
-    # scaling, leaves c as it was and drops the weights
-    assert np.array_equal(tf.b, ref.b * ref.weights)
-    assert tf.b_alt is None or np.array_equal(tf.b_alt, ref.b_alt * ref.weights)
-    for name in ("c", "c_alt"):
-        got, want = getattr(tf, name), getattr(ref, name)
-        assert got is None or np.array_equal(got, want), name
-    assert tf.weights is None
 
 
 @pytest.mark.parametrize("d, ps, K, M", [
@@ -249,10 +229,8 @@ def test_add_tail_adds_blocks_of_whole_rings(d, K, M, steps, monkeypatch):
         return gauss_legendre_01(k)
 
     def spy(points, basis, rule=None):
-        tf = tail_factors_at(points, basis, rule)
-        blocks.append(TailFactors(tf.b.copy(), tf.c, tf.weights, tf.scale, *(
-            None if a is None else a.copy() for a in (tf.b_alt, tf.c_alt))))
-        return tf
+        blocks.append(tail_factors_at(points, basis, rule))
+        return blocks[-1]
     monkeypatch.setattr(exterior, "gauss_legendre_01", counted_rule)
     monkeypatch.setattr(exterior, "tail_factors_at", spy)
     held = np.ones((ps.n_interior, ps.n_total))
@@ -265,12 +243,33 @@ def test_add_tail_adds_blocks_of_whole_rings(d, K, M, steps, monkeypatch):
     assert np.array_equal(out, want)
 
 
-def test_assembled_factors_refuse_reuse():
-    # a second product would weight b twice, so it fails instead
-    ps = polar_layout(3, 5)
-    tf = tail_factors_at(ps.interior, GmqBasis(ps.points, FracParams(2, 1.2), 0.9, K=12, M=48))
-    _assembled(tf)
-    with pytest.raises(TypeError):
-        tf.apply(np.ones(ps.n_total))
-    with pytest.raises(TypeError):
-        _assembled(tf)
+@pytest.mark.parametrize("ps, d", [(uniform_interval(40), 1), (polar_layout(3, 5), 2)],
+                         ids=["interval", "polar"])
+def test_assemble_only_reads_its_factors(ps, d):
+    # the weights are in b from the start, so a second assemble of the same
+    # factors adds the same bits again and leaves every field as it was
+    tf = tail_factors_at(ps.interior, GmqBasis(ps.points, FracParams(d, 1.2), 0.9, K=12, M=48))
+    held = {name: getattr(tf, name) for name in _FACTOR_FIELDS}
+    kept = {name: None if a is None else a.copy() for name, a in held.items()}
+    once = _assembled(tf)
+    assert np.array_equal(tf.assemble(once.copy()), once + once)
+    assert np.array_equal(_assembled(tf), once)
+    for name, a in held.items():
+        assert getattr(tf, name) is a
+        assert a is None or np.array_equal(a, kept[name]), name
+
+
+@pytest.mark.parametrize("ps, d, K, M, nodes", [
+    (uniform_interval(40), 1, 24, 96, None),
+    (polar_layout(5, 7), 2, 12, 48, 240),
+    (polar_layout(5, 7), 2, 5, 512, 512),
+], ids=["interval", "polar-5-rings", "polar-1-ring"])
+def test_exterior_datum_is_added_in_the_node_blocks_of_add_tail(ps, d, K, M, nodes):
+    # the datum's one-column tail goes through add_tail's node blocks and
+    # row blocks, so it has the bits of tail_added_ref on the whole rule's
+    # factors cut into those blocks (240 = 5 rings of 48 angles)
+    basis = GmqBasis(ps.points, FracParams(d, 1.2), 0.9, K=K, M=M)
+    g = GmqProfile(np.zeros(d), 1.0, -(d + 1) / 2.0)
+    ref = tail_factors_ref(ps.interior, g.center, g.eps, g.exponent, basis.params, K, M)
+    want = tail_added_ref(ref, np.zeros((ps.n_interior, 1)), nodes)
+    assert np.array_equal(exterior_data_correction(g, ps.interior, basis), want[:, 0])

@@ -13,7 +13,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 @pytest.mark.parametrize("name, kwargs, counts", [
     ("table2", dict(ns=(2, 4)),
-     {"exterior.tail_nodes": 384, "exterior.tail_flops": 6144, "linsys.lu_count": 4}),
+     {"exterior.tail_nodes": 384, "exterior.tail_flops": 10368, "linsys.lu_count": 4}),
     # the LU of S; cond(A_phi) comes from a Cholesky factor, which the trace
     # does not count
     ("table6", dict(hs=(0.5,)),

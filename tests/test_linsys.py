@@ -8,14 +8,16 @@ import pytest
 import scipy.linalg as sla
 from scipy.linalg import get_lapack_funcs
 
-from fracrbf.exterior import tail_factors_at
-from fracrbf.geometry import clipped_grid, polar_layout, uniform_interval
-from fracrbf.harness import solve_row
+from fracrbf.exterior import exterior_data_correction, tail_factors_at
+from fracrbf.geometry import clipped_grid, disk_grid, polar_layout, uniform_interval
+from fracrbf.harness import measurement_points, solve_row
 from fracrbf.linsys import (SystemMatrices, _factor, _phi_factor, assemble, condition_estimate,
                             nodal_operator)
+from fracrbf.oracles import case1_datum
 from fracrbf.rbf import GmqBasis, classical_lap_block, frac_lap_block, phi_block
 from fracrbf.specialfun import FracParams
-from fracrbf.steady import evaluate_interpolant, interpolate, solve_poisson
+from fracrbf.steady import (evaluate_interpolant, forward_frac_lap_clipped, interpolate,
+                            solve_poisson)
 from reference import (cholesky_cond_ref, frac_lap_block_ref, nodal_operator_ref, one_norm_ref,
                        phi_block_ref, phi_solve_ref, tail_added_ref, tail_factors_ref,
                        tail_matrix_ref)
@@ -326,6 +328,26 @@ def test_assembly_memory_budget(ps, d, K, M, budget):
     # assemble does, up to the few hundred bytes of its Python objects
     _, peak = _peak_in_n2(lambda: solve_row(ps, basis, lambda x: np.ones(len(x))), n)
     assert peak <= assemble_peak + 1e-3
+
+
+@pytest.mark.parametrize("ps, tail, budget", [
+    (disk_grid(1.0 / 16.0),
+     lambda ps, basis: exterior_data_correction(case1_datum(2), ps.interior, basis), 0.30),
+    (polar_layout(9, 9),
+     lambda ps, basis: forward_frac_lap_clipped(np.ones(ps.n_total), basis,
+                                                measurement_points(ps)), 95.0),
+], ids=["exterior-datum", "clipped-forward"])
+def test_tails_outside_s_memory_budget(ps, tail, budget):
+    # the two tails outside S go through add_tail's node blocks too (here
+    # 2 rings of 96 angles), so they hold one block's factors at a time. The
+    # datum's tail at N=825 peaks at 0.29 units (one block's b beside the
+    # result); the clipped operator at its 2561 measurement points and N=91
+    # at 93.9 units, about 6.2 MB (the 2561 x 91 rows, one block's b and c,
+    # and the row buffer). The budgets sit just above; the whole-rule
+    # factors of the matrix-free product gave 10.76 and 2902 units
+    basis = GmqBasis(ps.points, FracParams(2, 1.0), 1.5, K=48, M=96)
+    _, peak = _peak_in_n2(lambda: tail(ps, basis), ps.n_total)
+    assert peak < budget
 
 
 def test_condition_estimate_memory_budget_on_the_cholesky_path():
