@@ -303,41 +303,35 @@ def gauss_legendre_01_ref(K):
 
 
 def tail_factors_ref(points, centers, eps, beta, p, K, M):
-    """The factors `exterior._tail_factors` builds, from the same arguments:
-    b (and b_alt) weighted out of place, `weights` the record of the rule."""
+    """The factors `exterior._tail_factors` builds, from the same arguments,
+    out of place: on the node-major grid of the K radial nodes and the
+    directions (+-1 of weight 1 in 1D, M angles of weight 2pi/M in 2D), the
+    weights folded into b, `weights` the record of the rule."""
     points, centers = as_points(points, p.d), as_points(centers, p.d)
     nodes, weights = gauss_legendre_01(K)
-    gamma = p.alpha - 1.0 - 2.0 * beta
     if p.d == 1:
-        s = nodes
-        w = weights * s ** gamma
-        x, xc = points[:, 0], centers[:, 0]
-        b_r = (1.0 - x[:, None] * s[None, :]) ** (-1.0 - p.alpha) * w
-        b_l = (1.0 + x[:, None] * s[None, :]) ** (-1.0 - p.alpha) * w
-        c_r = ((s[:, None] * eps) ** 2 + (1.0 - xc[None, :] * s[:, None]) ** 2) ** beta
-        c_l = ((s[:, None] * eps) ** 2 + (1.0 + xc[None, :] * s[:, None]) ** 2) ** beta
-        return TailFactors(b_r, c_r, w, coeff_c(p), b_alt=b_l, c_alt=c_l)
-    angles, ang_weight = periodic_rule(M)
-    s = np.repeat(nodes, M)
-    w = np.repeat(weights, M) * s ** gamma * ang_weight
-    theta = np.tile(angles, K)
-    sig = np.column_stack([np.cos(theta), np.sin(theta)])
+        sig, dir_weight = np.array([[1.0], [-1.0]]), 1.0
+    else:
+        angles, dir_weight = periodic_rule(M)
+        sig = np.column_stack([np.cos(angles), np.sin(angles)])
+    n_dirs = sig.shape[0]
+    s = np.repeat(nodes, n_dirs)
+    w = np.repeat(weights, n_dirs) * s ** (p.alpha - 1.0 - 2.0 * beta) * dir_weight
+    sig = np.tile(sig, (K, 1))
 
     def sqd(pts):
-        d1 = sig[None, :, 0] - pts[:, 0, None] * s[None, :]
-        d2 = sig[None, :, 1] - pts[:, 1, None] * s[None, :]
-        return d1 * d1 + d2 * d2
-    b = sqd(points) ** (-(p.alpha / 2.0 + 1.0)) * w
+        return sum((sig[None, :, k] - pts[:, k, None] * s[None, :]) ** 2 for k in range(p.d))
+    if p.d == 1:
+        b = (1.0 - points * sig[None, :, 0] * s[None, :]) ** (-1.0 - p.alpha) * w
+    else:
+        b = sqd(points) ** (-(p.alpha / 2.0 + 1.0)) * w
     c = ((s[None, :] * eps) ** 2 + sqd(centers)) ** beta
     return TailFactors(b, c.T, w, coeff_c(p))
 
 
 def tail_matrix_ref(tf):
-    """The full matrix of a `TailFactors`, as one product per half."""
-    mat = tf.b @ tf.c
-    if tf.b_alt is not None:
-        mat = mat + tf.b_alt @ tf.c_alt
-    return tf.scale * mat
+    """The full matrix of a `TailFactors`, as one product."""
+    return tf.scale * (tf.b @ tf.c)
 
 
 def tail_added_ref(tf, out, nodes=None, rows=128):
@@ -347,14 +341,12 @@ def tail_added_ref(tf, out, nodes=None, rows=128):
     (`tail_matrix_ref`) added in turn."""
     acc = out.copy()
     nodes = nodes or tf.weights.size
-    alt = tf.b_alt is not None
     for k in range(0, tf.weights.size, nodes):
         cols = slice(k, k + nodes)
         for i in range(0, acc.shape[0], rows):
             r = slice(i, i + rows)
-            acc[r] += tail_matrix_ref(TailFactors(
-                tf.b[r, cols], tf.c[cols], tf.weights[cols], tf.scale,
-                tf.b_alt[r, cols] if alt else None, tf.c_alt[cols] if alt else None))
+            acc[r] += tail_matrix_ref(TailFactors(tf.b[r, cols], tf.c[cols], tf.weights[cols],
+                                                  tf.scale))
     return acc
 
 

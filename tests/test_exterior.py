@@ -169,6 +169,29 @@ def test_tail_factors_and_matrix_match_out_of_place_formulas_bitwise(d, alpha, p
     assert np.all(np.isnan(out[ps.n_interior:]))
 
 
+@pytest.mark.parametrize("alpha, beta", [(0.8, -0.5), (1.6, 0.25)])
+def test_interval_factors_are_the_two_rays_as_alternate_columns(alpha, beta):
+    # on the interval the direction rule is +1, -1 of weight 1, node-major,
+    # so the even columns of b (rows of c) are the ray toward +infinity and
+    # the odd ones the ray toward -infinity, each entry with the bits of the
+    # one-ray formulas w (1 - sign x s)^(-1-alpha) and
+    # ((s eps)^2 + (1 - sign c s)^2)^beta
+    ps = uniform_interval(40)
+    x, xc = ps.interior[:, 0], ps.points[:, 0]
+    p, eps, K = FracParams(1, alpha), 0.9, 24
+    s, weights = gauss_legendre_01(K)
+    tf = exterior._tail_factors(ps.interior, ps.points, eps, beta, p, K, 96)
+    w = weights * s ** (alpha - 1.0 - 2.0 * beta)
+    assert tf.b.shape == (ps.n_interior, 2 * K) and tf.c.shape == (2 * K, ps.n_total)
+    for sign, cols in ((1.0, slice(0, None, 2)), (-1.0, slice(1, None, 2))):
+        assert np.array_equal(tf.weights[cols], w)
+        assert np.array_equal(tf.b[:, cols],
+                              (1.0 - sign * x[:, None] * s[None, :]) ** (-1.0 - alpha) * w)
+        assert np.array_equal(tf.c[cols], ((s[:, None] * eps) ** 2
+                                           + (1.0 - sign * xc[None, :] * s[:, None]) ** 2) ** beta)
+    assert tf.b_alt is None and tf.c_alt is None
+
+
 @pytest.mark.parametrize("d, ps, K, M", [
     (1, uniform_interval(300), 16, 96),
     (2, clipped_grid(1.0 / 16.0), 8, 48),
@@ -215,11 +238,13 @@ def test_tails_of_ring_blocks_add_up_to_the_whole_tail():
     (2, 32, 48, [5] * 6 + [2]),
     (2, 10, 96, [2] * 5),
     (2, 3, 512, [1] * 3),
+    (1, 300, 96, [128, 128, 44]),
 ])
 def test_add_tail_adds_blocks_of_whole_rings(d, K, M, steps, monkeypatch):
     # the blocks run over the Gauss rule in order, made once, each block
-    # 256 // M whole rings (at least one), one block in 1D, so only one
-    # block's factors sit beside out; their tails add up in turn
+    # 256 // (directions per radial node) whole rings (at least one): M in
+    # 2D, the two directions +-1 in 1D, so K <= 128 is one block in 1D. Only
+    # one block's factors sit beside out; their tails add up in turn
     ps = uniform_interval(6) if d == 1 else polar_layout(2, 5)
     basis = GmqBasis(ps.points, FracParams(d, 1.2), 0.9, K=K, M=M)
     rules, blocks = [], []
@@ -236,7 +261,7 @@ def test_add_tail_adds_blocks_of_whole_rings(d, K, M, steps, monkeypatch):
     held = np.ones((ps.n_interior, ps.n_total))
     out = exterior.add_tail(held.copy(), ps.interior, basis)
     assert rules == [K]
-    assert [b.weights.size // (1 if d == 1 else M) for b in blocks] == steps
+    assert [b.weights.size // (2 if d == 1 else M) for b in blocks] == steps
     want = held
     for tf in blocks:
         want = tail_added_ref(tf, want)

@@ -276,10 +276,10 @@ def test_preset_table2_frozen_rows():
     ns = [r.n for r in rep.rows]
     assert ns == [2, 4, 8, 16]
     expect = [
-        (0.010472334562952712, 0.14241864260425816, 2947.4735597553567),
-        (0.007973418308870162, 0.02669109844380978, 290390.6321256796),
-        (0.00045374595789749936, 0.0008604432244107674, 2084009949.2349632),
-        (2.032596158764256e-06, 1.905295996614183e-06, 6.4687264996550024e+16),
+        (0.010472334562958041, 0.142418642604258, 2947.4735597553567),
+        (0.007973418308831859, 0.0266910984438397, 290390.6321256796),
+        (0.000453745959626907, 0.0008604432256996374, 2084009949.2349632),
+        (2.0384051377281037e-06, 1.9001549552029601e-06, 6.4687264996550024e+16),
     ]
     for row, (e, ehat, cond) in zip(rep.rows, expect):
         assert row.e == pytest.approx(e, rel=1e-9)

@@ -300,15 +300,15 @@ def _peak_in_n2(fn, n):
 
 @pytest.mark.parametrize("ps, d, K, M, budget", [
     (clipped_grid(1.0 / 16.0), 2, 32, 64, 1.72),
-    (uniform_interval(600), 1, 48, 96, 1.77),
+    (uniform_interval(600), 1, 48, 96, 1.56),
     (clipped_grid(1.0 / 32.0), 2, 32, 64, 1.19),
 ], ids=["embedded", "interval", "fig-square-size"])
 def test_assembly_memory_budget(ps, d, K, M, budget):
     # assemble returns S alone (1 unit) and, at its peak, also holds one
-    # node block's tail factors b and c and the 128-row buffer (one per
-    # half) that their product is added through: 1.70 units at N=797, where
-    # a 256-node block is large beside N^2, 1.75 in 1D (one block of both
-    # halves, whose two buffers are 0.43 units at N=600) and 1.17 at
+    # node block's tail factors b and c and the 128-row buffer that their
+    # product is added through: 1.70 units at N=797, where a 256-node block
+    # is large beside N^2, 1.53 in 1D (one block, whose buffer is 0.21 units
+    # at N=600) and 1.17 at
     # fig-square's N=3209. The budgets sit just above that, so a temporary
     # put back fails here; the whole-rule factors gave 5.73, 2.32 and 2.07.
     # solve_poisson factors S in its own buffer and holds only its
