@@ -18,9 +18,13 @@ __all__ = [
     "polar_layout",
     "clipped_grid",
     "disk_grid",
+    "orbits",
 ]
 
 _TOL = 1e-12
+# D4, the square's quarter turns and reflections, as matrices acting on row points
+_D4 = np.array([m for c, s in ((1, 0), (0, 1), (-1, 0), (0, -1))
+                for m in ([[c, s], [-s, c]], [[c, s], [s, -c]])], float)
 
 
 def as_points(x, d):
@@ -90,13 +94,14 @@ def polar_layout(L, J):
     """
     if L < 1 or J < 1:
         raise ValueError("need L >= 1 and J >= 1")
-    angles = 2.0 * np.pi * np.arange(J + 1) / (J + 1)
-    ring = np.column_stack([np.cos(angles), np.sin(angles)])
-    rows = [np.zeros((1, 2))]
-    for l in range(1, L + 1):
-        rows.append(ring * (l / L))
-    pts = np.vstack(rows)
-    return PointSet(pts, 1 + (L - 1) * (J + 1))
+    rings = [_ring(J + 1) * (l / L) for l in range(1, L + 1)]
+    return PointSet(np.vstack([np.zeros((1, 2))] + rings), 1 + (L - 1) * (J + 1))
+
+
+def _ring(m):
+    """The m unit vectors at the angles 2 pi k / m, k = 0..m-1."""
+    angles = 2.0 * np.pi * np.arange(m) / m
+    return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
 def _lattice(h):
@@ -135,10 +140,26 @@ def disk_grid(h):
         raise ValueError("need 0 < h <= 1/2")
     pts = _lattice(h)
     inside = pts[np.sum(pts * pts, axis=1) < 1.0 - _TOL]
-    m = int(round(2.0 / h))
-    angles = 2.0 * np.pi * np.arange(m) / m
-    ring = np.column_stack([np.cos(angles), np.sin(angles)])
-    return PointSet(np.vstack([inside, ring]), inside.shape[0])
+    return PointSet(np.vstack([inside, _ring(int(round(2.0 / h)))]), inside.shape[0])
+
+
+def orbits(ps, M):
+    """The orbit of each point of ps under the largest subgroup of D4 (of
+    x -> +-x on the interval) that maps ps onto itself within _TOL, interior
+    points onto interior points, and the tail rule's directions (M angles on
+    the disk, +-1 on the interval) onto themselves. Orbits are numbered by
+    their smallest point index: 0..n_total-1 without symmetry."""
+    group, dirs = ((_D4, _ring(M)) if ps.points.shape[1] == 2
+                   else (np.array([[[1.0]], [[-1.0]]]), np.array([[1.0], [-1.0]])))
+    # the directions, at radius 2, can match only each other
+    pts = np.vstack([ps.points, 2.0 * dirs])
+    kind = np.repeat([0, 1, 2], [ps.n_interior, ps.n_total - ps.n_interior, len(dirs)])
+    tree, images = cKDTree(pts), []
+    for g in group:
+        dist, image = tree.query(pts @ g)
+        if np.all(dist <= _TOL) and np.array_equal(kind[image], kind):
+            images.append(image[:ps.n_total])
+    return np.unique(np.min(images, axis=0), return_inverse=True)[1]
 
 
 def _separation(pts):

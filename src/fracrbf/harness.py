@@ -22,13 +22,13 @@ import numpy as np
 from fracrbf.dynamics import (EvolutionConfig, _check_chi, _check_kappa, anisotropy_ratio,
                               crank_nicolson_mixed, mixed_operators, qg_operators, run_qg)
 from fracrbf.exterior import exterior_data_correction
-from fracrbf.geometry import clipped_grid, disk_grid, polar_layout, uniform_interval
+from fracrbf.geometry import clipped_grid, disk_grid, orbits, polar_layout, uniform_interval
 from fracrbf.linsys import assemble, condition_estimate
 from fracrbf.oracles import case1, case1_datum, case2, case2_scaled
 from fracrbf.rbf import GmqBasis, phi_block
 from fracrbf.specialfun import FracParams, gamma_fn
 from fracrbf.steady import (evaluate_interpolant, forward_frac_lap_clipped, interpolate,
-                            solve_poisson)
+                            poisson_rhs)
 
 __all__ = [
     "rms_error",
@@ -220,12 +220,18 @@ def solve_row(ps, basis, f, g=None):
     """One steady solve of every steady preset and of `fracrbf solve`.
 
     Returns (row, lam, u): the row carries the table N and cond(A_phi), and its seconds
-    cover assemble, right-hand side and solve; u holds the solution's values
-    at the interior points. The solve consumes S, so A_phi is evaluated only
-    after S is gone: u is read off its interior rows, and then the condition
-    estimate factors it in place."""
+    cover right-hand side, assemble and solve; u holds the solution's values at
+    the interior points. A right-hand side of one value per geometry.orbits
+    orbit (within 1e-13 of its largest entry) is solved on the orbits. The
+    solve consumes S, so A_phi is evaluated only after S is gone: u is read
+    off its interior rows, and then the condition estimate factors it in place."""
     t0 = time.perf_counter()
-    lam = solve_poisson(assemble(ps, basis), f, g=g)
+    rhs = poisson_rhs(ps, basis, f, g)
+    orbit = orbits(ps, basis.M)
+    reps = np.unique(orbit, return_index=True)[1]
+    if np.max(np.abs(rhs - rhs[reps][orbit])) > 1e-13 * np.max(np.abs(rhs)):
+        orbit = reps = np.arange(ps.n_total)
+    lam = assemble(ps, basis, orbit).solve(rhs[reps])[orbit]
     seconds = time.perf_counter() - t0
     a = phi_block(basis, basis.centers)
     u = a[:ps.n_interior] @ lam

@@ -7,7 +7,7 @@ values through plain basis evaluation.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -89,18 +89,27 @@ class SystemMatrices:
         return sla.lu_solve(_factor(s.T), np.asarray(rhs, dtype=float), trans=1)
 
 
-def assemble(ps, basis):
+def assemble(ps, basis, orbit=None):
     """Build the system S: closed-form images plus exterior tails on the
     equation rows, plain basis values on the zero-value rows. The basis must
-    be centered at the point set, which makes A_phi symmetric."""
+    be centered at the point set, which makes A_phi symmetric. With `orbit`
+    (geometry.orbits), the rows are built at the orbits' representatives and
+    the columns, taken orbit by orbit, summed over each orbit: the system of
+    a lam constant on orbits. Singleton orbits, the default, give the whole S."""
     if not np.array_equal(basis.centers, ps.points):
         raise ValueError("the basis must be centered at the point set")
-    n = ps.n_interior
-    s = np.empty((ps.n_total, ps.n_total))
-    frac_lap_block(basis, ps.interior, out=s[:n])
-    phi_block(basis, ps.boundary, out=s[n:])
-    # S is the only N x N array: the tail is added into its equation rows
-    add_tail(s[:n], ps.interior, basis)
+    orbit = np.arange(ps.n_total) if orbit is None else orbit
+    members = np.argsort(orbit, kind="stable")
+    first = np.flatnonzero(np.diff(orbit[members], prepend=-1))
+    n = int(np.searchsorted(members[first], ps.n_interior))
+    pts, cols = ps.points[members[first]], replace(basis, centers=ps.points[members])
+    s = np.empty((len(first), ps.n_total))
+    frac_lap_block(cols, pts[:n], out=s[:n])
+    phi_block(cols, pts[n:], out=s[n:])
+    # the tail is added into the equation rows in place, with no second such array
+    add_tail(s[:n], pts[:n], cols)
+    if len(first) < ps.n_total:
+        s = np.add.reduceat(s, first, axis=1)
     return SystemMatrices(ps, basis, s)
 
 

@@ -12,6 +12,7 @@ from fracrbf.rbf import frac_lap_block, phi_block
 __all__ = [
     "interpolate",
     "forward_frac_lap_clipped",
+    "poisson_rhs",
     "solve_poisson",
     "evaluate_interpolant",
 ]
@@ -43,25 +44,25 @@ def forward_frac_lap_clipped(lam, basis, test_points):
     return add_tail(frac_lap_block(basis, test_points), test_points, basis) @ lam
 
 
-def solve_poisson(sm, f, g=None):
-    """Collocation solve of the exterior-value problem on the system sm.
-
-    Equation rows carry the exact operator image plus the basis tails; the
-    right-hand side gains the tail integral of the exterior datum g under
-    the rule of sm.basis, and the zero-value rows pin the expansion to g on
-    the boundary set. g=None means homogeneous exterior data. Returns the
-    coefficients; evaluate_interpolant turns them into field values.
-    """
-    ps = sm.ps
+def poisson_rhs(ps, basis, f, g=None):
+    """The right-hand side of the exterior-value problem at all N points: f
+    plus the tail of the exterior datum g under the rule of basis on the
+    equation rows, g on the zero-value rows; g=None means g = 0."""
     rhs = np.zeros(ps.n_total)
     rhs[: ps.n_interior] = f(ps.interior)
     if g is not None:
-        rhs[: ps.n_interior] += exterior_data_correction(g, ps.interior, sm.basis)
+        rhs[: ps.n_interior] += exterior_data_correction(g, ps.interior, basis)
         if ps.n_interior < ps.n_total:
             rhs[ps.n_interior:] = g.value(ps.boundary)
     if not np.all(np.isfinite(rhs)):
         raise ValueError("right-hand side must be finite at the collocation points")
-    return sm.solve(rhs)
+    return rhs
+
+
+def solve_poisson(sm, f, g=None):
+    """The coefficients of the collocation solve on the whole system sm with
+    poisson_rhs; evaluate_interpolant turns them into field values."""
+    return sm.solve(poisson_rhs(sm.ps, sm.basis, f, g))
 
 
 def evaluate_interpolant(lam, basis, points):

@@ -6,7 +6,8 @@ by `linsys`' factorization rule on copies, the tail added into a matrix
 one node block at a time, and the out-of-place forms of the kernel blocks, tail factors, tail product and
 1-norm that the solver computes in place with the same operations, the
 Gauss rule with its recurrence written out twice, and the field, snapshot
-and anisotropy file writers that each wrote its own CSV.
+and anisotropy file writers that each wrote its own CSV, and a brute-force
+search of the symmetries of a point set.
 The file name keeps pytest from collecting it.
 """
 
@@ -19,6 +20,7 @@ import numpy as np
 from scipy import integrate
 import scipy.linalg as sla
 from scipy.linalg import get_lapack_funcs
+from scipy.spatial.distance import cdist
 
 from fracrbf.exterior import TailFactors
 from fracrbf.geometry import as_points
@@ -420,3 +422,38 @@ def write_anisotropy_ref(out, times, fields, ratios):
         w.writerow(["time", "peak", "ratio"])
         for t, f, r in zip(times, fields, ratios):
             w.writerow([f"{t:.6f}", repr(float(np.max(np.abs(f)))), repr(r)])
+
+
+def symmetry_group_ref(ps, M, tol=1e-12):
+    """The permutations of ps (row k: the index of the image of each point)
+    by the rotations through k pi/2 and the reflections in the lines at k pi/4
+    (x -> +-x on the interval) that map ps onto itself within tol, interior
+    points onto interior points, and the angles 2 pi j / M onto themselves:
+    the turn through k pi/2 and the reflection in the line at k pi/4 do that
+    when M k is a multiple of 4. Images are found by a nearest-point search
+    in row chunks."""
+    pts = ps.points
+    if pts.shape[1] == 1:
+        maps = [np.eye(1), -np.eye(1)]
+    else:
+        maps = []
+        for k in range(4):
+            if M * k % 4:
+                continue
+            c, s = round(math.cos(k * math.pi / 2)), round(math.sin(k * math.pi / 2))
+            maps.append(np.array([[c, -s], [s, c]]))
+            maps.append(np.array([[c, s], [s, -c]]))
+    inner = np.arange(ps.n_total) < ps.n_interior
+    group = []
+    for g in maps:
+        moved = pts @ g.T
+        image = np.empty(ps.n_total, dtype=int)
+        for i in range(0, ps.n_total, 256):
+            dist = cdist(moved[i:i + 256], pts)
+            image[i:i + 256] = np.argmin(dist, axis=1)
+            if np.min(dist, axis=1).max() > tol:
+                break
+        else:
+            if np.array_equal(inner[image], inner):
+                group.append(image)
+    return np.array(group)

@@ -276,10 +276,10 @@ def test_preset_table2_frozen_rows():
     ns = [r.n for r in rep.rows]
     assert ns == [2, 4, 8, 16]
     expect = [
-        (0.010472334562958041, 0.142418642604258, 2947.4735597553567),
-        (0.007973418308831859, 0.0266910984438397, 290390.6321256796),
-        (0.000453745959626907, 0.0008604432256996374, 2084009949.2349632),
-        (2.0384051377281037e-06, 1.9001549552029601e-06, 6.4687264996550024e+16),
+        (0.010472334562947272, 0.1424186426042655, 2947.4735597553567),
+        (0.007973418308921374, 0.026691098443777154, 290390.6321256796),
+        (0.00045374596013638893, 0.0008604432259879792, 2084009949.2349632),
+        (2.0415110218750654e-06, 1.8944362837679828e-06, 6.4687264996550024e+16),
     ]
     for row, (e, ehat, cond) in zip(rep.rows, expect):
         assert row.e == pytest.approx(e, rel=1e-9)
@@ -328,8 +328,8 @@ def test_preset_table2_deterministic_rows():
 def test_preset_table5_small_levels():
     rep = preset_table5(levels=(3, 5))
     assert [r.n for r in rep.rows] == [13, 31]
-    assert rep.rows[0].e == pytest.approx(0.018546296310718163, rel=1e-9)
-    assert rep.rows[1].e == pytest.approx(0.0007332551378838013, rel=1e-9)
+    assert rep.rows[0].e == pytest.approx(0.018546296310727295, rel=1e-9)
+    assert rep.rows[1].e == pytest.approx(0.0007332551370277629, rel=1e-9)
     # 2D rate derivation uses the per-axis point-count ratio
     ref_rate = math.log(rep.rows[0].e / rep.rows[1].e) / (math.log(31 / 13) / 2.0)
     assert rep.rows[1].rate_e == pytest.approx(ref_rate, rel=1e-12)

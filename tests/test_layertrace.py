@@ -12,12 +12,16 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.mark.parametrize("name, kwargs, counts", [
+    # S's tail rows are the interior orbits' representatives (1 and 2 of the
+    # interior nodes 2 and 4, 10368 flops on all of them), then the residual's
+    # 1 and 3 measurement points
     ("table2", dict(ns=(2, 4)),
-     {"exterior.tail_nodes": 384, "exterior.tail_flops": 10368, "linsys.lu_count": 4}),
+     {"exterior.tail_nodes": 384, "exterior.tail_flops": 7296, "linsys.lu_count": 4}),
     # the LU of S; cond(A_phi) comes from a Cholesky factor, which the trace
-    # does not count
+    # does not count. The tail rows are 3 orbit representatives of the 9
+    # interior points (479232 flops on all of them)
     ("table6", dict(hs=(0.5,)),
-     {"exterior.tail_nodes": 2048, "exterior.tail_flops": 479232, "linsys.lu_count": 1}),
+     {"exterior.tail_nodes": 2048, "exterior.tail_flops": 159744, "linsys.lu_count": 1}),
     # one LU per Crank-Nicolson matrix, one per chi; the nodal operators'
     # A_phi (beta < 0) is Cholesky-factored, which the trace does not count
     ("fig-mixed", dict(dt=0.1, t_end=0.2), {"linsys.lu_count": 3}),

@@ -8,8 +8,9 @@ import pytest
 import scipy.linalg as sla
 from scipy.linalg import get_lapack_funcs
 
+from fracrbf import harness
 from fracrbf.exterior import exterior_data_correction, tail_factors_at
-from fracrbf.geometry import clipped_grid, disk_grid, polar_layout, uniform_interval
+from fracrbf.geometry import clipped_grid, disk_grid, orbits, polar_layout, uniform_interval
 from fracrbf.harness import measurement_points, solve_row
 from fracrbf.linsys import (SystemMatrices, _factor, _phi_factor, assemble, condition_estimate,
                             nodal_operator)
@@ -419,3 +420,133 @@ def test_in_place_factor_of_transposed_a_phi_is_bitwise_lu_factor(ps, d, alpha):
     assert np.shares_memory(lu, a)
     assert np.array_equal(lu, lu_ref)
     assert np.array_equal(piv, piv_ref)
+
+
+def _orbit_solve_cases():
+    # (point set, d, eps, K, M); the last is ill-conditioned (cond(A_phi) ~ 1e13)
+    return [(disk_grid(0.125), 2, 0.25, 32, 64), (clipped_grid(1.0 / 16.0), 2, 0.05, 32, 64),
+            (uniform_interval(258), 1, 4.0 / 256.0, 48, 64),
+            (polar_layout(10, 10), 2, 0.8, 48, 96)]
+
+
+def _full_solve(ps, basis, f):
+    """The solve on all points, through the whole S: (lam, u)."""
+    lam = solve_poisson(assemble(ps, basis), f)
+    return lam, evaluate_interpolant(lam, basis, ps.interior)
+
+
+@pytest.mark.parametrize("ps, d", [(uniform_interval(40), 1), (disk_grid(0.125), 2)],
+                         ids=["interval", "disk"])
+def test_singleton_orbits_build_the_whole_s_bitwise(ps, d):
+    basis = GmqBasis(ps.points, FracParams(d, 1.2), 0.5, K=32, M=64)
+    s = assemble(ps, basis).s
+    assert np.array_equal(assemble(ps, basis, np.arange(ps.n_total)).s, s)
+
+
+@pytest.mark.parametrize("ps, d", [(uniform_interval(40), 1), (disk_grid(0.125), 2),
+                                   (polar_layout(5, 5), 2)], ids=["interval", "disk", "polar"])
+def test_orbit_system_is_the_representative_rows_summed_over_orbits(ps, d):
+    basis = GmqBasis(ps.points, FracParams(d, 1.2), 0.5, K=32, M=64)
+    orbit = orbits(ps, basis.M)
+    reps = np.unique(orbit, return_index=True)[1]
+    s = assemble(ps, basis).s
+    indicator = np.zeros((ps.n_total, len(reps)))
+    indicator[np.arange(ps.n_total), orbit] = 1.0
+    red = assemble(ps, basis, orbit).s
+    assert red.shape == (len(reps), len(reps)) and red.flags.c_contiguous
+    assert np.max(np.abs(red - s[reps] @ indicator)) <= 1e-14 * np.max(np.abs(s))
+
+
+def test_orbit_assembly_memory_budget():
+    # at fig-square's N=3209 the 429 representative rows (0.134 units) are
+    # built with one node block of the tail factors and the row buffer
+    # beside them, and their columns, taken orbit by orbit, are summed by one
+    # reduceat into the 429 x 429 system: 0.26 units at the peak, against
+    # 1.17 for the whole S. A gathered copy of the rows would add 0.134
+    ps = clipped_grid(1.0 / 32.0)
+    basis = GmqBasis(ps.points, FracParams(2, 1.2), 0.05, K=32, M=64)
+    orbit = orbits(ps, basis.M)
+    sm, peak = _peak_in_n2(lambda: assemble(ps, basis, orbit), ps.n_total)
+    assert sm.s.shape == (429, 429)
+    assert peak < 0.29
+
+
+@pytest.mark.parametrize("case", _orbit_solve_cases()[:3], ids=["disk", "embedded", "interval"])
+@pytest.mark.parametrize("alpha", [0.4, 1.2, 1.6])
+def test_orbit_solve_agrees_with_the_full_solve(case, alpha):
+    ps, d, eps, K, M = case
+    basis = GmqBasis(ps.points, FracParams(d, alpha), eps, K=K, M=M)
+    f = lambda x: np.ones(len(x))
+    _, lam, u = solve_row(ps, basis, f)
+    _, u_full = _full_solve(ps, basis, f)
+    assert np.max(np.abs(u - u_full)) <= 1e-12 * np.max(np.abs(u_full))
+    # lam is constant on orbits exactly (the full solve's is not: on the
+    # ill-conditioned layouts its asymmetry is O(1), so lam is not compared)
+    orbit = orbits(ps, M)
+    assert np.array_equal(lam, lam[np.unique(orbit, return_index=True)[1]][orbit])
+
+
+@pytest.mark.parametrize("case", _orbit_solve_cases(),
+                         ids=["disk", "embedded", "interval", "fig-disk"])
+@pytest.mark.parametrize("alpha", [0.4, 1.2, 1.6])
+def test_orbit_solve_is_within_the_full_solves_own_asymmetry(case, alpha):
+    # the full solve's u varies within an orbit by its rounding alone; the
+    # orbit solve moves u by at most 3 times that (1.9 measured, on the
+    # interval at alpha 1.6), on polar_layout(10, 10) too, where the
+    # relative shift is 4e-8
+    ps, d, eps, K, M = case
+    basis = GmqBasis(ps.points, FracParams(d, alpha), eps, K=K, M=M)
+    f = lambda x: np.ones(len(x))
+    _, _, u = solve_row(ps, basis, f)
+    _, u_full = _full_solve(ps, basis, f)
+    orbit = orbits(ps, M)[:ps.n_interior]
+    top, low = np.full(orbit.max() + 1, -np.inf), np.full(orbit.max() + 1, np.inf)
+    np.maximum.at(top, orbit, u_full)
+    np.minimum.at(low, orbit, u_full)
+    assert np.max(np.abs(u - u_full)) <= 3.0 * np.max(top - low)
+
+
+@pytest.mark.parametrize("M, n_orbits", [(30, 61), (63, 113)])
+def test_orbit_solve_uses_the_group_of_the_tail_rule(M, n_orbits, monkeypatch):
+    # with M = 30 or 63 the quarter turns (and for 63 the half turn and
+    # x1 -> -x1) do not
+    # map the tail rule onto itself; solving on disk_grid(1/8)'s 34 D4 orbits
+    # would move u by 3.5-4.5%
+    ps = disk_grid(0.125)
+    basis = GmqBasis(ps.points, FracParams(2, 1.2), 0.25, K=32, M=M)
+    sizes = []
+
+    def recorded(*args):
+        sm = assemble(*args)
+        sizes.append(sm.s.shape)
+        return sm
+    monkeypatch.setattr(harness, "assemble", recorded)
+    f = lambda x: np.ones(len(x))
+    _, _, u = solve_row(ps, basis, f)
+    assert sizes == [(n_orbits, n_orbits)]
+    _, u_full = _full_solve(ps, basis, f)
+    assert np.max(np.abs(u - u_full)) <= 1e-12 * np.max(np.abs(u_full))
+
+
+def test_a_right_hand_side_off_the_orbits_takes_the_full_solve_bitwise():
+    # f = 1 + x1 is not constant on the D4 orbits, so solve_row solves on all
+    # points, with the bits of the full solve
+    ps = disk_grid(0.125)
+    basis = GmqBasis(ps.points, FracParams(2, 1.2), 0.25, K=32, M=64)
+    f = lambda x: 1.0 + x[:, 0]
+    _, lam, u = solve_row(ps, basis, f)
+    lam_full, u_full = _full_solve(ps, basis, f)
+    assert np.array_equal(lam, lam_full)
+    assert np.array_equal(u, u_full)
+
+
+def test_solve_row_memory_budget_on_the_orbits():
+    # the orbit system is (118 x 118) at N=825, and its rows (118 x N) are
+    # built with one tail block beside them; the whole A_phi, evaluated for u
+    # and the condition estimate after the solve, is then the largest array:
+    # the peak is 1.01 units, where the whole S and the whole A_phi in turn
+    # gave 1.77
+    ps = disk_grid(1.0 / 16.0)
+    basis = GmqBasis(ps.points, FracParams(2, 1.2), 0.125, K=32, M=64)
+    _, peak = _peak_in_n2(lambda: solve_row(ps, basis, lambda x: np.ones(len(x))), ps.n_total)
+    assert peak < 1.05
