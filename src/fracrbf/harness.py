@@ -217,14 +217,15 @@ def _git_rev():
 
 
 def solve_row(ps, basis, f, g=None):
-    """One steady solve of every steady preset and of `fracrbf solve`.
+    """The package's one steady solve, of poisson_rhs(ps, basis, f, g).
 
-    Returns (row, lam, u): the row carries the table N and cond(A_phi), and its seconds
-    cover right-hand side, assemble and solve; u holds the solution's values at
-    the interior points. A right-hand side of one value per geometry.orbits
-    orbit (within 1e-13 of its largest entry) is solved on the orbits. The
-    solve consumes S, so A_phi is evaluated only after S is gone: u is read
-    off its interior rows, and then the condition estimate factors it in place."""
+    Returns (row, lam, u): the row carries the table N and cond(A_phi), and
+    its seconds cover right-hand side, orbit search, assemble and solve; u
+    holds the solution's values at the interior points. A right-hand side of
+    one value per geometry.orbits orbit (within 1e-13 of its largest entry) is
+    solved on the orbits. The solve consumes S, so A_phi is evaluated only
+    after S is gone: u is read off its interior rows, and then the condition
+    estimate factors it in place."""
     t0 = time.perf_counter()
     rhs = poisson_rhs(ps, basis, f, g)
     orbit = orbits(ps, basis.M)

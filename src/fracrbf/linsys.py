@@ -71,14 +71,11 @@ def _phi_solve(basis, rhs):
 
 @dataclass
 class SystemMatrices:
-    """The collocation system S and the point set and basis it was assembled
-    from. Neither A_phi nor any factorization is kept: A_phi is evaluated in
-    the rows a caller needs, and each LU is dropped right after its use.
-    `solve` factors S^T in S's buffer and sets `s` to None, so a system
-    solves once; read any rows of S before that."""
+    """The collocation system S alone. Neither A_phi nor any factorization
+    is kept: A_phi is evaluated in the rows a caller needs, and each LU is
+    dropped right after its use. `solve` factors S^T in S's buffer and sets
+    `s` to None, so a system solves once; read any rows of S before that."""
 
-    ps: object
-    basis: object
     s: np.ndarray | None
 
     def solve(self, rhs):
@@ -110,7 +107,7 @@ def assemble(ps, basis, orbit=None):
     add_tail(s[:n], pts[:n], cols)
     if len(first) < ps.n_total:
         s = np.add.reduceat(s, first, axis=1)
-    return SystemMatrices(ps, basis, s)
+    return SystemMatrices(s)
 
 
 def condition_estimate(basis, a):

@@ -1,5 +1,6 @@
 """Steady pipelines: interpolation, forward operator evaluation, and the
-fractional Poisson solve with optional nonzero exterior data."""
+right-hand side of the fractional Poisson solve with optional nonzero
+exterior data, which harness.solve_row solves."""
 
 import warnings
 
@@ -13,7 +14,6 @@ __all__ = [
     "interpolate",
     "forward_frac_lap_clipped",
     "poisson_rhs",
-    "solve_poisson",
     "evaluate_interpolant",
 ]
 
@@ -57,12 +57,6 @@ def poisson_rhs(ps, basis, f, g=None):
     if not np.all(np.isfinite(rhs)):
         raise ValueError("right-hand side must be finite at the collocation points")
     return rhs
-
-
-def solve_poisson(sm, f, g=None):
-    """The coefficients of the collocation solve on the whole system sm with
-    poisson_rhs; evaluate_interpolant turns them into field values."""
-    return sm.solve(poisson_rhs(sm.ps, sm.basis, f, g))
 
 
 def evaluate_interpolant(lam, basis, points):

@@ -181,9 +181,9 @@ def _per_stage_rhs(ps, eps, alpha, K, M):
     gx, gy = grad_blocks(half, ps.interior)
     coeff_map = nodal_operator(ps, half)
     dx, dy = gx @ coeff_map, gy @ coeff_map
-    sm_diss = sm if alpha == 1.0 else assemble(
-        ps, GmqBasis(ps.points, FracParams(2, alpha), eps, K=K, M=M))
-    diss = sm_diss.s[:n] @ nodal_operator(ps, sm_diss.basis)
+    diss_basis = half if alpha == 1.0 else GmqBasis(ps.points, FracParams(2, alpha), eps, K=K, M=M)
+    sm_diss = sm if alpha == 1.0 else assemble(ps, diss_basis)
+    diss = sm_diss.s[:n] @ nodal_operator(ps, diss_basis)
 
     s_lu = _factor(sm.s.T)
 

@@ -271,7 +271,8 @@ def test_preset_table2_frozen_rows():
     # rounding noise: the 4-ulp envelope (tests/envelope.csv) of E and Ehat
     # is about 4e-9 at N=8 and 3e-3 at N=16. So this pins the bits of one
     # arithmetic order, and a change of rounding re-freezes the values here
-    # once `tests/perturb.py --check` has classed these cells inside
+    # once `tests/perturb.py --check` has classed these cells inside. abs=0:
+    # approx's default abs=1e-12 would hold the N=16 row only to about 5e-7
     rep = preset_table2()
     ns = [r.n for r in rep.rows]
     assert ns == [2, 4, 8, 16]
@@ -282,8 +283,8 @@ def test_preset_table2_frozen_rows():
         (2.0415110218750654e-06, 1.8944362837679828e-06, 6.4687264996550024e+16),
     ]
     for row, (e, ehat, cond) in zip(rep.rows, expect):
-        assert row.e == pytest.approx(e, rel=1e-9)
-        assert row.ehat == pytest.approx(ehat, rel=1e-9)
+        assert row.e == pytest.approx(e, rel=1e-9, abs=0)
+        assert row.ehat == pytest.approx(ehat, rel=1e-9, abs=0)
         assert row.cond == pytest.approx(cond, rel=1e-6)
     assert rep.meta["alpha"] == 1.2
 
@@ -328,8 +329,8 @@ def test_preset_table2_deterministic_rows():
 def test_preset_table5_small_levels():
     rep = preset_table5(levels=(3, 5))
     assert [r.n for r in rep.rows] == [13, 31]
-    assert rep.rows[0].e == pytest.approx(0.018546296310727295, rel=1e-9)
-    assert rep.rows[1].e == pytest.approx(0.0007332551370277629, rel=1e-9)
+    assert rep.rows[0].e == pytest.approx(0.018546296310727295, rel=1e-9, abs=0)
+    assert rep.rows[1].e == pytest.approx(0.0007332551370277629, rel=1e-9, abs=0)
     # 2D rate derivation uses the per-axis point-count ratio
     ref_rate = math.log(rep.rows[0].e / rep.rows[1].e) / (math.log(31 / 13) / 2.0)
     assert rep.rows[1].rate_e == pytest.approx(ref_rate, rel=1e-12)

@@ -10,7 +10,8 @@ from scipy.linalg import get_lapack_funcs
 
 from fracrbf import harness
 from fracrbf.exterior import exterior_data_correction, tail_factors_at
-from fracrbf.geometry import clipped_grid, disk_grid, orbits, polar_layout, uniform_interval
+from fracrbf.geometry import (PointSet, clipped_grid, disk_grid, orbits, polar_layout,
+                               uniform_interval)
 from fracrbf.harness import measurement_points, solve_row
 from fracrbf.linsys import (SystemMatrices, _factor, _phi_factor, assemble, condition_estimate,
                             nodal_operator)
@@ -18,7 +19,7 @@ from fracrbf.oracles import case1_datum
 from fracrbf.rbf import GmqBasis, classical_lap_block, frac_lap_block, phi_block
 from fracrbf.specialfun import FracParams
 from fracrbf.steady import (evaluate_interpolant, forward_frac_lap_clipped, interpolate,
-                            solve_poisson)
+                            poisson_rhs)
 from reference import (cholesky_cond_ref, frac_lap_block_ref, nodal_operator_ref, one_norm_ref,
                        phi_block_ref, phi_solve_ref, tail_added_ref, tail_factors_ref,
                        tail_matrix_ref)
@@ -88,9 +89,8 @@ def test_factor_refuses_a_c_order_matrix():
 
 def test_nodal_values_reads_top_block():
     # the nodal values of a solve are the expansion at the equation points
-    ps, basis, sm = _system_1d(n=8)
-    lam = solve_poisson(sm, lambda pts: np.cos(pts[:, 0]))
-    u_nodes = evaluate_interpolant(lam, basis, ps.interior)
+    ps, basis, _ = _system_1d(n=8)
+    _, lam, u_nodes = solve_row(ps, basis, lambda pts: np.cos(pts[:, 0]))
     ref = phi_block(basis, ps.interior) @ lam
     assert u_nodes.shape == (ps.n_interior,)
     assert np.allclose(u_nodes, ref, atol=1e-14)
@@ -312,7 +312,7 @@ def test_assembly_memory_budget(ps, d, K, M, budget):
     # at N=600) and 1.17 at
     # fig-square's N=3209. The budgets sit just above that, so a temporary
     # put back fails here; the whole-rule factors gave 5.73, 2.32 and 2.07.
-    # solve_poisson factors S in its own buffer and holds only its
+    # the solve factors S in its own buffer and holds only its
     # right-hand side, and condition_estimate only the fresh A_phi, which
     # its factor overwrites in place (an LU in every case: beta >= 0 in 1D,
     # and the 2D Cholesky meets a pivot that is not positive, so A_phi is
@@ -321,7 +321,7 @@ def test_assembly_memory_budget(ps, d, K, M, budget):
     n = ps.n_total
     sm, assemble_peak = _peak_in_n2(lambda: assemble(ps, basis), n)
     assert assemble_peak < budget
-    _, peak = _peak_in_n2(lambda: solve_poisson(sm, lambda x: np.ones(len(x))), n)
+    _, peak = _peak_in_n2(lambda: sm.solve(poisson_rhs(ps, basis, lambda x: np.ones(len(x)))), n)
     assert peak < ps.n_interior / n + 0.02
     _, peak = _peak_in_n2(lambda: condition_estimate(basis, phi_block(basis, ps.points)), n)
     assert peak < 1.1
@@ -375,7 +375,7 @@ def test_interpolate_memory_budget(ps, d):
 
 
 def test_system_keeps_only_s():
-    assert [f.name for f in dataclasses.fields(SystemMatrices)] == ["ps", "basis", "s"]
+    assert [f.name for f in dataclasses.fields(SystemMatrices)] == ["s"]
 
 
 def test_solve_consumes_the_system():
@@ -431,7 +431,7 @@ def _orbit_solve_cases():
 
 def _full_solve(ps, basis, f):
     """The solve on all points, through the whole S: (lam, u)."""
-    lam = solve_poisson(assemble(ps, basis), f)
+    lam = assemble(ps, basis).solve(poisson_rhs(ps, basis, f))
     return lam, evaluate_interpolant(lam, basis, ps.interior)
 
 
@@ -534,6 +534,24 @@ def test_a_right_hand_side_off_the_orbits_takes_the_full_solve_bitwise():
     ps = disk_grid(0.125)
     basis = GmqBasis(ps.points, FracParams(2, 1.2), 0.25, K=32, M=64)
     f = lambda x: 1.0 + x[:, 0]
+    _, lam, u = solve_row(ps, basis, f)
+    lam_full, u_full = _full_solve(ps, basis, f)
+    assert np.array_equal(lam, lam_full)
+    assert np.array_equal(u, u_full)
+
+
+def test_an_asymmetric_layout_takes_the_full_solve_bitwise():
+    # disk_grid(1/8) with its interior points jittered by 1e-6 is mapped onto
+    # itself by the identity alone, so every orbit is a singleton and even
+    # f = 1 is solved on all points, with the bits of the full solve
+    grid = disk_grid(0.125)
+    pts = grid.points.copy()
+    pts[:grid.n_interior] += 1e-6 * np.random.default_rng(7).uniform(
+        -1.0, 1.0, (grid.n_interior, 2))
+    ps = PointSet(pts, grid.n_interior)
+    basis = GmqBasis(ps.points, FracParams(2, 1.2), 0.25, K=32, M=64)
+    assert np.array_equal(orbits(ps, basis.M), np.arange(ps.n_total))
+    f = lambda x: np.ones(len(x))
     _, lam, u = solve_row(ps, basis, f)
     lam_full, u_full = _full_solve(ps, basis, f)
     assert np.array_equal(lam, lam_full)

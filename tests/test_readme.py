@@ -16,8 +16,7 @@ def test_readme_library_example_runs():
     assert len(blocks) == 1
     scope = {}
     exec(blocks[0], scope)
-    ps, sm, lam, u = scope["ps"], scope["sm"], scope["lam"], scope["u"]
-    assert sm.basis is scope["basis"]
+    ps, lam, u = scope["ps"], scope["lam"], scope["u"]
     assert lam.shape == (ps.n_total,) and u.shape == (ps.n_interior,)
     assert np.all(np.isfinite(u)) and np.all(u > 0.0)
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from fracrbf.exterior import GmqProfile, exterior_data_correction
-from fracrbf.geometry import polar_layout, uniform_interval
+from fracrbf.geometry import orbits, polar_layout, uniform_interval
+from fracrbf.harness import solve_row
 from fracrbf.linsys import assemble
 from fracrbf.oracles import case1, case2
 from fracrbf.rbf import GmqBasis, frac_lap_block, phi_block
 from fracrbf.specialfun import FracParams
 from fracrbf.steady import (evaluate_interpolant, forward_frac_lap_clipped, interpolate,
-                            solve_poisson)
+                            poisson_rhs)
 
 
 def test_interpolate_reproduces_samples():
@@ -64,7 +65,7 @@ def test_solve_poisson_homogeneous_compact_case():
     alpha = 1.2
     basis = GmqBasis(ps.points, FracParams(1, alpha), 1.5, K=48)
     f = lambda pts: case2(1, alpha, 2.0, pts)[1]
-    lam = solve_poisson(assemble(ps, basis), f)
+    _, lam, _ = solve_row(ps, basis, f)
     nodal = evaluate_interpolant(lam, basis, ps.interior)
     exact = case2(1, alpha, 2.0, ps.interior, f_required=False)[0]
     err = np.linalg.norm(nodal - exact) / np.linalg.norm(exact)
@@ -83,7 +84,7 @@ def test_solve_poisson_exterior_data_disk():
     basis = GmqBasis(ps.points, FracParams(2, alpha), 1.5, K=48, M=96)
     g = GmqProfile(np.zeros(2), 1.0, -1.5)
     f = lambda pts: case1(2, alpha, pts)[1]
-    lam = solve_poisson(assemble(ps, basis), f, g=g)
+    _, lam, _ = solve_row(ps, basis, f, g=g)
     nodal = evaluate_interpolant(lam, basis, ps.interior)
     exact = case1(2, alpha, ps.interior, f_required=False)[0]
     err = np.linalg.norm(nodal - exact) / np.linalg.norm(exact)
@@ -94,40 +95,36 @@ def test_solve_poisson_pins_boundary_rows_to_g():
     ps = polar_layout(3, 7)
     basis = GmqBasis(ps.points, FracParams(2, 1.0), 1.2, K=24, M=48)
     g = GmqProfile(np.zeros(2), 1.0, -1.5)
-    sm = assemble(ps, basis)
     f = lambda pts: np.ones(pts.shape[0])
-    lam = solve_poisson(sm, f, g=g)
+    _, lam, _ = solve_row(ps, basis, f, g=g)
     got_boundary = phi_block(basis, ps.boundary) @ lam
     assert np.allclose(got_boundary, g.value(ps.boundary), rtol=1e-8)
 
 
 def test_solve_poisson_exterior_data_uses_the_system_rule():
     # the datum's tail on the right-hand side takes the (K, M) that the
-    # assembled tail took, read from the system's basis
+    # assembled tail took, read from the basis
     ps = polar_layout(3, 7)
     basis = GmqBasis(ps.points, FracParams(2, 1.0), 1.2, K=24, M=48)
     g = GmqProfile(np.zeros(2), 1.0, -1.5)
     f = lambda pts: np.ones(pts.shape[0])
-    lam = solve_poisson(assemble(ps, basis), f, g=g)
+    rhs = poisson_rhs(ps, basis, f, g)
 
-    def solve_with(rule_basis):
-        # a solve consumes its system, so each one assembles its own
-        rhs = np.zeros(ps.n_total)
-        rhs[:ps.n_interior] = f(ps.interior)
-        rhs[:ps.n_interior] += exterior_data_correction(g, ps.interior, rule_basis)
-        rhs[ps.n_interior:] = g.value(ps.boundary)
-        return assemble(ps, basis).solve(rhs)
-    assert np.array_equal(lam, solve_with(basis))
+    def rhs_with(rule_basis):
+        out = np.zeros(ps.n_total)
+        out[:ps.n_interior] = f(ps.interior)
+        out[:ps.n_interior] += exterior_data_correction(g, ps.interior, rule_basis)
+        out[ps.n_interior:] = g.value(ps.boundary)
+        return out
+    assert np.array_equal(rhs, rhs_with(basis))
     # the default rule gives other bits, so the check above tells the rules apart
-    assert not np.array_equal(lam, solve_with(GmqBasis(ps.points, basis.params, basis.eps)))
-
-
-def test_solve_poisson_returns_the_coefficients_alone():
-    # field values are the caller's evaluate_interpolant, not part of the solve
-    ps = uniform_interval(8)
-    basis = GmqBasis(ps.points, FracParams(1, 1.2), 1.0, K=16)
-    lam = solve_poisson(assemble(ps, basis), lambda pts: np.ones(pts.shape[0]))
-    assert isinstance(lam, np.ndarray) and lam.shape == (ps.n_total,)
+    assert not np.array_equal(rhs, rhs_with(GmqBasis(ps.points, basis.params, basis.eps)))
+    # and solve_row solves the orbit system with it (the datum is radial)
+    _, lam, _ = solve_row(ps, basis, f, g=g)
+    orbit = orbits(ps, basis.M)
+    reps = np.unique(orbit, return_index=True)[1]
+    assert len(reps) < ps.n_total
+    assert np.array_equal(lam, assemble(ps, basis, orbit).solve(rhs[reps])[orbit])
 
 
 def test_solve_poisson_rejects_nonfinite_rhs():
@@ -135,5 +132,5 @@ def test_solve_poisson_rejects_nonfinite_rhs():
     basis = GmqBasis(ps.points, FracParams(1, 1.2), 1.0, K=16)
     f = lambda pts: np.full(pts.shape[0], np.inf)
     with pytest.raises(ValueError):
-        solve_poisson(assemble(ps, basis), f)
+        solve_row(ps, basis, f)
 
